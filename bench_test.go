@@ -388,13 +388,10 @@ func BenchmarkGateEvalZeroAlloc(b *testing.B) {
 	b.Run("EvalSite", func(b *testing.B) {
 		ev := gates.NewConeEvaluator(u.Circuit)
 		ev.Baseline(in)
-		for _, s := range sites {
-			u.Circuit.FanoutCone(s) // exclude one-time cone builds
-		}
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ev.EvalSite(sites[i%len(sites)])
+			ev.EvalSite(sites[i%len(sites)], ^uint64(0))
 		}
 	})
 }

@@ -9,8 +9,9 @@ import (
 
 // TestConeEvaluatorEquivalenceAllUnits is the exhaustive equivalence sweep
 // the campaign rewiring rests on: for every arithmetic unit and EVERY fault
-// site of its netlist, the incremental cone evaluation of a 64-tuple random
-// batch is bit-identical to the naive whole-netlist faulted evaluation.
+// site of its netlist, the incremental evaluation of a 64-tuple random
+// batch is bit-identical to the naive whole-netlist faulted evaluation — in
+// the one lane a campaign attempt reads, and in all 64 lanes.
 // Covering all sites matters more than covering many batches — each site
 // exercises a distinct cone, while extra batches only re-randomize lane
 // values (the fuzz target in internal/gates covers that axis).
@@ -36,8 +37,15 @@ func TestConeEvaluatorEquivalenceAllUnits(t *testing.T) {
 			inc := gates.NewConeEvaluator(u.Circuit)
 			inc.Baseline(in)
 			for _, site := range u.Circuit.FaultSites() {
-				got := inc.EvalSite(site)
 				want := full.Eval(in, site)
+				lane := uint64(1) << uint(site&63)
+				got := inc.EvalSite(site, lane)
+				for o := range want {
+					if (got[o]^want[o])&lane != 0 {
+						t.Fatalf("site %d output %d lane %d: cone %x, full %x", site, o, site&63, got[o], want[o])
+					}
+				}
+				got = inc.EvalSite(site, ^uint64(0))
 				for o := range want {
 					if got[o] != want[o] {
 						t.Fatalf("site %d output %d: cone %x, full %x", site, o, got[o], want[o])
@@ -48,9 +56,9 @@ func TestConeEvaluatorEquivalenceAllUnits(t *testing.T) {
 	}
 }
 
-// TestUnitConeStats sanity-checks the cached per-unit statistics: every unit
-// has a nonempty site set and a mean cone that is a small fraction of the
-// netlist — the structural fact the incremental evaluator's speedup rests on.
+// TestUnitConeStats sanity-checks the per-unit statistics: every unit has a
+// nonempty site set and a mean cone that is a small fraction of the netlist
+// — the structural fact the incremental evaluator's speedup rests on.
 func TestUnitConeStats(t *testing.T) {
 	u := NewIAdd32()
 	st := u.ConeStats()
@@ -63,7 +71,7 @@ func TestUnitConeStats(t *testing.T) {
 	if st.MaxCone > st.NetNodes || float64(st.MaxCone) < st.MeanCone {
 		t.Errorf("inconsistent cone sizes: %+v", st)
 	}
-	if again := u.ConeStats(); again != st {
-		t.Error("ConeStats not cached/deterministic")
+	if again := NewIAdd32().ConeStats(); again != st {
+		t.Errorf("ConeStats not deterministic: %+v then %+v", st, again)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"swapcodes/internal/arith"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/gates"
+	"swapcodes/internal/obs"
 )
 
 // TestCampaignIncrementalMatchesFull is the acceptance property of the
@@ -46,7 +47,45 @@ func TestCampaignIncrementalMatchesFull(t *testing.T) {
 			if f := si.ReEvalFrac(); f <= 0 || f >= 1 {
 				t.Errorf("incremental re-eval fraction %v outside (0,1)", f)
 			}
+			// Every attempt recomputes at least its site and never more
+			// than the site's cone; the naive path recomputes everything.
+			if si.EvalNodes < si.SiteEvals || si.EvalNodes > si.ConeNodes {
+				t.Errorf("incremental eval nodes %d outside [%d attempts, %d cone nodes]", si.EvalNodes, si.SiteEvals, si.ConeNodes)
+			}
+			if sf.EvalNodes != sf.ConeNodes {
+				t.Errorf("full path eval nodes %d, want %d", sf.EvalNodes, sf.ConeNodes)
+			}
 		})
+	}
+}
+
+// TestShardEvalCounters: shard stats pool every evaluator counter, and the
+// shard recorder exports both the cone bound and the work done per unit.
+func TestShardEvalCounters(t *testing.T) {
+	u := arith.NewIAdd32()
+	c := NewCampaign(u, 3)
+	inj := c.Run(randomTuples(u, 100, 4))
+	st := c.Stats()
+	want := st
+	want.Tuples *= 2
+	want.BaselineNodes *= 2
+	want.ConeNodes *= 2
+	want.SiteEvals *= 2
+	want.EvalNodes *= 2
+	if got := st.Merge(st); got != want {
+		t.Errorf("Merge = %+v, want %+v", got, want)
+	}
+	rec := obs.NewRecorder()
+	RecordShard(rec, obs.TraceContext{}, u.Name, 0, rec.Now(), 100, inj, st)
+	reg := rec.Registry()
+	for name, want := range map[string]int64{
+		"faultsim.cone_nodes": st.ConeNodes,
+		"faultsim.eval_nodes": st.EvalNodes,
+		"faultsim.site_evals": st.SiteEvals,
+	} {
+		if got := reg.Counter(obs.Name(name, "unit", u.Name)).Value(); got != want || want <= 0 {
+			t.Errorf("%s{unit=%s} = %d, want %d > 0", name, u.Name, got, want)
+		}
 	}
 }
 

@@ -79,8 +79,9 @@ func (in Injection) SeverityOf() Severity {
 // operand tuples. By default it runs on the incremental cone evaluator
 // (gates.ConeEvaluator): tuples are packed 64 per lane batch, one
 // fault-free baseline pass snapshots the batch, and every injection attempt
-// re-evaluates only the drawn site's fan-out cone — O(cone) instead of
-// O(netlist) per attempt. The site draw sequence is untouched, so the
+// propagates the drawn site's flip in its own tuple's lane only, as far as
+// it changes node values — at most the site's fan-out cone instead of the
+// whole netlist per attempt. The site draw sequence is untouched, so the
 // injection stream is bit-identical to the naive whole-netlist evaluator
 // (asserted by the equivalence tests against FullEval).
 type Campaign struct {
@@ -131,7 +132,9 @@ type EvalStats struct {
 }
 
 // ReEvalFrac is the fraction of a full per-attempt netlist evaluation the
-// campaign actually paid: ConeNodes / (SiteEvals × NetNodes). The naive
+// drawn sites' fan-out cones bound: ConeNodes / (SiteEvals × NetNodes). It
+// is a structural property of the site draws, not the work done (the
+// event-driven evaluator recomputes EvalNodes ≤ ConeNodes nodes). The naive
 // FullEval path reports 1.
 func (s EvalStats) ReEvalFrac() float64 {
 	if s.SiteEvals == 0 || s.NetNodes == 0 {
@@ -149,6 +152,7 @@ func (s EvalStats) Merge(o EvalStats) EvalStats {
 	s.BaselineNodes += o.BaselineNodes
 	s.ConeNodes += o.ConeNodes
 	s.SiteEvals += o.SiteEvals
+	s.EvalNodes += o.EvalNodes
 	return s
 }
 
@@ -161,6 +165,7 @@ func (c *Campaign) Stats() EvalStats {
 	// Fold in naive whole-netlist evaluations so FullEval campaigns report
 	// ReEvalFrac()==1 against the same denominator.
 	st.ConeNodes += c.full * int64(st.NetNodes)
+	st.EvalNodes += c.full * int64(st.NetNodes)
 	st.SiteEvals += c.full
 	return st
 }
@@ -194,14 +199,14 @@ func (c *Campaign) RunContext(ctx context.Context, tuples [][]uint64) ([]Injecti
 		hi := min(lo+64, len(tuples))
 		batch := tuples[lo:hi]
 		// One fault-free pass snapshots all 64 tuples of the batch; every
-		// attempt below re-evaluates only the drawn site's cone against it
-		// and reads its own tuple's lane.
+		// attempt below propagates the drawn site's flip in its own
+		// tuple's lane only and reads that lane.
 		c.cev.Baseline(c.Unit.PackOperands(batch))
 		for lane, ops := range batch {
 			golden := c.Unit.Ref(ops)
 			for attempt := 1; attempt <= c.MaxAttempts; attempt++ {
 				site := c.sites[c.rng.Intn(len(c.sites))]
-				words := c.cev.EvalSite(site)
+				words := c.cev.EvalSite(site, 1<<uint(lane))
 				faulty := c.Unit.UnpackOutput(words, lane)
 				if faulty == golden {
 					continue // masked for this tuple

@@ -11,7 +11,7 @@ import (
 // outcome samples, and the campaign-wide registry instruments
 // (faultsim.tuples, faultsim.unmasked, per-severity counters, the
 // attempts-per-unmasked histogram that captures the masking rate, and the
-// incremental-evaluator work counters that capture the cone speedup). A nil
+// incremental-evaluator counters: the cone bound and the work done). A nil
 // recorder records nothing, so shard execution stays observability-free by
 // default. startUS is rec.Now() taken before the shard ran. tc carries the
 // request-scoped trace identity of the job the shard ran on behalf of (zero
@@ -30,13 +30,16 @@ func RecordShard(rec *obs.Recorder, tc obs.TraceContext, unit string, shard int,
 	reg.Counter(obs.Name("faultsim.tuples", kv...)).Add(int64(tuples))
 	reg.Counter(obs.Name("faultsim.unmasked", kv...)).Add(int64(len(inj)))
 	// Incremental-evaluator accounting: baseline_nodes is snapshot work,
-	// cone_nodes is per-attempt re-evaluation work, site_evals counts
-	// attempts. The campaign-wide re-eval fraction is
-	// cone_nodes / (site_evals × netlist nodes); per-shard the same ratio
-	// lands in the reeval_pct histogram, and cone_mean_nodes tracks the
-	// mean cone size the site draws actually hit.
+	// site_evals counts attempts, cone_nodes sums the drawn sites' fan-out
+	// cone sizes (the bound on per-attempt work) and eval_nodes the nodes
+	// the event-driven evaluator actually recomputed. The campaign-wide
+	// re-eval fraction is cone_nodes / (site_evals × netlist nodes), the
+	// cone bound; per-shard the same ratio lands in the reeval_pct
+	// histogram, and cone_mean_nodes tracks the mean cone size the site
+	// draws hit.
 	reg.Counter(obs.Name("faultsim.baseline_nodes", kv...)).Add(st.BaselineNodes)
 	reg.Counter(obs.Name("faultsim.cone_nodes", kv...)).Add(st.ConeNodes)
+	reg.Counter(obs.Name("faultsim.eval_nodes", kv...)).Add(st.EvalNodes)
 	reg.Counter(obs.Name("faultsim.site_evals", kv...)).Add(st.SiteEvals)
 	if st.SiteEvals > 0 {
 		reg.Histogram(obs.Name("faultsim.cone_mean_nodes", kv...), obs.ExpBounds(16, 14)...).

@@ -1,6 +1,7 @@
 package gates
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -20,58 +21,79 @@ func reachable(c *Circuit, site int) map[int32]bool {
 	return cone
 }
 
-// TestFanoutConeMatchesReachability: for random circuits and every node, the
-// run-encoded cone contains exactly the transitively reachable nodes, in
-// ascending (topological) order, and its output list is exactly the output
-// positions driven by cone nodes.
+// coneSizes returns the circuit's cached per-node cone sizes.
+func coneSizes(c *Circuit) []int32 {
+	c.ensureCones()
+	return c.coneSize
+}
+
+// randomLanes draws a non-zero EvalSite lane mask: a single lane (what the
+// campaign passes), an arbitrary subset, or all 64 lanes.
+func randomLanes(rng *rand.Rand) uint64 {
+	switch rng.Intn(3) {
+	case 0:
+		return 1 << uint(rng.Intn(64))
+	case 1:
+		if m := rng.Uint64(); m != 0 {
+			return m
+		}
+	}
+	return ^uint64(0)
+}
+
+// checkSite runs EvalSite(site, lanes) and then EvalSite(site, all lanes)
+// against the full evaluator: the masked lanes must match Eval and the
+// others the fault-free outputs, and the all-lanes call proves the masked
+// call restored the snapshot.
+func checkSite(t *testing.T, inc *ConeEvaluator, full *Evaluator, words, clean []uint64, site int, lanes uint64) {
+	t.Helper()
+	want := full.Eval(words, site)
+	got := inc.EvalSite(site, lanes)
+	for o := range want {
+		if d := (got[o] ^ want[o]) & lanes; d != 0 {
+			t.Fatalf("site %d (%v) lanes %x output %d: cone %x, full %x", site, inc.c.Kind(site), lanes, o, got[o], want[o])
+		}
+		if d := (got[o] ^ clean[o]) &^ lanes; d != 0 {
+			t.Fatalf("site %d lanes %x output %d: unmasked lanes %x differ from fault-free", site, lanes, o, d)
+		}
+	}
+	got = inc.EvalSite(site, ^uint64(0))
+	for o := range want {
+		if got[o] != want[o] {
+			t.Fatalf("site %d output %d after masked call: cone %x, full %x", site, o, got[o], want[o])
+		}
+	}
+}
+
+// TestFanoutConeMatchesReachability: for random circuits big enough for
+// several 64-node sweep passes and a partial last one, every node's cached
+// cone size is exactly the number of transitively reachable nodes.
 func TestFanoutConeMatchesReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(rng, 5, 80)
+		c := randomCircuit(rng, 5, 300)
+		if c.NumNodes()%64 == 0 {
+			t.Fatalf("trial %d: %d nodes leave no partial pass", trial, c.NumNodes())
+		}
+		sizes := coneSizes(c)
 		for site := 0; site < c.NumNodes(); site++ {
-			want := reachable(c, site)
-			k := c.FanoutCone(site)
-			nodes := k.Nodes()
-			if len(nodes) != k.Size() || len(nodes) != len(want) {
-				t.Fatalf("trial %d site %d: cone size %d/%d, want %d", trial, site, len(nodes), k.Size(), len(want))
-			}
-			prev := int32(-1)
-			for _, n := range nodes {
-				if n <= prev {
-					t.Fatalf("trial %d site %d: cone nodes not ascending at %d", trial, site, n)
-				}
-				prev = n
-				if !want[n] {
-					t.Fatalf("trial %d site %d: node %d in cone but not reachable", trial, site, n)
-				}
-			}
-			wantOuts := map[int32]bool{}
-			for j, o := range c.outputs {
-				if want[int32(o)] {
-					wantOuts[int32(j)] = true
-				}
-			}
-			if len(k.Outputs()) != len(wantOuts) {
-				t.Fatalf("trial %d site %d: %d cone outputs, want %d", trial, site, len(k.Outputs()), len(wantOuts))
-			}
-			for _, oj := range k.Outputs() {
-				if !wantOuts[oj] {
-					t.Fatalf("trial %d site %d: output %d not driven by cone", trial, site, oj)
-				}
+			if want := len(reachable(c, site)); int(sizes[site]) != want {
+				t.Fatalf("trial %d site %d: cone size %d, want %d", trial, site, sizes[site], want)
 			}
 		}
 	}
 }
 
 // TestConeEvaluatorMatchesEval is the tentpole equivalence property on
-// random circuits: for every node of the circuit, EvalSite against one
-// Baseline snapshot is bit-identical to a full faulted Eval — and because
-// sites run back-to-back against the same snapshot, the pass also proves
-// EvalSite restores the snapshot exactly.
+// random circuits: for every node of the circuit and a random lane mask,
+// EvalSite against one Baseline snapshot is bit-identical to a full faulted
+// Eval in the masked lanes — and because sites run back-to-back against the
+// same snapshot, the pass also proves EvalSite restores the snapshot
+// exactly.
 func TestConeEvaluatorMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(rng, 5, 80)
+		c := randomCircuit(rng, 5, 300)
 		full := NewEvaluator(c)
 		inc := NewConeEvaluator(c)
 		words := make([]uint64, c.NumInputs())
@@ -79,21 +101,14 @@ func TestConeEvaluatorMatchesEval(t *testing.T) {
 			words[i] = rng.Uint64()
 		}
 		base := inc.Baseline(words)
-		clean := full.Eval(words, NoFault)
+		clean := append([]uint64(nil), full.Eval(words, NoFault)...)
 		for o := range clean {
 			if base[o] != clean[o] {
 				t.Fatalf("trial %d: baseline output %d mismatch", trial, o)
 			}
 		}
 		for site := 0; site < c.NumNodes(); site++ {
-			got := inc.EvalSite(site)
-			want := full.Eval(words, site)
-			for o := range want {
-				if got[o] != want[o] {
-					t.Fatalf("trial %d site %d (%v) output %d: cone %x, full %x",
-						trial, site, c.Kind(site), o, got[o], want[o])
-				}
-			}
+			checkSite(t, inc, full, words, clean, site, randomLanes(rng))
 		}
 	}
 }
@@ -103,7 +118,7 @@ func TestConeEvaluatorMatchesEval(t *testing.T) {
 // intervening EvalSite calls survive.
 func TestConeEvaluatorRebaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := randomCircuit(rng, 5, 80)
+	c := randomCircuit(rng, 5, 300)
 	full := NewEvaluator(c)
 	inc := NewConeEvaluator(c)
 	sites := c.FaultSites()
@@ -113,16 +128,29 @@ func TestConeEvaluatorRebaseline(t *testing.T) {
 			words[i] = rng.Uint64()
 		}
 		inc.Baseline(words)
+		clean := append([]uint64(nil), full.Eval(words, NoFault)...)
 		for i := 0; i < 10; i++ {
-			site := sites[rng.Intn(len(sites))]
-			got := inc.EvalSite(site)
-			want := full.Eval(words, site)
-			for o := range want {
-				if got[o] != want[o] {
-					t.Fatalf("batch %d site %d output %d mismatch", batch, site, o)
-				}
-			}
+			checkSite(t, inc, full, words, clean, sites[rng.Intn(len(sites))], randomLanes(rng))
 		}
+	}
+}
+
+// TestEvalSiteOutOfRangePanics: a site outside the netlist is a caller bug
+// and must name the circuit and the node.
+func TestEvalSiteOutOfRangePanics(t *testing.T) {
+	c := randomCircuit(rand.New(rand.NewSource(12)), 3, 20)
+	inc := NewConeEvaluator(c)
+	inc.Baseline(make([]uint64, c.NumInputs()))
+	for _, site := range []int{-1, c.NumNodes()} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("gates: fuzz: cone of node %d out of range", site)
+				if r := recover(); r != want {
+					t.Errorf("EvalSite(%d) panicked with %v, want %q", site, r, want)
+				}
+			}()
+			inc.EvalSite(site, ^uint64(0))
+		}()
 	}
 }
 
@@ -141,10 +169,9 @@ func TestConeDegenerateConstantOnly(t *testing.T) {
 		t.Fatalf("constant-only stats: %+v", st)
 	}
 	// Cones of the constants themselves are well-defined: just the node.
-	for site := 0; site < c.NumNodes(); site++ {
-		k := c.FanoutCone(site)
-		if k.Size() != 1 || len(k.Outputs()) != 1 {
-			t.Fatalf("const node %d cone: size %d outputs %d", site, k.Size(), len(k.Outputs()))
+	for site, n := range coneSizes(c) {
+		if n != 1 {
+			t.Fatalf("const node %d cone size %d", site, n)
 		}
 	}
 	inc := NewConeEvaluator(c)
@@ -152,7 +179,7 @@ func TestConeDegenerateConstantOnly(t *testing.T) {
 	if out[0] != 0 || out[1] != ^uint64(0) {
 		t.Fatalf("constant outputs %x %x", out[0], out[1])
 	}
-	if f := inc.EvalSite(0); f[0] != ^uint64(0) || f[1] != ^uint64(0) {
+	if f := inc.EvalSite(0, ^uint64(0)); f[0] != ^uint64(0) || f[1] != ^uint64(0) {
 		t.Fatalf("faulted const0: %x %x", f[0], f[1])
 	}
 }
@@ -166,20 +193,20 @@ func TestConeDegenerateSingleGate(t *testing.T) {
 	if len(sites) != 1 {
 		t.Fatalf("fault sites: %v", sites)
 	}
-	k := c.FanoutCone(sites[0])
-	if k.Size() != 1 || k.NumRuns() != 1 {
-		t.Fatalf("single-gate cone: size %d runs %d", k.Size(), k.NumRuns())
+	sizes := coneSizes(c)
+	if sizes[sites[0]] != 1 {
+		t.Fatalf("single-gate cone size %d", sizes[sites[0]])
 	}
 	// The input's cone covers the gate too.
-	if ik := c.FanoutCone(in); ik.Size() != 2 {
-		t.Fatalf("input cone size %d", ik.Size())
+	if sizes[in] != 2 {
+		t.Fatalf("input cone size %d", sizes[in])
 	}
 	inc := NewConeEvaluator(c)
 	word := uint64(0x0f0f0f0f0f0f0f0f)
 	if out := inc.Baseline([]uint64{word}); out[0] != ^word {
 		t.Fatalf("baseline %x", out[0])
 	}
-	if f := inc.EvalSite(sites[0]); f[0] != word {
+	if f := inc.EvalSite(sites[0], ^uint64(0)); f[0] != word {
 		t.Fatalf("faulted NOT gives %x", f[0])
 	}
 	st := c.ConeStats()
@@ -201,11 +228,11 @@ func TestConeDegenerateFFChain(t *testing.T) {
 	if got := len(c.FaultSites()); got != 4 {
 		t.Fatalf("FF-only circuit has %d sites, want 4", got)
 	}
-	// FF i's cone is the chain suffix, one run.
+	// FF i's cone is the chain suffix.
+	sizes := coneSizes(c)
 	for i, ff := range ffs {
-		k := c.FanoutCone(ff)
-		if k.Size() != 4-i || k.NumRuns() != 1 {
-			t.Fatalf("FF %d cone: size %d runs %d", i, k.Size(), k.NumRuns())
+		if int(sizes[ff]) != 4-i {
+			t.Fatalf("FF %d cone size %d, want %d", i, sizes[ff], 4-i)
 		}
 	}
 	inc := NewConeEvaluator(c)
@@ -214,17 +241,17 @@ func TestConeDegenerateFFChain(t *testing.T) {
 		t.Fatalf("chain baseline %x", out[0])
 	}
 	for _, ff := range ffs {
-		if f := inc.EvalSite(ff); f[0] != ^word {
+		if f := inc.EvalSite(ff, ^uint64(0)); f[0] != ^word {
 			t.Fatalf("FF fault gives %x", f[0])
 		}
 	}
 }
 
-// TestConeStatsMatchesCones cross-checks the streaming ConeStats sweep
-// against per-site FanoutCone sizes.
+// TestConeStatsMatchesCones cross-checks the ConeStats aggregation against
+// per-site cone sizes from the brute-force reachability oracle.
 func TestConeStatsMatchesCones(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	c := randomCircuit(rng, 5, 60)
+	c := randomCircuit(rng, 5, 300)
 	st := c.ConeStats()
 	sites := c.FaultSites()
 	if st.Sites != len(sites) || st.NetNodes != c.NumNodes() {
@@ -232,7 +259,7 @@ func TestConeStatsMatchesCones(t *testing.T) {
 	}
 	var total, maxC int
 	for _, s := range sites {
-		n := c.FanoutCone(s).Size()
+		n := len(reachable(c, s))
 		total += n
 		if n > maxC {
 			maxC = n
@@ -251,10 +278,12 @@ func TestConeStatsMatchesCones(t *testing.T) {
 
 // TestEvalZeroAlloc pins the allocation-free contract of the hot evaluation
 // paths: Evaluator.Eval (which used to allocate its output slice per call)
-// and ConeEvaluator.Baseline/EvalSite with warm cone caches.
+// and ConeEvaluator.Baseline/EvalSite. The circuit has more sites than
+// measured calls, so every EvalSite call is the first for its site: there
+// is no per-site state to warm.
 func TestEvalZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c := randomCircuit(rng, 5, 80)
+	c := randomCircuit(rng, 5, 300)
 	full := NewEvaluator(c)
 	inc := NewConeEvaluator(c)
 	words := make([]uint64, c.NumInputs())
@@ -262,9 +291,6 @@ func TestEvalZeroAlloc(t *testing.T) {
 		words[i] = rng.Uint64()
 	}
 	sites := c.FaultSites()
-	for _, s := range sites {
-		c.FanoutCone(s) // warm the cone cache
-	}
 	inc.Baseline(words)
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {
@@ -273,8 +299,9 @@ func TestEvalZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Evaluator.Eval allocates %.1f/op", n)
 	}
+	i = 0
 	if n := testing.AllocsPerRun(100, func() {
-		inc.EvalSite(sites[i%len(sites)])
+		inc.EvalSite(sites[i%len(sites)], 1<<uint(i&63))
 		i++
 	}); n != 0 {
 		t.Errorf("ConeEvaluator.EvalSite allocates %.1f/op", n)
@@ -287,8 +314,10 @@ func TestEvalZeroAlloc(t *testing.T) {
 }
 
 // FuzzConeEquivalence fuzzes the incremental/full equivalence: the fuzzer
-// picks the circuit shape, the input lanes, and the fault site; the property
-// is EvalSite == Eval == the boolean reference interpreter on every lane.
+// picks the circuit shape, the input lanes, the fault site and the lane
+// mask; the property is EvalSite == Eval in the masked lanes, then on every
+// lane once all lanes are requested, and == the boolean reference
+// interpreter on one lane.
 func FuzzConeEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0xdeadbeef), 0)
 	f.Add(int64(42), uint64(0), 5)
@@ -307,13 +336,9 @@ func FuzzConeEquivalence(f *testing.F) {
 		full := NewEvaluator(c)
 		inc := NewConeEvaluator(c)
 		inc.Baseline(words)
-		got := inc.EvalSite(site)
-		want := full.Eval(words, site)
-		for o := range want {
-			if got[o] != want[o] {
-				t.Fatalf("site %d output %d: cone %x, full %x", site, o, got[o], want[o])
-			}
-		}
+		clean := append([]uint64(nil), full.Eval(words, NoFault)...)
+		checkSite(t, inc, full, words, clean, site, randomLanes(rng))
+		got := inc.EvalSite(site, ^uint64(0))
 		// Anchor to the independent interpreter on one lane.
 		lane := int(w % 64)
 		inputs := make([]bool, c.NumInputs())

@@ -61,13 +61,11 @@ type Circuit struct {
 
 	// Lazily built incremental-evaluation structure (cone.go), cached on
 	// the circuit so concurrent evaluators share one copy.
-	fanOnce  sync.Once
+	coneOnce sync.Once
 	fanHead  []int32   // CSR fan-out adjacency: edges of node i are
 	fanEdge  []int32   // fanEdge[fanHead[i]:fanHead[i+1]]
 	outIdx   [][]int32 // node -> primary-output positions it drives
-	coneMu   sync.RWMutex
-	cones    []*Cone   // per-site fan-out cones, built on first use
-	conePool sync.Pool // *coneScratch reused across cone builds
+	coneSize []int32   // node -> fan-out cone size, the node included
 }
 
 // Name returns the unit's name.

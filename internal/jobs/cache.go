@@ -15,7 +15,7 @@ import (
 // Cache is the content-addressed store for expensive intermediates and
 // final results: operand traces (a full workload-suite replay each),
 // finished job payloads, and — in process memory — the six synthesized
-// arithmetic units with their warmed cone tables. Keys are SHA-256 content
+// arithmetic units with their warmed cone sizes. Keys are SHA-256 content
 // addresses derived from the inputs that determine the value (CacheKey), so
 // a hit is always semantically safe to reuse.
 //
@@ -166,10 +166,10 @@ func (c *Cache) path(key string) string {
 }
 
 // The six arithmetic units are synthesized gate netlists whose construction
-// (and cone-table precomputation) costs seconds — but they are immutable
-// and identical for every campaign, the textbook process-wide
-// content-addressed intermediate. Build them once per process, warm the
-// cone statistics, and count reuse through the same cache counters.
+// (and cone-size precomputation) costs ~0.1 s — but they are immutable and
+// identical for every campaign, the textbook process-wide content-addressed
+// intermediate. Build them once per process, warm the cone sizes, and count
+// reuse through the same cache counters.
 var (
 	unitsOnce sync.Once
 	unitsMemo []*arith.Unit
@@ -183,7 +183,7 @@ func (c *Cache) Units() []*arith.Unit {
 		built = true
 		unitsMemo = arith.Units()
 		for _, u := range unitsMemo {
-			u.ConeStats() // warm the cone tables outside any job's critical path
+			u.ConeStats() // warm the cone sizes outside any job's critical path
 		}
 	})
 	c.hit("units", !built)

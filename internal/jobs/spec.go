@@ -15,7 +15,7 @@
 //     only the missing ones; the merged stream equals an uninterrupted run
 //     byte for byte.
 //   - Content addressing. Expensive intermediates (operand traces, built
-//     circuits with cone tables) and final results are cached under keys
+//     circuits with their cone sizes) and final results are cached under keys
 //     derived from the spec content, so resubmitting an identical spec is
 //     near-free.
 package jobs

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"swapcodes/internal/faultsim"
+	"swapcodes/internal/gates"
 )
 
 func TestWALRoundTrip(t *testing.T) {
@@ -31,6 +33,8 @@ func TestWALRoundTrip(t *testing.T) {
 		SDC:        map[string]faultsim.Counts{"parity": {K: 4, N: 512}},
 		Digest:     "abc"}
 	sum.Severity[0] = faultsim.Counts{K: 100, N: 512}
+	sum.Stats = faultsim.EvalStats{NetNodes: 322, Tuples: 512, EvalCounters: gates.EvalCounters{
+		BaselineNodes: 2576, ConeNodes: 25000, SiteEvals: 520, EvalNodes: 2100}}
 	if err := st.AppendShard("j1", sum); err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +67,55 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	got := j1.Shards[3]
 	if got == nil || got.UnitName != "imul" || got.Severity[0] != sum.Severity[0] ||
-		got.SDC["parity"] != sum.SDC["parity"] || got.Digest != "abc" {
+		got.SDC["parity"] != sum.SDC["parity"] || got.Digest != "abc" || got.Stats != sum.Stats {
 		t.Fatalf("shard replay = %+v", got)
 	}
 	j2 := rep.Jobs[1]
 	if j2.State != StateDone || string(j2.Result) != `{"kind":"verify"}` {
 		t.Fatalf("j2 replay = %+v", j2)
+	}
+}
+
+// TestWALReplaysShardWithoutEvalNodes: a shard record written before
+// EvalCounters gained EvalNodes replays with the field 0 and every other
+// counter intact.
+func TestWALReplaysShardWithoutEvalNodes(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendJob("j1", Spec{Kind: KindCampaign, Tuples: 100, Seed: 7}, ""); err != nil {
+		t.Fatal(err)
+	}
+	stats := faultsim.EvalStats{NetNodes: 322, Tuples: 100, EvalCounters: gates.EvalCounters{
+		BaselineNodes: 644, ConeNodes: 5000, SiteEvals: 104, EvalNodes: 420}}
+	if err := st.AppendShard("j1", &ShardSummary{Index: 0, UnitName: "FxP-Add32", Stats: stats}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(raw), `,"EvalNodes":420`, "", 1)
+	if legacy == string(raw) {
+		t.Fatalf("no EvalNodes field in the shard record:\n%s", raw)
+	}
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stats
+	want.EvalNodes = 0
+	if got := rep.Jobs[0].Shards[0]; got == nil || got.Stats != want {
+		t.Fatalf("legacy shard replay = %+v, want stats %+v", got, want)
 	}
 }
 
