@@ -54,7 +54,7 @@ type Config struct {
 	// SectorWords is the transaction granularity in words (8 = 32 bytes).
 	SectorWords int
 	// LineSectors is the number of sectors per cache line (4 = 128-byte
-	// lines filled at sector granularity).
+	// lines filled at sector granularity; at most 8, the L1 mask width).
 	LineSectors int
 
 	// L1Sets and L1Ways size the sectored L1 (lines = sets x ways).
@@ -113,8 +113,8 @@ func DefaultConfig() Config {
 // Validate reports structurally impossible configurations.
 func (c *Config) Validate() error {
 	switch {
-	case c.SectorWords < 1, c.LineSectors < 1:
-		return fmt.Errorf("memmodel: sector geometry %d words x %d sectors", c.SectorWords, c.LineSectors)
+	case c.SectorWords < 1, c.LineSectors < 1, c.LineSectors > 8:
+		return fmt.Errorf("memmodel: sector geometry %d words x %d sectors (1 to 8 sectors per line)", c.SectorWords, c.LineSectors)
 	case c.L1Sets < 1, c.L1Ways < 1, c.L2Banks < 1, c.L2SetsPerBank < 1, c.L2Ways < 1:
 		return fmt.Errorf("memmodel: empty cache geometry")
 	case c.MSHRs < 1:
@@ -129,21 +129,22 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Stats counts hierarchy events for one launch. All fields are totals;
-// hit/miss pairs partition their level's sector accesses.
+// Stats counts hierarchy events for one launch. All fields are totals.
 type Stats struct {
 	// LoadAccesses/StoreAccesses count warp-level transactions presented;
 	// LoadSectors/StoreSectors count the coalesced sectors they carried.
 	LoadAccesses, StoreAccesses int64
 	LoadSectors, StoreSectors   int64
-	// L1Hits/L1Misses partition load sectors at the L1 (stores are
+	// L1Hits/L1Misses count the load sectors that did not merge, so
+	// LoadSectors = L1Hits + L1Misses + MSHRMerges (stores are
 	// write-through no-allocate and do not touch these).
 	L1Hits, L1Misses int64
 	// MSHRMerges counts load sectors that joined an in-flight miss instead
 	// of issuing a new one; MSHRFullEvents counts misses that found the
 	// file exhausted, and MSHRWaitCycles their total queueing delay.
 	MSHRMerges, MSHRFullEvents, MSHRWaitCycles int64
-	// L2Hits/L2Misses partition the sectors that reached the L2.
+	// L2Hits/L2Misses partition the L1 misses (L2Hits + L2Misses =
+	// L1Misses): store probes of the L2 are not counted.
 	L2Hits, L2Misses int64
 	// RowHits/RowMisses partition DRAM sector accesses by row-buffer
 	// locality.
@@ -153,8 +154,8 @@ type Stats struct {
 // mshrEntry is one in-flight L1 miss: the cycle its fill completes and the
 // level that bounded it (for merged requesters' attribution).
 type mshrEntry struct {
-	sector int32
 	fill   int64
+	sector int32
 	level  Level
 }
 
@@ -176,11 +177,10 @@ type Hier struct {
 	l1 []line // L1Sets x L1Ways, way-major within a set
 	l2 []line // L2Banks x L2SetsPerBank x L2Ways
 
-	// MSHR file: entries ordered by (fill, insertion), plus a sector index
-	// for merge lookups. The slice stays sorted by scanning on insert —
-	// the file is small (tens of entries) and the scan is deterministic.
-	mshr     []mshrEntry
-	inFlight map[int32]int
+	// MSHR file: at most MSHRs entries ordered by (fill, insertion), so
+	// the head is the earliest fill and equal fills retire FIFO. The file
+	// is small (tens of entries): inserts and merge lookups just scan it.
+	mshr []mshrEntry
 
 	// Per-bank L2 service state and device-wide DRAM bandwidth state.
 	bankFree []int64
@@ -200,7 +200,7 @@ func New(cfg Config) *Hier {
 		cfg:      cfg,
 		l1:       make([]line, cfg.L1Sets*cfg.L1Ways),
 		l2:       make([]line, cfg.L2Banks*cfg.L2SetsPerBank*cfg.L2Ways),
-		inFlight: make(map[int32]int),
+		mshr:     make([]mshrEntry, 0, cfg.MSHRs),
 		bankFree: make([]int64, cfg.L2Banks),
 		openRow:  make([]int32, cfg.DRAMBanks),
 	}
@@ -247,10 +247,11 @@ func (h *Hier) AccessLoad(now int64, sectors []int32) (int64, Level) {
 func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 	// In-flight misses shield the (already valid-marked) L1 sector until
 	// their fill completes, so the merge check comes first.
-	if i, ok := h.inFlight[sector]; ok {
-		h.stats.MSHRMerges++
-		e := &h.mshr[i]
-		return e.fill, e.level
+	for i := range h.mshr {
+		if e := &h.mshr[i]; e.sector == sector {
+			h.stats.MSHRMerges++
+			return e.fill, e.level
+		}
 	}
 	if h.l1Hit(sector) {
 		h.stats.L1Hits++
@@ -270,7 +271,7 @@ func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 			start = f
 			mshrWait = true
 		}
-		h.retireEntry(0)
+		h.retire(1)
 	}
 	fill, lvl := h.l2Access(start, sector)
 	if mshrWait {
@@ -346,19 +347,15 @@ func (h *Hier) AccessStore(now int64, sectors []int32) {
 // Timestamps are non-decreasing across calls, so a single front scan
 // suffices (the slice is fill-ordered).
 func (h *Hier) expire(now int64) {
-	for len(h.mshr) > 0 && h.mshr[0].fill <= now {
-		h.retireEntry(0)
+	n := 0
+	for n < len(h.mshr) && h.mshr[n].fill <= now {
+		n++
 	}
+	h.retire(n)
 }
 
-// retireEntry removes entry i, keeping order and the sector index in sync.
-func (h *Hier) retireEntry(i int) {
-	delete(h.inFlight, h.mshr[i].sector)
-	h.mshr = append(h.mshr[:i], h.mshr[i+1:]...)
-	for j := i; j < len(h.mshr); j++ {
-		h.inFlight[h.mshr[j].sector] = j
-	}
-}
+// retire drops the file's n head entries in place, keeping the rest in order.
+func (h *Hier) retire(n int) { h.mshr = h.mshr[:copy(h.mshr, h.mshr[n:])] }
 
 // insertMSHR adds an in-flight miss keeping the slice fill-ordered with
 // FIFO tie-break (insertion after equal fills).
@@ -370,9 +367,6 @@ func (h *Hier) insertMSHR(e mshrEntry) {
 	h.mshr = append(h.mshr, mshrEntry{})
 	copy(h.mshr[i+1:], h.mshr[i:])
 	h.mshr[i] = e
-	for j := i; j < len(h.mshr); j++ {
-		h.inFlight[h.mshr[j].sector] = j
-	}
 }
 
 // l1Hit reports whether the sector is present and valid in the L1.

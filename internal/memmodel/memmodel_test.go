@@ -33,6 +33,7 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.SectorWords = 0 },
 		func(c *Config) { c.LineSectors = 0 },
+		func(c *Config) { c.LineSectors = 9 }, // wider than the L1's 8-bit sector mask
 		func(c *Config) { c.L1Sets = 0 },
 		func(c *Config) { c.MSHRs = 0 },
 		func(c *Config) { c.L2Banks = 0 },
@@ -46,6 +47,11 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: bad config validated", i)
 		}
+	}
+	cfg := DefaultConfig()
+	cfg.LineSectors = 8
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("8 sectors per line rejected: %v", err)
 	}
 }
 
@@ -187,11 +193,6 @@ func TestL1Eviction(t *testing.T) {
 // TestDeterminism: the same access sequence replayed on a fresh hierarchy
 // produces identical fills, levels, and stats.
 func TestDeterminism(t *testing.T) {
-	type access struct {
-		now     int64
-		sectors []int32
-		store   bool
-	}
 	seq := []access{
 		{0, []int32{0, 1, 5}, false},
 		{3, []int32{0}, false},
