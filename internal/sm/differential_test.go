@@ -3,6 +3,7 @@ package sm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"swapcodes/internal/compiler"
@@ -240,7 +241,10 @@ func diffGen(seed int64, grid, cta int) *isa.Kernel {
 // TestMachineMatchesScalarInterpreter is the machine's differential
 // property: lockstep SIMT execution with divergence stacks produces the
 // same memory as naive one-thread-at-a-time execution, under every
-// protection scheme.
+// protection scheme. Each kernel also runs under the reference scheduler
+// and on four workers, which must reproduce the default launch's Stats and
+// memory exactly: diffGen kernels are the only test kernels with ATOM, so
+// this is the reference differential over atomHold parking and unparking.
 func TestMachineMatchesScalarInterpreter(t *testing.T) {
 	trials := 30
 	if testing.Short() {
@@ -260,16 +264,39 @@ func TestMachineMatchesScalarInterpreter(t *testing.T) {
 		want := append([]uint32(nil), init...)
 		scalarRun(t, k, want)
 
+		ref := DefaultConfig()
+		ref.Reference = true
+		par := DefaultConfig()
+		par.Workers = 4
 		for _, s := range []compiler.Scheme{compiler.Baseline, compiler.SwapECC, compiler.SWDup} {
-			g := NewGPU(DefaultConfig(), memSize)
-			copy(g.Mem, init)
-			if _, err := g.Launch(compiler.MustApply(k, s)); err != nil {
-				t.Fatalf("seed %d %v: %v", seed, s, err)
+			ks := compiler.MustApply(k, s)
+			launch := func(cfg Config) (*Stats, []uint32) {
+				g := NewGPU(cfg, memSize)
+				copy(g.Mem, init)
+				st, err := g.Launch(ks)
+				if err != nil {
+					t.Fatalf("seed %d %v: %v", seed, s, err)
+				}
+				return st, g.Mem
 			}
+			st, mem := launch(DefaultConfig())
 			for i := range want {
-				if g.Mem[i] != want[i] {
+				if mem[i] != want[i] {
 					t.Fatalf("seed %d %v: mem[%d] = %#x, scalar reference %#x",
-						seed, s, i, g.Mem[i], want[i])
+						seed, s, i, mem[i], want[i])
+				}
+			}
+			for _, c := range []struct {
+				name string
+				cfg  Config
+			}{{"reference", ref}, {"workers=4", par}} {
+				cst, cmem := launch(c.cfg)
+				if !reflect.DeepEqual(cst, st) {
+					t.Errorf("seed %d %v %s: Stats diverge from the default launch\n got %+v\nwant %+v",
+						seed, s, c.name, cst, st)
+				}
+				if !reflect.DeepEqual(cmem, mem) {
+					t.Errorf("seed %d %v %s: final memory diverges from the default launch", seed, s, c.name)
 				}
 			}
 		}

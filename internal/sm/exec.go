@@ -182,8 +182,17 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 // generic path stays the single source of truth for rare shapes. Cross-lane
 // reads (SHFL) are excluded: in-place writes would corrupt them when the
 // destination aliases the source.
+//
+// A Swap-ECC/Swap-Predict shadow of a duplicable opcode is done without
+// touching a lane: with no ECC register file writeLane masks a shadow write
+// to nothing, and those opcodes cannot fail in compute, so the generic path
+// would compute every lane and discard it. (issue still updates the
+// scoreboard, so the shadow's timing is unchanged.)
 func (p *partition) execFast(w *warpState, in *isa.Instr, mask uint32) (bool, error) {
-	if in.Flags&isa.FlagShadow != 0 || in.Dst == isa.RZ || in.Is64Dst() {
+	if in.Flags&isa.FlagShadow != 0 {
+		return in.Op.DupEligible(), nil
+	}
+	if in.Dst == isa.RZ || in.Is64Dst() {
 		return false, nil
 	}
 	m := p.m

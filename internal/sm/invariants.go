@@ -189,12 +189,13 @@ func (m *machine) checkLaunchEnd() {
 }
 
 // checkIdleRound audits one fully-idle round before it is charged: a full
-// scoreboard rescan of every partition (bypassing the wake cache) must agree
-// that no warp can issue, must reproduce each partition's recorded earliest
-// wake, and the charged reason must be the one mergeRound's selection rule
-// derives from the recorded profiles. This is the dynamic check that the
-// wake cache and the batch idle-skip never hide a runnable warp or charge
-// the wrong component.
+// scoreboard rescan of every partition (warpReadyFull, which neither reads
+// nor writes the scheduler slots, so the audit leaves the state it checks
+// untouched) must agree that no warp can issue, must reproduce each
+// partition's recorded earliest wake, and the charged reason must be the
+// one mergeRound's selection rule derives from the recorded profiles. This
+// is the dynamic check that the slot verdicts and the batch idle-skip never
+// hide a runnable warp or charge the wrong component.
 func (m *machine) checkIdleRound(charged stallReason) {
 	gmin := farFuture
 	for _, p := range m.parts {

@@ -46,6 +46,7 @@ type warpState struct {
 	gid        int   // global warp id (unique across the launch)
 	startCycle int64 // cycle the warp became resident
 	sched      int   // owning scheduler partition
+	slot       int   // index in the owning partition's warps and sched
 	stack      []simtEntry
 	regs       []uint32 // reg*32 + lane
 	preds      [8]uint32
@@ -65,16 +66,6 @@ type warpState struct {
 	// at the barrier replay, and holding the warp guarantees no younger
 	// instruction of the same warp runs between them.
 	atomHold bool
-	// cacheWake memoizes the last full scoreboard scan (fast path only):
-	// while cacheWake > cycle the warp provably cannot issue for the cached
-	// reason, and the scan is skipped. Zero means "must recheck". Only
-	// dependence and barrier stalls are cached — their wake times move only
-	// when the warp itself issues or its barrier releases, which are exactly
-	// the invalidation points.
-	cacheWake   int64
-	cacheReason stallReason
-	cacheClass  uint8
-	cacheMem    uint8
 	// regMem, parallel to regClass, remembers which memory-hierarchy level
 	// bounded the last hierarchy-load producer of each register
 	// (memmodel.Level; 0 for every non-hierarchy producer), so dependence
@@ -285,12 +276,14 @@ func (m *machine) launchCTA() {
 		w.gid = cta.id*m.warpsPerCTA + wi
 		w.startCycle = m.cycle
 		w.sched = p.idx
+		w.slot = len(p.warps)
 		w.stack = append(w.stack[:0], simtEntry{pc: 0, mask: m.warpMask(wi), reconv: -1})
 		if m.cfg.ECC {
 			w.rf = core.NewRegFile(m.cfg.Org, m.k.NumRegs, isa.WarpSize)
 		}
 		cta.warps = append(cta.warps, w)
 		p.warps = append(p.warps, w)
+		p.sched = append(p.sched, schedSlot{})
 		if m.prof != nil {
 			m.prof.Partitions[p.idx].WarpsAssigned++
 		}
@@ -315,9 +308,14 @@ func (m *machine) warpMask(wi int) uint32 {
 
 const farFuture = int64(math.MaxInt64 / 4)
 
-// depsReady is the wake-cache sentinel for "operands satisfied, class in
-// cacheClass, only the token bucket left to check" (see warpReady).
+// depsReady is the scheduler-slot sentinel for "operands satisfied, class in
+// the slot, only the token bucket left to check" (see pick).
 const depsReady = int64(-1)
+
+// parked is the scheduler-slot wake of a done or atomHold-parked warp. It
+// lies above every live wake (farFuture, memPending, any throttle wake), so
+// one compare skips a parked slot and a blocked one alike.
+const parked = int64(math.MaxInt64)
 
 func (m *machine) run(ctx context.Context) error {
 	if err := m.armMemHier(); err != nil {
@@ -587,10 +585,11 @@ func (m *machine) mergeRound() (bool, error) {
 // applyCTAEvents moves the round's deferred barrier arrivals and warp exits
 // onto their CTAs in partition order, then runs the barrier release check on
 // every touched CTA: once all of a CTA's still-live warps have arrived, every
-// waiting warp is released (and its wake cache cleared). Batching arrivals,
-// exits, and releases at the merge is what makes the outcome independent of
-// which goroutine ran which partition — and it also covers the exit-releases-
-// barrier case (the last non-waiting warp exits, satisfying the barrier).
+// waiting warp is released (and its scheduler slot invalidated). Batching
+// arrivals, exits, and releases at the merge is what makes the outcome
+// independent of which goroutine ran which partition — and it also covers
+// the exit-releases-barrier case (the last non-waiting warp exits,
+// satisfying the barrier).
 func (m *machine) applyCTAEvents() {
 	touched := m.ctaScratch[:0]
 	for _, p := range m.parts {
@@ -610,7 +609,7 @@ func (m *machine) applyCTAEvents() {
 			for _, w := range c.warps {
 				if w.atBarrier {
 					w.atBarrier = false
-					w.cacheWake = 0
+					m.parts[w.sched].invalidate(w.slot)
 				}
 			}
 			c.arrived = 0
@@ -698,16 +697,19 @@ func (m *machine) finalizeProf() {
 	}
 }
 
-// retire removes finished warps from their partitions and recycles completed
-// CTAs. (liveWarps is decremented at EXIT time so barrier release logic sees
-// it immediately; m.liveWarps tracks resident warps and drops here.)
+// retire removes finished warps from their partitions, compacting the
+// scheduler slots alongside and renumbering the survivors' slot indices, and
+// recycles completed CTAs. (liveWarps is decremented at EXIT time so barrier
+// release logic sees it immediately; m.liveWarps tracks resident warps and
+// drops here.)
 func (m *machine) retire() {
 	for _, p := range m.parts {
 		if p.retired == 0 {
 			continue
 		}
 		live := p.warps[:0]
-		for _, w := range p.warps {
+		sched := p.sched[:0]
+		for j, w := range p.warps {
 			if w.done {
 				if m.obsm != nil {
 					m.obsm.warpDone(m, w)
@@ -721,9 +723,12 @@ func (m *machine) retire() {
 				m.liveWarps--
 				continue
 			}
+			w.slot = len(live)
 			live = append(live, w)
+			sched = append(sched, p.sched[j])
 		}
 		p.warps = live
+		p.sched = sched
 		p.retired = 0
 	}
 	res := m.resident[:0]

@@ -17,9 +17,12 @@ package sm
 // Stall attribution: serviceMem records the level that bounded each load
 // (regMem, parallel to regClass); a dependence stall on a pending-load
 // register is then charged to mem.l1/l2/dram/mshr instead of the generic
-// deps component, threading through the wake cache, the partition's
-// idle-round profile, and chargeIdle. The off path keeps regMem all-zero,
-// which makes every new branch fall through to the seed behavior.
+// deps component, threading through the scheduler slot's mem verdict, the
+// partition's idle-round profile, and chargeIdle. serviceMem is one of the
+// slot invalidation points (DESIGN.md §13): a warp that scanned against the
+// memPending sentinel in phase A holds a slot wake the concrete fill time
+// replaces. The off path keeps regMem all-zero, which makes every new
+// branch fall through to the seed behavior.
 
 import (
 	"fmt"
@@ -125,9 +128,9 @@ func (m *machine) serviceMem() {
 			}
 			w.regReady[req.dst] = base
 			w.regMem[req.dst] = uint8(lvl)
-			// The issuing warp may have cached a wake against the sentinel
-			// in this same round; the concrete time invalidates it.
-			w.cacheWake = 0
+			// The issuing warp's slot may hold a wake against the sentinel
+			// from this same round; the concrete time invalidates it.
+			p.invalidate(w.slot)
 		}
 		p.mlog = p.mlog[:0]
 	}

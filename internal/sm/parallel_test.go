@@ -15,14 +15,17 @@ import (
 )
 
 // This file gates the partitioned round loop (DESIGN.md Section 13): the
-// cached fast path and the parallel phase A must be BIT-IDENTICAL to the
+// slot-cached fast path and the parallel phase A must be BIT-IDENTICAL to the
 // full-rescan reference scheduler — same Stats, same CPI stack, same final
 // memory — on every workload, under every scheme, at every worker count.
 
 var diffWorkers = []int{0, 1, 2, 4}
 
+// diffSchemes is the baseline, every Figure 12 scheme (the Swap-Predict
+// kernels mix FlagPredicted and FlagShadow instructions), and InterThread.
 var diffSchemes = []compiler.Scheme{
-	compiler.Baseline, compiler.SWDup, compiler.SwapECC, compiler.InterThread,
+	compiler.Baseline, compiler.SWDup, compiler.SwapECC,
+	compiler.SwapPredictAddSub, compiler.SwapPredictMAD, compiler.InterThread,
 }
 
 func launchWith(t *testing.T, w *workloads.Workload, k *isa.Kernel, s compiler.Scheme, cfg sm.Config) (*sm.Stats, []uint32) {
@@ -39,7 +42,7 @@ func launchWith(t *testing.T, w *workloads.Workload, k *isa.Kernel, s compiler.S
 }
 
 // TestParallelSMDifferential sweeps every workload x scheme and requires the
-// default (wake-cached) scheduler and the parallel loop at 1/2/4 workers to
+// default (slot-cached) scheduler and the parallel loop at 1/2/4 workers to
 // reproduce the reference scheduler's results exactly.
 func TestParallelSMDifferential(t *testing.T) {
 	if testing.Short() {

@@ -46,14 +46,37 @@ type smemEvent struct {
 	val  uint32
 }
 
+// schedSlot is one warp's cached scheduling verdict, kept dense in
+// partition.sched so the ready scan walks 16-byte slots instead of chasing
+// warp pointers (DESIGN.md §13). wake encodes the verdict:
+//
+//   - wake > cycle: the warp cannot issue before wake, for reason (a
+//     dependence stall on a producer of pipe class, bounded by hierarchy
+//     level mem, or a barrier). These wakes move only when the warp issues,
+//     its barrier releases, or a hierarchy load it waits on is serviced —
+//     the invalidation points, which all go through invalidate.
+//   - wake == depsReady: operands satisfied, next instruction of pipe class;
+//     only the (uncacheable) token bucket is left to check.
+//   - wake == parked: the warp is done or atomHold-parked.
+//   - otherwise (0 after invalidate, or a passed wake): rescan.
+type schedSlot struct {
+	wake   int64
+	reason stallReason
+	class  isa.Class
+	mem    uint8
+}
+
 // partition is one scheduler's slice of the machine: the warps it owns, its
 // share of the issue bandwidth, its statistics deltas, and its deferred
 // memory and CTA-event logs. During phase A a partition touches nothing
 // outside itself except read-only shared state.
 type partition struct {
-	m      *machine
-	idx    int
-	warps  []*warpState
+	m     *machine
+	idx   int
+	warps []*warpState
+	// sched is index-aligned with warps (warpState.slot): launchCTA appends
+	// both, retire compacts both.
+	sched  []schedSlot
 	tokens [10]float64
 
 	// Per-round outputs, consumed by the barrier. memc carries the
@@ -120,14 +143,16 @@ func (p *partition) step() {
 		slots = 1
 	}
 	for slot := 0; slot < slots; slot++ {
-		w, wake, reason, cl, memc := p.pick()
-		if w == nil {
+		// Only the first slot's failed pick is read: a later one fails in a
+		// round that already issued, which charges no stall.
+		j, wake, reason, cl, memc := p.pick(slot == 0)
+		if j < 0 {
 			if slot == 0 {
 				p.wake, p.reason, p.class, p.memc = wake, reason, cl, memc
 			}
 			break
 		}
-		if err := p.issue(w); err != nil {
+		if err := p.issue(j); err != nil {
 			p.err = err
 			return
 		}
@@ -151,28 +176,91 @@ func (p *partition) step() {
 	}
 }
 
-// pick scans the partition's warps round-robin for one that can issue; when
-// none can, it returns the earliest wake time, the blocking reason of the
-// nearest-to-ready warp, the pipe class that reason attributes to, and the
-// memory-hierarchy level when that reason is a hierarchy-load dependence.
-func (p *partition) pick() (*warpState, int64, stallReason, isa.Class, uint8) {
+// pick returns the slot index of the first warp in round-robin order (from
+// cycle % n) that can issue, or -1. Phase 1 walks the slots: a slot whose
+// verdict still holds (wake > cycle: blocked or parked) costs one compare, a
+// stale one is rescanned and its verdict stored, and a depsReady slot issues
+// if its pipe has a token. When nothing can issue and why is set, phase 2
+// reports what the partition waits on: every live slot now holds a verdict,
+// and the first slot in rotation order at the earliest wake gives the wake,
+// the stall reason, the pipe class that reason attributes to, and the
+// memory-hierarchy level when it is a hierarchy-load dependence.
+// Config.Reference selects pickRef, which computes the same answer from
+// scratch.
+func (p *partition) pick(why bool) (int, int64, stallReason, isa.Class, uint8) {
+	if p.m.cfg.Reference {
+		return p.pickRef()
+	}
+	n := len(p.sched)
+	if n == 0 {
+		return -1, farFuture, stallNoWarp, isa.ClassFxP, 0
+	}
+	cycle := p.m.cycle
+	start := int(cycle % int64(n))
+	for j, i := start, 0; i < n; i++ {
+		s := &p.sched[j]
+		if s.wake <= cycle {
+			if s.wake != depsReady {
+				*s = p.scan(p.warps[j])
+			}
+			if s.wake == depsReady && p.tokens[s.class] >= 1 {
+				return j, 0, stallNone, s.class, 0
+			}
+		}
+		if j++; j == n {
+			j = 0
+		}
+	}
+	if !why {
+		return -1, farFuture, stallNoWarp, isa.ClassFxP, 0
+	}
+	// Phase 2. A live wake is always below parked, so the strict compare
+	// both skips parked slots and keeps the first slot at the minimum.
+	best, bestWake := -1, parked
+	for j, i := start, 0; i < n; i++ {
+		wake := p.sched[j].wake
+		if wake == depsReady {
+			wake = p.throttleWake(p.sched[j].class)
+		}
+		if wake < bestWake {
+			best, bestWake = j, wake
+		}
+		if j++; j == n {
+			j = 0
+		}
+	}
+	if best < 0 {
+		return -1, farFuture, stallNoWarp, isa.ClassFxP, 0
+	}
+	s := &p.sched[best]
+	if s.wake == depsReady {
+		return -1, bestWake, stallThrottle, s.class, 0
+	}
+	return -1, s.wake, s.reason, s.class, s.mem
+}
+
+// pickRef is the reference scheduler (Config.Reference): the same choice
+// and the same stall profile as pick, from warpReadyFull on each live warp
+// in rotation order, reading and writing no slot.
+func (p *partition) pickRef() (int, int64, stallReason, isa.Class, uint8) {
 	minWake := farFuture
 	reason := stallNoWarp
 	class := isa.ClassFxP
 	memc := uint8(0)
 	n := len(p.warps)
 	if n == 0 {
-		return nil, minWake, reason, class, memc
+		return -1, minWake, reason, class, memc
 	}
 	start := int(p.m.cycle) % n
 	for i := 0; i < n; i++ {
-		w := p.warps[(start+i)%n]
+		j := (start + i) % n
+		w := p.warps[j]
 		if w.done || w.atomHold {
 			continue
 		}
-		ready, wake, r, cl, mc := p.warpReady(w)
+		ready, wake, r, cl, mc := p.warpReadyFull(w)
 		if ready {
-			return w, 0, stallNone, cl, 0
+			return j, 0, stallNone, cl, 0
 		}
 		if wake < minWake || reason == stallNoWarp {
 			minWake = wake
@@ -181,50 +269,54 @@ func (p *partition) pick() (*warpState, int64, stallReason, isa.Class, uint8) {
 			memc = mc
 		}
 	}
-	return nil, minWake, reason, class, memc
+	return -1, minWake, reason, class, memc
 }
 
-// warpReady checks scoreboard and structural constraints for the warp's next
-// instruction. On the fast path a previous scan's verdict is served from the
-// warp's wake cache while it provably still holds; the reference path
-// (Config.Reference) always rescans. Both return identical values: a cached
-// dependence/barrier wake moves only when the warp itself issues or its
-// barrier releases, and both events clear the cache. The depsReady sentinel
-// caches the opposite verdict — operands satisfied, class known — leaving
-// only the (uncacheable) token-bucket check, which is what makes repeated
-// scans of a throttled partition cheap.
-func (p *partition) warpReady(w *warpState) (bool, int64, stallReason, isa.Class, uint8) {
-	if !p.m.cfg.Reference {
-		if w.cacheWake > p.m.cycle {
-			return false, w.cacheWake, w.cacheReason, isa.Class(w.cacheClass), w.cacheMem
-		}
-		if w.cacheWake == depsReady {
-			cl := isa.Class(w.cacheClass)
-			if p.tokens[cl] < 1 {
-				need := (1 - p.tokens[cl]) / p.m.prate[cl]
-				return false, p.m.cycle + int64(need) + 1, stallThrottle, cl, 0
-			}
-			return true, 0, stallNone, cl, 0
-		}
+// invalidate drops slot j's verdict so the next pick rescans its warp, or
+// parks the slot while the warp is done or atomHold-parked. Issue, barrier
+// release, serviceMem and the atomic replay (which is how a warp unparks)
+// call it.
+func (p *partition) invalidate(j int) {
+	wake := int64(0)
+	if w := p.warps[j]; w.done || w.atomHold {
+		wake = parked
 	}
-	return p.warpReadyFull(w)
+	p.sched[j].wake = wake
 }
 
-// warpReadyFull is the full scan. The returned class attributes a stall: for
-// dependence stalls it is the pipe class of the producer whose result the
-// warp waits on longest (plus, when that producer was a hierarchy load, the
-// memory level that bounded it); for throttle stalls, the saturated pipe.
+// throttleWake is the cycle a pipe's empty token bucket next admits an
+// issue. Throttle wakes move with every refill, so slots never cache them.
+func (p *partition) throttleWake(cl isa.Class) int64 {
+	need := (1 - p.tokens[cl]) / p.m.prate[cl]
+	return p.m.cycle + int64(need) + 1
+}
+
+// warpReadyFull checks scoreboard and structural constraints for the warp's
+// next instruction, from scratch: it is the reference scheduler's test and
+// the idle-round audit's, and it reads and writes no slot. The returned
+// class attributes a stall: for dependence stalls it is the pipe class of
+// the producer whose result the warp waits on longest (plus, when that
+// producer was a hierarchy load, the memory level that bounded it); for
+// throttle stalls, the saturated pipe.
 func (p *partition) warpReadyFull(w *warpState) (bool, int64, stallReason, isa.Class, uint8) {
+	s := p.scan(w)
+	if s.wake != depsReady {
+		return false, s.wake, s.reason, s.class, s.mem
+	}
+	if p.tokens[s.class] < 1 {
+		return false, p.throttleWake(s.class), stallThrottle, s.class, 0
+	}
+	return true, 0, stallNone, s.class, 0
+}
+
+// scan is the scoreboard scan behind both schedulers. It returns the
+// verdict a slot caches: a barrier or dependence wake, or depsReady with
+// the next instruction's pipe class.
+func (p *partition) scan(w *warpState) schedSlot {
 	m := p.m
 	if w.atBarrier {
-		// Released by the last arrival, which also clears the cache.
-		if !m.cfg.Reference {
-			w.cacheWake = farFuture
-			w.cacheReason = stallBarrier
-			w.cacheClass = uint8(isa.ClassControl)
-			w.cacheMem = 0
-		}
-		return false, farFuture, stallBarrier, isa.ClassControl, 0
+		// Released by the last arrival, which also invalidates the slot.
+		return schedSlot{wake: farFuture, reason: stallBarrier, class: isa.ClassControl}
 	}
 	in := &m.k.Code[w.top().pc]
 	wake := m.cycle
@@ -278,33 +370,18 @@ func (p *partition) warpReadyFull(w *warpState) (bool, int64, stallReason, isa.C
 		if blockReg != isa.RZ {
 			blockMem = w.regMem[blockReg]
 		}
-		if !m.cfg.Reference {
-			w.cacheWake = wake
-			w.cacheReason = stallDeps
-			w.cacheClass = uint8(blockCl)
-			w.cacheMem = blockMem
-		}
-		return false, wake, stallDeps, blockCl, blockMem
+		return schedSlot{wake: wake, reason: stallDeps, class: blockCl, mem: blockMem}
 	}
-	cl := in.Op.Class()
-	if !m.cfg.Reference {
-		// Operands satisfied: they stay satisfied until the warp issues, so
-		// only the token check remains on future scans.
-		w.cacheWake = depsReady
-		w.cacheClass = uint8(cl)
-	}
-	if p.tokens[cl] < 1 {
-		// Throttle wakes move with every refill, so they are never cached.
-		need := (1 - p.tokens[cl]) / m.prate[cl]
-		return false, m.cycle + int64(need) + 1, stallThrottle, cl, 0
-	}
-	return true, 0, stallNone, cl, 0
+	// Operands satisfied: they stay satisfied until the warp issues.
+	return schedSlot{wake: depsReady, class: in.Op.Class()}
 }
 
-// issue consumes a token, executes the instruction functionally, and
-// updates the scoreboard.
-func (p *partition) issue(w *warpState) error {
+// issue consumes a token, executes the instruction in slot j functionally,
+// updates the scoreboard, and invalidates the slot (parking it when the
+// instruction was the warp's EXIT or an ATOM).
+func (p *partition) issue(j int) error {
 	m := p.m
+	w := p.warps[j]
 	in := &m.k.Code[w.top().pc]
 	cl := in.Op.Class()
 	p.tokens[cl]--
@@ -314,7 +391,6 @@ func (p *partition) issue(w *warpState) error {
 	if m.inOrder {
 		m.dyn++
 	}
-	w.cacheWake = 0
 	if p.fr != nil {
 		p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid),
 			PC: w.top().pc, Kind: simprof.KindIssue})
@@ -323,6 +399,7 @@ func (p *partition) issue(w *warpState) error {
 	if err := p.exec(w, in); err != nil {
 		return err
 	}
+	p.invalidate(j)
 
 	// Scoreboard: the destination becomes readable after the pipe latency;
 	// WAW writes merge to the max (both must land before a read). A logged
@@ -488,6 +565,7 @@ func (p *partition) lookupS(cta *ctaState, addr int32) (uint32, bool) {
 func (m *machine) replayAtom(op *atomOp) {
 	w, in := op.w, op.in
 	w.atomHold = false
+	m.parts[w.sched].invalidate(w.slot)
 	fp := m.g.Fault
 	for lane := 0; lane < isa.WarpSize; lane++ {
 		if op.mask&(1<<uint(lane)) == 0 {

@@ -53,10 +53,6 @@ func getWarp(numRegs int) *warpState {
 	w.atBarrier = false
 	w.done = false
 	w.atomHold = false
-	w.cacheWake = 0
-	w.cacheReason = stallNone
-	w.cacheClass = 0
-	w.cacheMem = 0
 	w.rf = nil
 	return w
 }

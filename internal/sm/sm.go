@@ -76,9 +76,12 @@ type Config struct {
 	// value tracing, observability recorders, the ECC register file) ignore
 	// Workers and run phase A in-order.
 	Workers int
-	// Reference disables the warp wake cache, forcing a full scoreboard
-	// rescan for every scheduling decision — the slow reference scheduler
-	// that the differential tests compare the cached fast path against.
+	// Reference selects the reference scheduler (pickRef): every
+	// scheduling decision runs the full scoreboard scan on each live warp
+	// it visits and reads and writes none of the scheduler slots that
+	// cache the fast path's verdicts (DESIGN.md Section 13). It is the
+	// slow, obviously correct scheduler the differential tests compare the
+	// fast path against; results are identical, only wall clock differs.
 	Reference bool
 
 	// MemModel selects the global-memory timing tier. "" or "off" keeps the
