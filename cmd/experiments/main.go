@@ -15,9 +15,9 @@
 // re-runs the Figure 12 sweep with the sectored L1/MSHR/L2/DRAM memory
 // hierarchy armed (sm.Config.MemModel) and reports each kernel's idle share
 // by hierarchy level alongside the cache hit rates; "smprof"
-// profiles the partitioned round loop itself — phase-A vs merge-barrier
-// wall time, Amdahl ceiling, idle-skip savings per workload x scheme — and
-// runs serially, so it is opt-in like "verify", which runs the
+// profiles the partitioned round loop itself — rounds, idle rounds, the
+// cycles idle-skip saves and the partitions' load balance per workload x
+// scheme, all deterministic — and is opt-in like "verify", which runs the
 // differential verifier — every workload x scheme x optimization combo
 // linted and checked for architectural equivalence against baseline — and
 // is not part of "all" since it replays the whole workload suite 68 times.)
@@ -61,7 +61,6 @@ func main() {
 	tuples := flag.Int("tuples", 10000, "input tuples per unit for the fig10/fig11 injection campaign")
 	seed := flag.Int64("seed", 1, "campaign master seed (results are bit-identical for a given seed at any -workers)")
 	workers := flag.Int("workers", 0, "engine worker count (0 = all cores)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-simulator scheduler workers per launch for perf sweeps (0 = serial; results are bit-identical at any count)")
 	memModel := flag.String("mem-model", "", "SM memory timing model for the perf-sweep figures: off (flat latency, the default) or sectored (L1/MSHR/L2/DRAM hierarchy; -exp memcpi always runs sectored)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit)")
 	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory")
@@ -76,7 +75,7 @@ func main() {
 	flag.Parse()
 
 	if *submit != "" {
-		fail(runSubmit(*submit, *tenant, *exp, *tuples, *seed, *smWorkers, *memModel))
+		fail(runSubmit(*submit, *tenant, *exp, *tuples, *seed, *memModel))
 		return
 	}
 
@@ -84,7 +83,7 @@ func main() {
 	if *metricsOut != "" || *traceOut != "" || *metricsInterval > 0 || *serve != "" {
 		rec = obs.NewRecorder()
 	}
-	fail(run(rec, *exp, *tuples, *seed, *workers, *smWorkers, *memModel, *timeout, *serve, *csvDir,
+	fail(run(rec, *exp, *tuples, *seed, *workers, *memModel, *timeout, *serve, *csvDir,
 		*chart, *verilogDir, *metricsOut, *traceOut, *metricsInterval))
 }
 
@@ -92,7 +91,7 @@ func main() {
 // the metrics/trace flush and the -serve shutdown happen on success, on
 // cancellation (Ctrl-C, -timeout), on experiment failure, and during a
 // panic unwind — a crashed run still leaves its partial observations.
-func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorkers int,
+func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	memModel string, timeout time.Duration, serve, csvDir string, chart bool, verilogDir,
 	metricsOut, traceOut string, metricsInterval time.Duration) (err error) {
 	pool := engine.New(workers)
@@ -195,7 +194,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 	getPerf12 := func(ctx context.Context) (*harness.PerfResult, error) {
 		perfOnce.Do(func() {
 			perfRes, perfErr = harness.RunPerfCtxOpts(ctx, pool, harness.Fig12Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: memModel})
+				harness.Options{MemModel: memModel})
 		})
 		return perfRes, perfErr
 	}
@@ -210,7 +209,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 		}
 		perfMemOnce.Do(func() {
 			perfMemRes, perfMemErr = harness.RunPerfCtxOpts(ctx, pool, harness.Fig12Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: "sectored"})
+				harness.Options{MemModel: "sectored"})
 		})
 		return perfMemRes, perfMemErr
 	}
@@ -319,7 +318,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 		}},
 		{"fig15", func(ctx context.Context) (string, error) {
 			perf, err := harness.RunPerfCtxOpts(ctx, pool, harness.Fig15Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: memModel})
+				harness.Options{MemModel: memModel})
 			if err != nil {
 				return "", err
 			}
@@ -328,7 +327,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 		}},
 		{"fig16", func(ctx context.Context) (string, error) {
 			perf, err := harness.RunPerfCtxOpts(ctx, pool, harness.Fig16Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: memModel})
+				harness.Options{MemModel: memModel})
 			if err != nil {
 				return "", err
 			}
@@ -336,12 +335,12 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 			return perf.Render("Figure 16: Swap-Predict with plausible future check-bit predictors"), nil
 		}},
 		{"smprof", func(ctx context.Context) (string, error) {
-			res, err := harness.RunSMProfCtx(ctx, harness.Fig12Schemes(), harness.Options{SMWorkers: smWorkers})
+			res, err := harness.RunSMProfCtx(ctx, harness.Fig12Schemes(), harness.Options{})
 			if err != nil {
 				return "", err
 			}
 			writeCSV("smprof.csv", res.CSV())
-			return res.Render("SM round-loop attribution: parallel phase A vs serial merge vs idle-skip"), nil
+			return res.Render("SM round-loop profile: rounds, idle-skip and partition balance"), nil
 		}},
 		{"verify", func(ctx context.Context) (string, error) {
 			res, err := harness.RunVerifyCtx(ctx, pool, verify.Matrix())
@@ -366,8 +365,8 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 	for _, e := range experiments {
 		known[e.name] = true
 		// "verify" replays the whole workload suite across 68 combos, and
-		// "smprof" runs every launch strictly serially to keep its wall-time
-		// attribution clean; both are opt-in only and not part of "all".
+		// "smprof" profiles the simulator rather than reproducing the paper;
+		// both are opt-in only and not part of "all".
 		if want[e.name] || (all && e.name != "verify" && e.name != "smprof") {
 			selected = append(selected, e)
 		}
@@ -429,7 +428,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 // against a running swapserve, which runs (or serves from cache) each one
 // and returns the payload. Only the service-backed experiments map; the
 // local-only ones (static tables, fig13/fig14 post-processing) say so.
-func runSubmit(base, tenant, exp string, tuples int, seed int64, smWorkers int, memModel string) error {
+func runSubmit(base, tenant, exp string, tuples int, seed int64, memModel string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -444,11 +443,11 @@ func runSubmit(base, tenant, exp string, tuples int, seed int64, smWorkers int, 
 		"headline": {Kind: jobs.KindHeadline, Tuples: tuples, Seed: seed},
 		"fig10":    {Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed},
 		"fig11":    {Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed},
-		"fig12":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig12Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"cpistack": {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"memcpi":   {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), SMWorkers: smWorkers, MemModel: "sectored"},
-		"fig15":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig15Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"fig16":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig16Schemes()), SMWorkers: smWorkers, MemModel: memModel},
+		"fig12":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig12Schemes()), MemModel: memModel},
+		"cpistack": {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), MemModel: memModel},
+		"memcpi":   {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), MemModel: "sectored"},
+		"fig15":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig15Schemes()), MemModel: memModel},
+		"fig16":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig16Schemes()), MemModel: memModel},
 		"verify":   {Kind: jobs.KindVerify},
 	}
 	order := []string{"headline", "fig10", "fig11", "fig12", "cpistack", "memcpi", "fig15", "fig16", "verify"}

@@ -25,7 +25,7 @@
 // With -flight each launch runs under the flight recorder (DESIGN.md §14):
 // if a scheme fails to launch, or its output mismatches without a
 // deliberately injected fault, the black-box bundle of scheduler decisions
-// is written to the given path for serial replay.
+// is written to the given path for replay.
 package main
 
 import (
@@ -57,7 +57,6 @@ type runOpts struct {
 	memWords   int
 	fault      int64
 	lane, bit  int
-	smWorkers  int
 	memModel   string
 	disas      bool
 	optimize   bool
@@ -97,7 +96,6 @@ func main() {
 	memWords := flag.Int("mem", 1<<16, "global memory words when running a .sasm file")
 	schemeList := flag.String("scheme", "swap-ecc", "comma-separated protection schemes: "+strings.Join(harness.SchemeNames(), " "))
 	workers := flag.Int("workers", 0, "engine worker count for multi-scheme runs (0 = all cores)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-simulator scheduler workers per launch (0 = serial; results are bit-identical at any count; fault/trace runs pin in-order)")
 	memModel := flag.String("mem-model", "", "SM memory timing model: off (flat latency, the default) or sectored (L1/MSHR/L2/DRAM hierarchy with memory CPI attribution)")
 	seed := flag.Int64("seed", 1, "random seed for -lane -1 / -bit -1 fault-site selection")
 	list := flag.Bool("list", false, "list workloads and exit")
@@ -146,8 +144,8 @@ func main() {
 		fail(err)
 	}
 	opts := runOpts{name: *name, file: *file, memWords: *memWords,
-		fault: *fault, lane: *lane, bit: *bit, smWorkers: *smWorkers,
-		memModel: *memModel, disas: *disas, optimize: *optimize, log: log}
+		fault: *fault, lane: *lane, bit: *bit, memModel: *memModel,
+		disas: *disas, optimize: *optimize, log: log}
 	if *flight != "" {
 		opts.flight = &flightSink{path: *flight, log: log}
 	}
@@ -277,7 +275,6 @@ func runScheme(ctx context.Context, scheme compiler.Scheme, o runOpts) (string, 
 		}
 	}
 	cfg := sm.DefaultConfig()
-	cfg.Workers = o.smWorkers
 	cfg.MemModel = o.memModel
 	if o.fault >= 0 {
 		cfg.ECC = true
@@ -322,7 +319,7 @@ func runScheme(ctx context.Context, scheme compiler.Scheme, o runOpts) (string, 
 		// Corruption with no deliberate fault injected is a real failure:
 		// stamp and persist the black box. (Injected-fault SDCs are the
 		// experiment's expected outcome, not a bug worth a bundle.)
-		fr.Fail(k.Name, k.Scheme, o.smWorkers, st.Cycles, cfg,
+		fr.Fail(k.Name, k.Scheme, st.Cycles, cfg,
 			"output verification failed: "+verifyErr.Error())
 		o.flight.dump(fr)
 	}

@@ -79,11 +79,11 @@ type Replay struct {
 }
 
 // ReplayFlight deterministically re-runs the launch a bundle recorded:
-// same workload, same scheme, the exact sm.Config frozen in the bundle —
-// but serially (Workers=0), so a failure first seen under a parallel run
-// can be stepped through on one goroutine. The simulator is bit-identical
-// across worker counts, so the replay reproduces the recorded failure at
-// the same cycle with identical decision streams.
+// same workload, same scheme, the exact sm.Config frozen in the bundle. A
+// launch is a deterministic function of those three, so the replay
+// reproduces the recorded failure at the same cycle with identical decision
+// streams. Fields a bundle's config carries that sm.Config no longer has
+// (such as a retired worker count) are ignored.
 func ReplayFlight(ctx context.Context, b *simprof.Bundle) (*Replay, error) {
 	if b == nil {
 		return nil, fmt.Errorf("harness: nil flight bundle")
@@ -110,7 +110,6 @@ func ReplayFlight(ctx context.Context, b *simprof.Bundle) (*Replay, error) {
 	if err := json.Unmarshal(b.Meta.Config, &cfg); err != nil {
 		return nil, fmt.Errorf("harness: replay: decoding sm.Config: %w", err)
 	}
-	cfg.Workers = 0 // serial replay: one goroutine, same results
 	g := w.NewGPU(cfg)
 	fr := simprof.NewFlightRecorder(0)
 	fr.Annotate(b.Meta.Workload, b.Meta.Seed)
@@ -120,7 +119,7 @@ func ReplayFlight(ctx context.Context, b *simprof.Bundle) (*Replay, error) {
 		// The recorded failure may have been a verification mismatch, not
 		// a launch error; reproduce that path too.
 		if verr := w.Verify(g); verr != nil {
-			fr.Fail(k.Name, k.Scheme, 0, st.Cycles, cfg, "output verification failed: "+verr.Error())
+			fr.Fail(k.Name, k.Scheme, st.Cycles, cfg, "output verification failed: "+verr.Error())
 			lerr = verr
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"swapcodes/internal/compiler"
@@ -39,8 +40,8 @@ func TestSchemeByStamp(t *testing.T) {
 }
 
 // failingBundle produces a real black box: lavaMD under Swap-ECC with a
-// cycle budget below its true cycle count, run at the given worker count.
-func failingBundle(t *testing.T, workers int) (*simprof.FlightRecorder, error) {
+// cycle budget below its true cycle count.
+func failingBundle(t *testing.T) (*simprof.FlightRecorder, error) {
 	t.Helper()
 	w, err := workloads.ByName("lavaMD")
 	if err != nil {
@@ -51,7 +52,6 @@ func failingBundle(t *testing.T, workers int) (*simprof.FlightRecorder, error) {
 		t.Fatal(err)
 	}
 	cfg := sm.DefaultConfig()
-	cfg.Workers = workers
 	cfg.MaxCycles = 2000
 	g := w.NewGPU(cfg)
 	fr := simprof.NewFlightRecorder(0)
@@ -62,11 +62,11 @@ func failingBundle(t *testing.T, workers int) (*simprof.FlightRecorder, error) {
 }
 
 // TestReplayFlightReproduces is the end-to-end black-box contract: a
-// failure captured under a parallel run replays serially from nothing but
-// the bundle bytes, fails at the same cycle with the same error, and
-// re-records bit-identical decision streams.
+// captured failure replays from nothing but the bundle bytes, fails at the
+// same cycle with the same error, and re-records bit-identical decision
+// streams.
 func TestReplayFlightReproduces(t *testing.T) {
-	fr, lerr := failingBundle(t, 4)
+	fr, lerr := failingBundle(t)
 	if lerr == nil || !fr.Failed() {
 		t.Fatal("forced failure did not trip")
 	}
@@ -106,9 +106,46 @@ func TestReplayFlightReproduces(t *testing.T) {
 	}
 }
 
+// TestReplayFlightRetiredWorkerFields: bundles written while the SM still
+// had a phase-A worker count carry it twice — "workers" in the meta and
+// "Workers" in the frozen sm.Config. Such a bundle must still read and
+// replay to the recorded failure point.
+func TestReplayFlightRetiredWorkerFields(t *testing.T) {
+	fr, lerr := failingBundle(t)
+	if lerr == nil || !fr.Failed() {
+		t.Fatal("forced failure did not trip")
+	}
+	raw := fr.Bundle()
+	nl := bytes.IndexByte(raw, '\n')
+	// Splice the retired fields in where the old encoder wrote them: meta
+	// workers after scheme (seed 0 is omitted), config Workers after Verify.
+	meta := strings.Replace(string(raw[:nl]), `"scheme":"Swap-ECC",`, `"scheme":"Swap-ECC","workers":4,`, 1)
+	meta = strings.Replace(meta, `"Verify":false,`, `"Verify":false,"Workers":4,`, 1)
+	if !strings.Contains(meta, `"workers":4`) || !strings.Contains(meta, `"Workers":4`) {
+		t.Fatalf("meta line lacks the splice points: %s", raw[:nl])
+	}
+	old := append([]byte(meta), raw[nl:]...)
+
+	b, err := simprof.ReadBundle(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("ReadBundle rejects a bundle with retired worker fields: %v", err)
+	}
+	rep, err := ReplayFlight(context.Background(), b)
+	if err != nil {
+		t.Fatalf("ReplayFlight: %v", err)
+	}
+	if rep.Err == nil || rep.Err.Error() != lerr.Error() {
+		t.Fatalf("replay error %v, original %q", rep.Err, lerr)
+	}
+	if rm := rep.Recorder.Meta(); rm.Cycle != b.Meta.Cycle || rm.Reason != b.Meta.Reason {
+		t.Fatalf("replay failed at (%d, %q), bundle recorded (%d, %q)",
+			rm.Cycle, rm.Reason, b.Meta.Cycle, b.Meta.Reason)
+	}
+}
+
 func TestReplayFlightRejectsAnonymousBundle(t *testing.T) {
 	fr := simprof.NewFlightRecorder(8)
-	fr.Fail("k", "Swap-ECC", 1, 10, sm.DefaultConfig(), "r")
+	fr.Fail("k", "Swap-ECC", 10, sm.DefaultConfig(), "r")
 	b, err := simprof.ReadBundle(bytes.NewReader(fr.Bundle()))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +164,7 @@ func TestFlightWrap(t *testing.T) {
 	if got := flightWrap(idle, "mm", compiler.SwapECC, base); got != base {
 		t.Fatal("un-failed recorder should pass the error through")
 	}
-	fr, lerr := failingBundle(t, 0)
+	fr, lerr := failingBundle(t)
 	wrapped := flightWrap(fr, "lavaMD", compiler.SwapECC, lerr)
 	var fe *FlightError
 	if !errors.As(wrapped, &fe) {

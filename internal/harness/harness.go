@@ -36,11 +36,6 @@ func Fig15Schemes() []compiler.Scheme {
 
 // Options carries sweep-wide simulator knobs that select no experiment.
 type Options struct {
-	// SMWorkers is passed to sm.Config.Workers for every launch: the number
-	// of goroutines the SM's scheduler partitions may use. Results are
-	// bit-identical at any value (internal/sm differential tests), so this
-	// is purely a wall-clock knob.
-	SMWorkers int
 	// FlightRecord arms a simprof flight recorder on every launch. On a
 	// launch or verification failure the run's error is wrapped in a
 	// *FlightError carrying the JSONL black-box bundle. Near-zero cost
@@ -55,7 +50,6 @@ type Options struct {
 
 func (o Options) smConfig() sm.Config {
 	cfg := sm.DefaultConfig()
-	cfg.Workers = o.SMWorkers
 	cfg.MemModel = o.MemModel
 	return cfg
 }
@@ -119,7 +113,7 @@ func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.
 				if fr != nil {
 					// A differential mismatch is a failure the simulator
 					// cannot see from inside; stamp the black box here.
-					fr.Fail(k.Name, k.Scheme, opt.SMWorkers, st.Cycles, opt.smConfig(),
+					fr.Fail(k.Name, k.Scheme, st.Cycles, opt.smConfig(),
 						"output verification failed: "+err.Error())
 				}
 				return nil, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))

@@ -98,7 +98,8 @@ func RunPerfCtx(ctx context.Context, pool *engine.Pool, schemes []compiler.Schem
 	return RunPerfCtxOpts(ctx, pool, schemes, verify, Options{})
 }
 
-// RunPerfCtxOpts is RunPerfCtx with simulator options (SM worker count).
+// RunPerfCtxOpts is RunPerfCtx with simulator options (memory model, flight
+// recorder).
 func RunPerfCtxOpts(ctx context.Context, pool *engine.Pool, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
 	all := workloads.All()
 	rows, err := engine.Map(ctx, pool, len(all), func(ctx context.Context, i int) (*PerfRow, error) {

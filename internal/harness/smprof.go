@@ -1,16 +1,15 @@
 package harness
 
-// The smprof experiment: an Amdahl attribution report for the partitioned
-// SM (DESIGN.md Sections 13-14). Every workload x scheme launch runs with a
-// simprof.LaunchProf armed, and the report partitions its wall time into
-// the parallel phase A, the serial merge barrier, and the idle-skip
-// savings — the numbers that say where the round loop's speedup ceiling
-// actually sits per program.
+// The smprof experiment: a round-loop profile of the partitioned SM
+// (DESIGN.md Sections 13-14). Every workload x scheme launch runs with a
+// simprof.LaunchProf armed, and the report gives its rounds, the idle
+// rounds the batch idle-skip fired on, the cycles those skips saved, and
+// how evenly the partitions shared the issued instructions. Every value is
+// a deterministic function of the launch.
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"swapcodes/internal/compiler"
@@ -18,20 +17,14 @@ import (
 	"swapcodes/internal/workloads"
 )
 
-// SMProfRow is one workload x scheme attribution row.
+// SMProfRow is one workload x scheme profile row.
 type SMProfRow struct {
-	Workload string `json:"workload"`
-	Scheme   string `json:"scheme"`
-	// Deterministic simulator-side counters (identical at any worker count).
-	Cycles        int64 `json:"cycles"`
-	Rounds        int64 `json:"rounds"`
-	IdleRounds    int64 `json:"idle_rounds"`
-	SkippedCycles int64 `json:"skipped_cycles"`
-	// Host-side wall attribution for this run (microseconds).
-	PhaseAUS int64 `json:"phase_a_us"`
-	MergeUS  int64 `json:"merge_us"`
-	// SerialFrac is merge wall over total loop wall (Amdahl's serial s).
-	SerialFrac float64 `json:"serial_frac"`
+	Workload      string `json:"workload"`
+	Scheme        string `json:"scheme"`
+	Cycles        int64  `json:"cycles"`
+	Rounds        int64  `json:"rounds"`
+	IdleRounds    int64  `json:"idle_rounds"`
+	SkippedCycles int64  `json:"skipped_cycles"`
 	// Imbalance is max/mean issued instructions across partitions.
 	Imbalance float64 `json:"imbalance"`
 }
@@ -45,34 +38,21 @@ func (r *SMProfRow) SkipPct() float64 {
 	return 100 * float64(r.SkippedCycles) / float64(r.Cycles)
 }
 
-// AmdahlBound is the speedup ceiling 1/s implied by the measured serial
-// fraction (infinite workers, zero-cost parallelism). +Inf when the merge
-// wall was unmeasurably small.
-func (r *SMProfRow) AmdahlBound() float64 {
-	if r.SerialFrac <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / r.SerialFrac
-}
-
-// SMProfResult is a full attribution sweep.
+// SMProfResult is a full profile sweep.
 type SMProfResult struct {
-	Workers int          `json:"workers"`
-	Rows    []*SMProfRow `json:"rows"`
+	Rows []*SMProfRow `json:"rows"`
 }
 
 // RunSMProf profiles every workload under baseline plus the Figure 12
-// schemes at the given worker count.
-func RunSMProf(workers int) (*SMProfResult, error) {
-	return RunSMProfCtx(context.Background(), Fig12Schemes(), Options{SMWorkers: workers})
+// schemes.
+func RunSMProf() (*SMProfResult, error) {
+	return RunSMProfCtx(context.Background(), Fig12Schemes(), Options{})
 }
 
-// RunSMProfCtx runs the attribution sweep. Unlike the perf sweeps, rows run
-// strictly serially — one launch at a time on an otherwise idle process —
-// because the product is a wall-time partition, and engine-pool contention
-// would bleed scheduler noise into exactly the quantity being measured.
+// RunSMProfCtx runs the profile sweep, one launch at a time in workload x
+// scheme order.
 func RunSMProfCtx(ctx context.Context, schemes []compiler.Scheme, opt Options) (*SMProfResult, error) {
-	res := &SMProfResult{Workers: opt.SMWorkers}
+	res := &SMProfResult{}
 	for _, w := range workloads.All() {
 		for _, s := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
 			if err := ctx.Err(); err != nil {
@@ -97,9 +77,6 @@ func RunSMProfCtx(ctx context.Context, schemes []compiler.Scheme, opt Options) (
 				Rounds:        prof.Rounds,
 				IdleRounds:    prof.IdleRounds,
 				SkippedCycles: prof.SkippedCycles,
-				PhaseAUS:      prof.PhaseAWall.Microseconds(),
-				MergeUS:       prof.MergeWall.Microseconds(),
-				SerialFrac:    prof.SerialFrac(),
 				Imbalance:     prof.LoadImbalance(),
 			})
 		}
@@ -107,47 +84,28 @@ func RunSMProfCtx(ctx context.Context, schemes []compiler.Scheme, opt Options) (
 	return res, nil
 }
 
-// MeanSerialFrac is the arithmetic-mean serial fraction across rows.
-func (r *SMProfResult) MeanSerialFrac() float64 {
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, row := range r.Rows {
-		sum += row.SerialFrac
-	}
-	return sum / float64(len(r.Rows))
-}
-
-// Render prints the attribution table.
+// Render prints the profile table.
 func (r *SMProfResult) Render(title string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s (workers=%d)\n", title, r.Workers)
-	fmt.Fprintf(&b, "%-9s %-14s %10s %9s %8s %8s %7s %7s %7s %6s\n",
-		"program", "scheme", "cycles", "rounds", "phaseA", "merge", "serial", "amdahl", "skip", "imbal")
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-9s %-14s %10s %9s %8s %9s %7s %6s\n",
+		"program", "scheme", "cycles", "rounds", "idle", "skipped", "skip", "imbal")
 	for _, row := range r.Rows {
-		amdahl := "inf"
-		if bound := row.AmdahlBound(); !math.IsInf(bound, 1) {
-			amdahl = fmt.Sprintf("%.1fx", bound)
-		}
-		fmt.Fprintf(&b, "%-9s %-14s %10d %9d %7dus %7dus %6.1f%% %7s %6.1f%% %6.2f\n",
-			row.Workload, row.Scheme, row.Cycles, row.Rounds,
-			row.PhaseAUS, row.MergeUS, 100*row.SerialFrac, amdahl,
-			row.SkipPct(), row.Imbalance)
+		fmt.Fprintf(&b, "%-9s %-14s %10d %9d %8d %9d %6.1f%% %6.2f\n",
+			row.Workload, row.Scheme, row.Cycles, row.Rounds, row.IdleRounds,
+			row.SkippedCycles, row.SkipPct(), row.Imbalance)
 	}
-	fmt.Fprintf(&b, "MEAN serial fraction %.1f%%\n", 100*r.MeanSerialFrac())
 	return b.String()
 }
 
 // CSV renders the sweep as machine-readable rows.
 func (r *SMProfResult) CSV() string {
 	var b strings.Builder
-	b.WriteString("workload,scheme,workers,cycles,rounds,idle_rounds,skipped_cycles,phase_a_us,merge_us,serial_frac,imbalance\n")
+	b.WriteString("workload,scheme,cycles,rounds,idle_rounds,skipped_cycles,imbalance\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%.4f,%.3f\n",
-			row.Workload, row.Scheme, r.Workers, row.Cycles, row.Rounds,
-			row.IdleRounds, row.SkippedCycles, row.PhaseAUS, row.MergeUS,
-			row.SerialFrac, row.Imbalance)
+		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%.3f\n",
+			row.Workload, row.Scheme, row.Cycles, row.Rounds,
+			row.IdleRounds, row.SkippedCycles, row.Imbalance)
 	}
 	return b.String()
 }

@@ -20,7 +20,7 @@ func testFlightError(t *testing.T) *harness.FlightError {
 	fr := simprof.NewFlightRecorder(8)
 	fr.Annotate("lavaMD", 0)
 	fr.Partition(0).Add(simprof.Decision{Cycle: 1, Warp: 2, PC: 3, Kind: simprof.KindIssue})
-	fr.Fail("lavaMD", "Swap-ECC", 4, 2001, nil, "exceeded the 2000-cycle budget")
+	fr.Fail("lavaMD", "Swap-ECC", 2001, nil, "exceeded the 2000-cycle budget")
 	return &harness.FlightError{
 		Workload: "lavaMD", Scheme: "swap-ecc",
 		Bundle: fr.Bundle(),

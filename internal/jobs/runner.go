@@ -364,7 +364,7 @@ func (r *runner) runPerf(ctx context.Context, spec Spec) (*PerfResult, error) {
 		return nil, err
 	}
 	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify,
-		harness.Options{SMWorkers: spec.SMWorkers, FlightRecord: true, MemModel: spec.MemModel})
+		harness.Options{FlightRecord: true, MemModel: spec.MemModel})
 	if err != nil {
 		return nil, err
 	}
@@ -417,7 +417,7 @@ func (r *runner) runCPIStack(ctx context.Context, spec Spec) (*CPIStackResult, e
 		return nil, err
 	}
 	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify,
-		harness.Options{SMWorkers: spec.SMWorkers, FlightRecord: true, MemModel: spec.MemModel})
+		harness.Options{FlightRecord: true, MemModel: spec.MemModel})
 	if err != nil {
 		return nil, err
 	}

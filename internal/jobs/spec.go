@@ -63,14 +63,10 @@ type Spec struct {
 	Schemes []string `json:"schemes,omitempty"`
 	// SkipVerify disables functional output verification on perf sweeps.
 	SkipVerify bool `json:"skip_verify,omitempty"`
-	// SMWorkers sets the SM simulator's scheduler-worker count for
-	// perf/cpistack sweeps (sm.Config.Workers). Results are bit-identical at
-	// any value, so it is excluded from the cache key.
-	SMWorkers int `json:"sm_workers,omitempty"`
 	// MemModel selects the SM's memory timing model for perf/cpistack
 	// sweeps (sm.Config.MemModel): "" or "off" is the flat-latency default,
-	// "sectored" arms the L1/MSHR/L2/DRAM hierarchy. Unlike SMWorkers this
-	// changes the numbers, so it is part of the cache key.
+	// "sectored" arms the L1/MSHR/L2/DRAM hierarchy. It changes the
+	// numbers, so it is part of the cache key.
 	MemModel string `json:"mem_model,omitempty"`
 }
 
@@ -92,17 +88,13 @@ func (s *Spec) Normalize() error {
 		if len(s.Schemes) > 0 {
 			return fmt.Errorf("jobs: %s jobs take no schemes", s.Kind)
 		}
-		s.SMWorkers = 0 // fault campaigns pin the SM in-order regardless
-		s.MemModel = "" // and run on the flat-latency timing path
+		s.MemModel = "" // fault campaigns run on the flat-latency timing path
 	case KindPerf, KindCPIStack:
 		if len(s.Schemes) == 0 {
 			s.Schemes = []string{"sw-dup", "swap-ecc", "pre-addsub", "pre-mad"}
 		}
 		if _, err := harness.ParseSchemes(s.Schemes); err != nil {
 			return err
-		}
-		if s.SMWorkers < 0 {
-			return fmt.Errorf("jobs: sm_workers must be non-negative, got %d", s.SMWorkers)
 		}
 		switch s.MemModel {
 		case "", "sectored":
@@ -117,7 +109,6 @@ func (s *Spec) Normalize() error {
 			return fmt.Errorf("jobs: verify jobs take no schemes or tuples")
 		}
 		s.Seed = 0
-		s.SMWorkers = 0
 		s.MemModel = ""
 	case "":
 		return fmt.Errorf("jobs: spec missing kind")
@@ -133,7 +124,6 @@ func (s *Spec) Normalize() error {
 // shares cache entries. Call after Normalize.
 func (s Spec) Key() string {
 	s.Tenant = ""
-	s.SMWorkers = 0 // wall-clock knob only: any value yields identical results
 	b, err := json.Marshal(s)
 	if err != nil { // Spec has no unmarshalable fields; keep the compiler honest
 		panic("jobs: marshal spec: " + err.Error())

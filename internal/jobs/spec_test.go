@@ -1,7 +1,10 @@
 package jobs
 
 import (
+	"encoding/json"
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -69,8 +72,8 @@ func TestSpecKeyContentAddress(t *testing.T) {
 
 // TestSpecKeyCoversResultFields is the guard against a silently stale cache:
 // every spec field that changes what a job computes must change its content
-// address, and the two knobs that provably don't (tenant fairness, SM worker
-// count) must not. A new result-affecting Spec field added without a mutation
+// address, and the knob that provably doesn't (tenant fairness) must not. A
+// new result-affecting Spec field added without a mutation
 // here — or worse, without being hashed — fails this test by construction:
 // the reflection walk below flags any field it has no mutation for.
 func TestSpecKeyCoversResultFields(t *testing.T) {
@@ -89,7 +92,6 @@ func TestSpecKeyCoversResultFields(t *testing.T) {
 		"Seed":       {func(s *Spec) { s.Kind = KindCampaign; s.Schemes = nil; s.Seed = 99 }, true},
 		"Schemes":    {func(s *Spec) { s.Schemes = []string{"sw-dup"} }, true},
 		"SkipVerify": {func(s *Spec) { s.SkipVerify = true }, true},
-		"SMWorkers":  {func(s *Spec) { s.SMWorkers = 4 }, false},
 		"MemModel":   {func(s *Spec) { s.MemModel = "sectored" }, true},
 	}
 	rt := reflect.TypeOf(Spec{})
@@ -126,5 +128,69 @@ func TestSpecKeyCoversResultFields(t *testing.T) {
 	}
 	if camp.MemModel != "" {
 		t.Errorf("campaign kept mem_model %q, want cleared", camp.MemModel)
+	}
+}
+
+// Content addresses of two normalized specs, as computed before the SM's
+// worker count left Spec. CAS entries and cached results written then are
+// stored under these keys, so they must never move.
+const (
+	campaignKeyHex = "5a4f87ccec064ceaed51167b7aef52af868ebfdca6736337099e9d5e9c83c527"
+	perfKeyHex     = "2b4853a1722069c1f5c98b397b2d90aa4db706478ecef802b443d691ea53e702"
+)
+
+func TestSpecKeyStable(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: KindCampaign}, campaignKeyHex},
+		{Spec{Kind: KindPerf}, perfKeyHex},
+	} {
+		if err := c.spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.spec.Key(); got != c.want {
+			t.Errorf("%s spec key = %s, want %s (cached results would miss)", c.spec.Kind, got, c.want)
+		}
+	}
+}
+
+// TestSubmitIgnoresRetiredSMWorkers: a POST /jobs body written for the
+// retired "sm_workers" field still decodes and normalizes, and the job gets
+// the same spec and content address as the body without it.
+func TestSubmitIgnoresRetiredSMWorkers(t *testing.T) {
+	svc, c := testServer(t)
+	resp, err := c.HTTPClient.Post(c.Base+"/jobs", "application/json",
+		strings.NewReader(`{"kind":"perf","sm_workers":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs with sm_workers = %s", resp.Status)
+	}
+	var out struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	j, ok := svc.Get(out.ID)
+	if !ok {
+		t.Fatalf("job %q not found", out.ID)
+	}
+	want := Spec{Kind: KindPerf}
+	if err := want.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Status().Spec; !reflect.DeepEqual(got, want) {
+		t.Errorf("spec = %+v, want %+v", got, want)
+	}
+	if got := j.Status().Spec.Key(); got != perfKeyHex {
+		t.Errorf("key = %s, want %s", got, perfKeyHex)
+	}
+	if !strings.HasSuffix(out.ID, perfKeyHex[:8]) {
+		t.Errorf("job id %q does not carry the key prefix %s", out.ID, perfKeyHex[:8])
 	}
 }

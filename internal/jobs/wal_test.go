@@ -119,6 +119,58 @@ func TestWALReplaysShardWithoutEvalNodes(t *testing.T) {
 	}
 }
 
+// TestWALReplaysJobWithSMWorkers: a job record written while Spec still
+// had sm_workers replays to the same spec and content address as one
+// without it.
+func TestWALReplaysJobWithSMWorkers(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: KindPerf}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendJob("j1", spec, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The old encoder wrote sm_workers between schemes and mem_model.
+	schemes := `"schemes":["sw-dup","swap-ecc","pre-addsub","pre-mad"]`
+	legacy := strings.Replace(string(raw), schemes, schemes+`,"sm_workers":4`, 1)
+	if legacy == string(raw) {
+		t.Fatalf("no schemes list in the job record:\n%s", raw)
+	}
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Truncated != 0 || len(rep.Jobs) != 1 {
+		t.Fatalf("legacy job record replay = %+v", rep)
+	}
+	got := rep.Jobs[0].Spec
+	if !reflect.DeepEqual(got, spec) {
+		t.Fatalf("legacy job spec = %+v, want %+v", got, spec)
+	}
+	if err := got.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Key() != perfKeyHex {
+		t.Fatalf("legacy job key = %s, want %s", got.Key(), perfKeyHex)
+	}
+}
+
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := OpenStore(dir)

@@ -58,7 +58,7 @@ type Decision struct {
 // Ring is a fixed-capacity decision ring. Add is a store and an increment —
 // the "near-zero cost when armed" budget — and is single-writer by
 // construction: each partition owns its ring during phase A, the merge ring
-// belongs to the barrier thread.
+// belongs to the barrier.
 type Ring struct {
 	buf []Decision
 	n   uint64 // total ever appended; buf index is n & mask
@@ -102,7 +102,6 @@ type Meta struct {
 	Kernel   string          `json:"kernel"`
 	Scheme   string          `json:"scheme"`
 	Seed     int64           `json:"seed,omitempty"`
-	Workers  int             `json:"workers"`
 	Cycle    int64           `json:"cycle"`
 	Reason   string          `json:"reason"`
 	Config   json.RawMessage `json:"config,omitempty"`
@@ -113,10 +112,8 @@ type Meta struct {
 const DefaultRingCapacity = 4096
 
 // FlightRecorder is the black box: one decision ring per partition plus a
-// merge-barrier ring, armed by setting sm.GPU.Flight. Arming does not pin
-// phase A to one goroutine — partition rings are partition-local — and the
-// per-decision cost is one bounds-free struct store (see
-// BenchmarkSMFlightArmed).
+// merge-barrier ring, armed by setting sm.GPU.Flight. The per-decision cost
+// is one bounds-free struct store (see BenchmarkSMFlightArmed).
 type FlightRecorder struct {
 	perPart int
 
@@ -150,7 +147,7 @@ func (f *FlightRecorder) Partition(i int) *Ring {
 	return f.parts[i]
 }
 
-// MergeRing returns the barrier thread's ring.
+// MergeRing returns the merge barrier's ring.
 func (f *FlightRecorder) MergeRing() *Ring { return f.merge }
 
 // Annotate stamps launch identity known only to the caller (the machine
@@ -166,7 +163,7 @@ func (f *FlightRecorder) Annotate(workload string, seed int64) {
 // wins; later calls (e.g. a harness wrapping an error the machine already
 // stamped) are ignored. cfg is marshaled as the replay configuration —
 // the sm side passes its Config value.
-func (f *FlightRecorder) Fail(kernel, scheme string, workers int, cycle int64, cfg any, reason string) {
+func (f *FlightRecorder) Fail(kernel, scheme string, cycle int64, cfg any, reason string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failed {
@@ -175,7 +172,6 @@ func (f *FlightRecorder) Fail(kernel, scheme string, workers int, cycle int64, c
 	f.failed = true
 	f.meta.Kernel = kernel
 	f.meta.Scheme = scheme
-	f.meta.Workers = workers
 	f.meta.Cycle = cycle
 	f.meta.Reason = reason
 	if cfg != nil {

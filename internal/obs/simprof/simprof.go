@@ -1,6 +1,6 @@
 // Package simprof profiles the partitioned SM round loop (DESIGN.md §13/§14):
-// per-partition parallelism telemetry explaining where the wall clock of a
-// launch goes (parallel phase A, serial merge, idle-skip savings, load
+// per-partition scheduling telemetry explaining how a launch spends its
+// rounds (issue and stall rounds per partition, idle-skip savings, load
 // imbalance), and a flight recorder capturing the recent scheduler decisions
 // of every partition so a failing launch — invariant trip, differential
 // mismatch, deadlock, panic — can be replayed deterministically from a
@@ -13,15 +13,14 @@ package simprof
 
 import (
 	"fmt"
-	"time"
 
 	"swapcodes/internal/obs"
 )
 
 // PartitionProf is one scheduler partition's share of a launch, filled by the
 // machine at finalize (cumulative counters) and at each merge barrier (log
-// peaks). All fields are written either partition-locally during phase A or
-// on the barrier thread, so profiling never perturbs the parallel schedule.
+// peaks). All fields are written either by the partition during phase A or
+// at the barrier, and none feeds back into the schedule.
 type PartitionProf struct {
 	Index int `json:"index"`
 	// WarpsAssigned counts warps ever placed on this partition (the
@@ -47,33 +46,22 @@ func (p *PartitionProf) IdleRounds() int64 {
 	return p.StallDeps + p.StallThrottle + p.StallBarrier + p.StallNoWarp
 }
 
-// LaunchProf aggregates one launch's parallelism telemetry. Arm it by
-// setting sm.GPU.Prof before Launch; read it after Launch returns. Unlike
-// the trace recorder, an armed LaunchProf does NOT pin phase A to one
-// goroutine — profiling the parallel schedule is its purpose — so the only
-// wall-clock-dependent fields are the two phase timers, which never feed
-// back into simulated results.
+// LaunchProf aggregates one launch's scheduling telemetry. Arm it by
+// setting sm.GPU.Prof before Launch; read it after Launch returns. Every
+// field is a deterministic function of the launch: the same kernel, config
+// and inputs give the same profile, bit for bit.
 type LaunchProf struct {
 	Kernel string `json:"kernel"`
 	Scheme string `json:"scheme"`
-	// Workers is the goroutine count phase A actually ran with.
-	Workers int `json:"workers"`
 
 	Cycles int64 `json:"cycles"`
 	// Rounds counts scheduler rounds (epochs); IdleRounds the fully-idle ones
 	// the batch idle-skip fired on; SkippedCycles the cycles those skips
-	// jumped over without running a round (delta-1 summed — the serial-time
-	// saving idle-skip buys, identical at every worker count).
+	// jumped over without running a round (delta-1 summed — the simulation
+	// time idle-skip saves).
 	Rounds        int64 `json:"rounds"`
 	IdleRounds    int64 `json:"idle_rounds"`
 	SkippedCycles int64 `json:"skipped_cycles"`
-
-	// PhaseAWall is wall time spent inside phase A (the parallelizable
-	// region); MergeWall is wall time inside the serial merge barrier. Their
-	// sum is the round loop's whole cost; MergeWall/(PhaseAWall+MergeWall) is
-	// the serial residue bounding parallel speedup (Amdahl).
-	PhaseAWall time.Duration `json:"phase_a_wall_ns"`
-	MergeWall  time.Duration `json:"merge_wall_ns"`
 
 	Partitions []PartitionProf `json:"partitions"`
 }
@@ -107,7 +95,7 @@ func (lp *LaunchProf) ObserveLogs(i, wlog, slog, events int) {
 
 // LoadImbalance is max/mean of per-partition issued instructions — 1.0 is a
 // perfectly balanced launch, 2.0 means the busiest partition carried twice
-// the average (and the parallel phase A waits on it every round).
+// the average.
 func (lp *LaunchProf) LoadImbalance() float64 {
 	if len(lp.Partitions) == 0 {
 		return 1
@@ -125,17 +113,6 @@ func (lp *LaunchProf) LoadImbalance() float64 {
 	}
 	mean := float64(sum) / float64(len(lp.Partitions))
 	return float64(max) / mean
-}
-
-// SerialFrac is the serial residue: merge wall over total round-loop wall.
-// By Amdahl's law, 1/SerialFrac bounds the speedup any worker count can
-// reach; 0 when the launch was not wall-timed.
-func (lp *LaunchProf) SerialFrac() float64 {
-	tot := lp.PhaseAWall + lp.MergeWall
-	if tot <= 0 {
-		return 0
-	}
-	return float64(lp.MergeWall) / float64(tot)
 }
 
 // stall reason labels, in partition slot-counter order.
@@ -163,9 +140,6 @@ func (lp *LaunchProf) EmitMetrics(reg *obs.Registry) {
 	add("simprof.rounds", lp.Rounds)
 	add("simprof.idle_rounds", lp.IdleRounds)
 	add("simprof.skipped_cycles", lp.SkippedCycles)
-	add("simprof.phase_a_wall_us", lp.PhaseAWall.Microseconds())
-	add("simprof.merge_wall_us", lp.MergeWall.Microseconds())
-	reg.Gauge(obs.Name("simprof.workers", kv...)).Set(int64(lp.Workers))
 	reg.Gauge(obs.Name("simprof.load_imbalance_pct", kv...)).Set(int64(lp.LoadImbalance() * 100))
 	peakLog := reg.Histogram(obs.Name("simprof.partition_deferred_peak", kv...), obs.ExpBounds(1, 12)...)
 	for i := range lp.Partitions {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"swapcodes/internal/obs"
 )
@@ -45,7 +44,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	fr.Partition(0).Add(Decision{Cycle: 1, Warp: 3, PC: 10, Kind: KindIssue})
 	fr.Partition(1).Add(Decision{Cycle: 2, Warp: -1, PC: -1, Kind: KindStall, Reason: 2, Aux: 9})
 	fr.MergeRing().Add(Decision{Cycle: 2, Warp: -1, PC: -1, Kind: KindSkip, Aux: 7})
-	fr.Fail("lavaMD", "Swap-ECC", 4, 1234, struct{ MaxCycles int }{99}, "boom")
+	fr.Fail("lavaMD", "Swap-ECC", 1234, struct{ MaxCycles int }{99}, "boom")
 
 	if !fr.Failed() {
 		t.Fatal("Fail did not mark the recorder failed")
@@ -57,7 +56,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	m := b.Meta
 	if m.Workload != "lavaMD" || m.Kernel != "lavaMD" || m.Scheme != "Swap-ECC" ||
-		m.Seed != 7 || m.Workers != 4 || m.Cycle != 1234 || m.Reason != "boom" {
+		m.Seed != 7 || m.Cycle != 1234 || m.Reason != "boom" {
 		t.Fatalf("meta round-trip mismatch: %+v", m)
 	}
 	if !strings.Contains(string(m.Config), "99") {
@@ -80,8 +79,8 @@ func TestBundleRoundTrip(t *testing.T) {
 
 func TestBundleFirstFailureWins(t *testing.T) {
 	fr := NewFlightRecorder(8)
-	fr.Fail("k", "s", 1, 10, nil, "first")
-	fr.Fail("k", "s", 1, 20, nil, "second")
+	fr.Fail("k", "s", 10, nil, "first")
+	fr.Fail("k", "s", 20, nil, "second")
 	if m := fr.Meta(); m.Reason != "first" || m.Cycle != 10 {
 		t.Fatalf("second Fail overwrote the first: %+v", m)
 	}
@@ -90,7 +89,7 @@ func TestBundleFirstFailureWins(t *testing.T) {
 func TestReadBundleTruncated(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	fr.Partition(0).Add(Decision{Cycle: 1, Kind: KindIssue})
-	fr.Fail("k", "s", 1, 10, nil, "r")
+	fr.Fail("k", "s", 10, nil, "r")
 	raw := fr.Bundle()
 	// Drop the trailing end line: the reader must refuse the bundle.
 	cut := bytes.LastIndexByte(bytes.TrimRight(raw, "\n"), '\n')
@@ -112,11 +111,6 @@ func TestLaunchProfDerived(t *testing.T) {
 	lp.Partitions[1].Issued = 100
 	if got := lp.LoadImbalance(); got != 1.5 {
 		t.Fatalf("imbalance = %v, want 1.5 (max 300 / mean 200)", got)
-	}
-	lp.PhaseAWall = 3 * time.Millisecond
-	lp.MergeWall = time.Millisecond
-	if got := lp.SerialFrac(); got != 0.25 {
-		t.Fatalf("serial frac = %v, want 0.25", got)
 	}
 	lp.ObserveLogs(0, 5, 2, 1)
 	lp.ObserveLogs(0, 3, 4, 0)
@@ -141,9 +135,8 @@ func TestLaunchProfDerived(t *testing.T) {
 func TestEmitMetrics(t *testing.T) {
 	var lp LaunchProf
 	lp.Reset(2)
-	lp.Kernel, lp.Scheme, lp.Workers = "mm", "Swap-ECC", 4
+	lp.Kernel, lp.Scheme = "mm", "Swap-ECC"
 	lp.Rounds, lp.IdleRounds, lp.SkippedCycles = 100, 40, 350
-	lp.PhaseAWall, lp.MergeWall = 2*time.Millisecond, time.Millisecond
 	lp.Partitions[0].Issued = 60
 	lp.Partitions[0].WarpsAssigned = 8
 	lp.Partitions[0].StallDeps = 10
@@ -157,8 +150,6 @@ func TestEmitMetrics(t *testing.T) {
 		`simprof.rounds{kernel="mm",scheme="Swap-ECC"}`:                                                 100,
 		`simprof.idle_rounds{kernel="mm",scheme="Swap-ECC"}`:                                            40,
 		`simprof.skipped_cycles{kernel="mm",scheme="Swap-ECC"}`:                                         350,
-		`simprof.phase_a_wall_us{kernel="mm",scheme="Swap-ECC"}`:                                        2000,
-		`simprof.merge_wall_us{kernel="mm",scheme="Swap-ECC"}`:                                          1000,
 		`simprof.partition_issued{kernel="mm",partition="p0",scheme="Swap-ECC"}`:                        60,
 		`simprof.partition_issued{kernel="mm",partition="p1",scheme="Swap-ECC"}`:                        40,
 		`simprof.partition_warps{kernel="mm",partition="p0",scheme="Swap-ECC"}`:                         8,
@@ -175,9 +166,6 @@ func TestEmitMetrics(t *testing.T) {
 		if got[name] != v {
 			t.Errorf("%s = %d, want %d", name, got[name], v)
 		}
-	}
-	if g := reg.Gauge(`simprof.workers{kernel="mm",scheme="Swap-ECC"}`).Value(); g != 4 {
-		t.Errorf("workers gauge = %d, want 4", g)
 	}
 	// imbalance = max 60 / mean 50 = 1.2 → 120 in integer percent.
 	if g := reg.Gauge(`simprof.load_imbalance_pct{kernel="mm",scheme="Swap-ECC"}`).Value(); g != 120 {

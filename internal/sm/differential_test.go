@@ -241,10 +241,10 @@ func diffGen(seed int64, grid, cta int) *isa.Kernel {
 // TestMachineMatchesScalarInterpreter is the machine's differential
 // property: lockstep SIMT execution with divergence stacks produces the
 // same memory as naive one-thread-at-a-time execution, under every
-// protection scheme. Each kernel also runs under the reference scheduler
-// and on four workers, which must reproduce the default launch's Stats and
-// memory exactly: diffGen kernels are the only test kernels with ATOM, so
-// this is the reference differential over atomHold parking and unparking.
+// protection scheme. Each kernel also runs under the reference scheduler,
+// which must reproduce the default launch's Stats and memory exactly:
+// diffGen kernels are the only test kernels with ATOM, so this is the
+// reference differential over atomHold parking and unparking.
 func TestMachineMatchesScalarInterpreter(t *testing.T) {
 	trials := 30
 	if testing.Short() {
@@ -266,8 +266,6 @@ func TestMachineMatchesScalarInterpreter(t *testing.T) {
 
 		ref := DefaultConfig()
 		ref.Reference = true
-		par := DefaultConfig()
-		par.Workers = 4
 		for _, s := range []compiler.Scheme{compiler.Baseline, compiler.SwapECC, compiler.SWDup} {
 			ks := compiler.MustApply(k, s)
 			launch := func(cfg Config) (*Stats, []uint32) {
@@ -286,18 +284,13 @@ func TestMachineMatchesScalarInterpreter(t *testing.T) {
 						seed, s, i, mem[i], want[i])
 				}
 			}
-			for _, c := range []struct {
-				name string
-				cfg  Config
-			}{{"reference", ref}, {"workers=4", par}} {
-				cst, cmem := launch(c.cfg)
-				if !reflect.DeepEqual(cst, st) {
-					t.Errorf("seed %d %v %s: Stats diverge from the default launch\n got %+v\nwant %+v",
-						seed, s, c.name, cst, st)
-				}
-				if !reflect.DeepEqual(cmem, mem) {
-					t.Errorf("seed %d %v %s: final memory diverges from the default launch", seed, s, c.name)
-				}
+			rst, rmem := launch(ref)
+			if !reflect.DeepEqual(rst, st) {
+				t.Errorf("seed %d %v: reference Stats diverge from the default launch\n got %+v\nwant %+v",
+					seed, s, rst, st)
+			}
+			if !reflect.DeepEqual(rmem, mem) {
+				t.Errorf("seed %d %v: reference final memory diverges from the default launch", seed, s)
 			}
 		}
 	}

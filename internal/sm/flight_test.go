@@ -13,9 +13,8 @@ import (
 
 // This file gates the flight recorder (DESIGN.md Section 14): armed on a
 // failing launch it must capture a black-box bundle whose decision streams
-// are bit-identical at every worker count — per-partition rings are
-// partition-local and the merge ring is barrier-ordered, so nothing in them
-// depends on scheduling of the host goroutines.
+// are a deterministic function of the launch — two identical launches
+// record identical streams — because replay relies on exactly that.
 
 // streams extracts the comparable payload of a recorder: every partition's
 // decision ring plus the merge ring, oldest-first.
@@ -28,9 +27,9 @@ func streams(fr *simprof.FlightRecorder) ([][]simprof.Decision, []simprof.Decisi
 }
 
 // TestFlightBundleCycleBudget forces a deterministic failure (a cycle
-// budget below the kernel's real cycle count) at several worker counts and
-// requires: the recorder stamps the failure, the bundle round-trips, and
-// the decision streams are identical across worker counts.
+// budget below the kernel's real cycle count) twice and requires: the
+// recorder stamps the failure, the bundle round-trips, and both launches
+// record the same decision streams and failure point.
 func TestFlightBundleCycleBudget(t *testing.T) {
 	w, err := workloads.ByName("lavaMD")
 	if err != nil {
@@ -41,9 +40,8 @@ func TestFlightBundleCycleBudget(t *testing.T) {
 	var refParts [][]simprof.Decision
 	var refMerge []simprof.Decision
 	var refMeta simprof.Meta
-	for _, workers := range []int{0, 1, 2, 4} {
+	for run := 0; run < 2; run++ {
 		cfg := sm.DefaultConfig()
-		cfg.Workers = workers
 		cfg.MaxCycles = 2000
 		g := w.NewGPU(cfg)
 		fr := simprof.NewFlightRecorder(0)
@@ -51,41 +49,41 @@ func TestFlightBundleCycleBudget(t *testing.T) {
 		g.Flight = fr
 		_, lerr := g.Launch(k)
 		if lerr == nil {
-			t.Fatalf("workers=%d: cycle budget of 2000 did not trip", workers)
+			t.Fatalf("run %d: cycle budget of 2000 did not trip", run)
 		}
 		if !fr.Failed() {
-			t.Fatalf("workers=%d: recorder not stamped on launch failure", workers)
+			t.Fatalf("run %d: recorder not stamped on launch failure", run)
 		}
 		m := fr.Meta()
 		if m.Kernel != k.Name || m.Scheme != k.Scheme || m.Workload != "lavaMD" {
-			t.Fatalf("workers=%d: bundle identity wrong: %+v", workers, m)
+			t.Fatalf("run %d: bundle identity wrong: %+v", run, m)
 		}
 		if m.Reason != lerr.Error() {
-			t.Fatalf("workers=%d: reason %q, launch error %q", workers, m.Reason, lerr)
+			t.Fatalf("run %d: reason %q, launch error %q", run, m.Reason, lerr)
 		}
 		if len(m.Config) == 0 {
-			t.Fatalf("workers=%d: bundle carries no config", workers)
+			t.Fatalf("run %d: bundle carries no config", run)
 		}
 		parts, merge, err := streams(fr)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if len(merge) == 0 {
-			t.Fatalf("workers=%d: merge ring empty on a multi-round launch", workers)
+			t.Fatalf("run %d: merge ring empty on a multi-round launch", run)
 		}
-		if workers == 0 {
+		if run == 0 {
 			refParts, refMerge, refMeta = parts, merge, m
 			continue
 		}
 		if !reflect.DeepEqual(parts, refParts) {
-			t.Errorf("workers=%d: partition decision streams diverge from serial run", workers)
+			t.Errorf("partition decision streams differ between identical launches")
 		}
 		if !reflect.DeepEqual(merge, refMerge) {
-			t.Errorf("workers=%d: merge decision stream diverges from serial run", workers)
+			t.Errorf("merge decision stream differs between identical launches")
 		}
 		if m.Cycle != refMeta.Cycle || m.Reason != refMeta.Reason {
-			t.Errorf("workers=%d: failure point (%d, %q) differs from serial (%d, %q)",
-				workers, m.Cycle, m.Reason, refMeta.Cycle, refMeta.Reason)
+			t.Errorf("failure point (%d, %q) differs from the first launch's (%d, %q)",
+				m.Cycle, m.Reason, refMeta.Cycle, refMeta.Reason)
 		}
 	}
 }
@@ -98,9 +96,7 @@ func TestFlightBundleNotStampedOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := compiler.MustApply(w.Kernel, compiler.Baseline)
-	cfg := sm.DefaultConfig()
-	cfg.Workers = 2
-	g := w.NewGPU(cfg)
+	g := w.NewGPU(sm.DefaultConfig())
 	fr := simprof.NewFlightRecorder(0)
 	g.Flight = fr
 	if _, err := g.Launch(k); err != nil {
@@ -126,9 +122,9 @@ func TestFlightBundleNotStampedOnSuccess(t *testing.T) {
 
 // TestParallelSMDifferentialTelemetry re-runs a slice of the differential
 // sweep with BOTH simprof surfaces armed (LaunchProf and FlightRecorder) and
-// requires Stats and final memory to stay bit-identical to the bare serial
-// run at every worker count — the telemetry must observe the parallel loop,
-// never perturb it.
+// requires Stats and final memory to stay bit-identical to the bare run —
+// the telemetry must observe the loop, never perturb it — and two armed
+// launches to record the same profile and decision streams.
 func TestParallelSMDifferentialTelemetry(t *testing.T) {
 	for _, name := range []string{"lavaMD", "hspot", "mm"} {
 		w, err := workloads.ByName(name)
@@ -136,53 +132,52 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := compiler.MustApply(w.Kernel, compiler.SwapECC)
+		refSt, refMem := launchWith(t, w, k, compiler.SwapECC, sm.DefaultConfig())
 
-		bare := sm.DefaultConfig()
-		refSt, refMem := launchWith(t, w, k, compiler.SwapECC, bare)
-
+		var refProf *simprof.LaunchProf
 		var refParts [][]simprof.Decision
 		var refMerge []simprof.Decision
-		for _, workers := range []int{0, 1, 2, 4} {
-			cfg := sm.DefaultConfig()
-			cfg.Workers = workers
-			g := w.NewGPU(cfg)
+		for run := 0; run < 2; run++ {
+			g := w.NewGPU(sm.DefaultConfig())
 			prof := &simprof.LaunchProf{}
 			fr := simprof.NewFlightRecorder(0)
 			g.Prof = prof
 			g.Flight = fr
 			st, err := g.Launch(k)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s run %d: %v", name, run, err)
 			}
 			if err := w.Verify(g); err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s run %d: %v", name, run, err)
 			}
 			if !reflect.DeepEqual(st, refSt) {
-				t.Errorf("%s workers=%d: Stats diverge with telemetry armed", name, workers)
+				t.Errorf("%s run %d: Stats diverge with telemetry armed", name, run)
 			}
 			if !reflect.DeepEqual(g.Mem, refMem) {
-				t.Errorf("%s workers=%d: memory diverges with telemetry armed", name, workers)
+				t.Errorf("%s run %d: memory diverges with telemetry armed", name, run)
 			}
-			// The deterministic half of the profile must not depend on the
-			// worker count either.
 			if prof.Cycles != refSt.Cycles || prof.Rounds == 0 {
-				t.Errorf("%s workers=%d: prof cycles=%d rounds=%d, stats cycles=%d",
-					name, workers, prof.Cycles, prof.Rounds, refSt.Cycles)
+				t.Errorf("%s run %d: prof cycles=%d rounds=%d, stats cycles=%d",
+					name, run, prof.Cycles, prof.Rounds, refSt.Cycles)
 			}
 			if got := sm.DefaultConfig().Schedulers; len(prof.Partitions) != got {
-				t.Errorf("%s workers=%d: prof has %d partitions, config has %d",
-					name, workers, len(prof.Partitions), got)
+				t.Errorf("%s run %d: prof has %d partitions, config has %d",
+					name, run, len(prof.Partitions), got)
 			}
 			parts, merge, err := streams(fr)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s run %d: %v", name, run, err)
 			}
-			if workers == 0 {
-				refParts, refMerge = parts, merge
+			if run == 0 {
+				refProf, refParts, refMerge = prof, parts, merge
 				continue
 			}
+			if !reflect.DeepEqual(prof, refProf) {
+				t.Errorf("%s: launch profile differs between identical launches\n got %+v\nwant %+v",
+					name, prof, refProf)
+			}
 			if !reflect.DeepEqual(parts, refParts) || !reflect.DeepEqual(merge, refMerge) {
-				t.Errorf("%s workers=%d: decision streams diverge from serial run", name, workers)
+				t.Errorf("%s: decision streams differ between identical launches", name)
 			}
 		}
 	}

@@ -37,8 +37,8 @@ func (m *machine) violatef(format string, args ...any) {
 	if len(m.violations) < 32 {
 		m.violations = append(m.violations, fmt.Sprintf(format, args...))
 	}
-	// Pin the violation into the black box: every checker runs on the
-	// barrier thread, so the merge ring is the right home.
+	// Pin the violation into the black box: every checker runs at the
+	// barrier, so the merge ring is the right home.
 	if m.frMerge != nil {
 		m.frMerge.Add(simprof.Decision{Cycle: m.cycle, Warp: -1, PC: -1,
 			Kind: simprof.KindViolate, Aux: int64(len(m.violations))})

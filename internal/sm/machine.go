@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"swapcodes/internal/core"
 	"swapcodes/internal/isa"
@@ -21,17 +20,20 @@ import (
 //     event logs (global- and shared-memory stores, atomics, barrier
 //     arrivals, warp exits), plus read-only shared state (kernel, config,
 //     the cycle number, and memory as committed at the last barrier), so
-//     phase A can run partitions on goroutines with no synchronization.
-//   - Barrier: a single-threaded merge in fixed partition order — commit
-//     deferred stores and replay atomics, apply barrier arrivals and warp
-//     exits and release satisfied CTA barriers, aggregate issue/stall
-//     statistics, retire warps, pick the idle-skip delta, advance the
-//     cycle, and poll cancellation.
+//     no partition can observe another's effects within a round.
+//   - Barrier: a merge in fixed partition order — commit deferred stores
+//     and replay atomics, apply barrier arrivals and warp exits and release
+//     satisfied CTA barriers, aggregate issue/stall statistics, retire
+//     warps, pick the idle-skip delta, advance the cycle, and poll
+//     cancellation.
 //
-// Because every cross-partition interaction is confined to the barrier and
-// the barrier iterates partitions in index order, results are bit-identical
-// at any worker count — the parallel path IS the serial path with phase A
-// reordered, and phase A is order-free by construction.
+// The epochs define when a store becomes visible: at the next barrier,
+// never mid-round. Because every cross-partition interaction is confined to
+// the barrier and the barrier iterates partitions in index order, phase A is
+// order-free by construction and results depend only on the kernel, the
+// config, and the inputs. The whole launch runs on its caller's goroutine;
+// concurrency lives one level up, in the engine pool that runs launches
+// side by side.
 
 // simtEntry is one level of the per-warp reconvergence stack.
 type simtEntry struct {
@@ -100,18 +102,13 @@ type machine struct {
 	resident  []*ctaState
 
 	parts     []*partition
-	par       *parRunner // non-nil only when phase A runs on worker goroutines
-	liveWarps int        // resident warps across all partitions
-	// inOrder is true whenever phase A runs partitions sequentially on one
-	// goroutine (the global dynamic-instruction counter is then exact).
-	inOrder bool
+	liveWarps int // resident warps across all partitions
 
 	// mh is the armed memory hierarchy (nil when Config.MemModel is off).
-	// Its state advances only inside serviceMem on the barrier thread, so
-	// arming it does not pin phase A in-order.
+	// Its state advances only inside serviceMem at the barrier.
 	mh *memmodel.Hier
-	// unknownClass counts barrier-thread timing lookups that hit the
-	// unknown-class fallback (partitions count their own; finalize sums).
+	// unknownClass counts barrier timing lookups that hit the unknown-class
+	// fallback (partitions count their own; finalize sums).
 	unknownClass int64
 
 	// prate/tokCap are the per-partition token-bucket parameters: each
@@ -132,8 +129,8 @@ type machine struct {
 
 	cycle int64
 	// dyn is the global dynamic warp-instruction counter driving fault
-	// injection; it is maintained only in in-order mode (armed faults force
-	// in-order execution, so the numbering is always exact when it matters).
+	// injection: partitions issue in index order, so the numbering is the
+	// launch's issue order.
 	dyn int64
 	// faultCycle is the cycle the armed FaultPlan fired at (-1 before),
 	// the reference point for detection-latency measurement.
@@ -141,20 +138,16 @@ type machine struct {
 	// obsm is non-nil only when GPU.Obs carries a recorder; the cycle loop
 	// guards every observation behind this one nil check.
 	obsm *smObs
-	// prof mirrors GPU.Prof: per-partition parallelism telemetry. Every
+	// prof mirrors GPU.Prof: per-partition scheduling telemetry. Every
 	// hot-path observation hides behind this nil check (plus frMerge's for
 	// the flight recorder), which is what keeps the disabled path inside the
-	// BenchmarkSMObsDisabled budget. Unlike obsm, prof does not force
-	// in-order execution: everything it touches during phase A is
-	// partition-local, and the barrier-thread fields never feed back into
+	// BenchmarkSMObsDisabled budget. Nothing prof records feeds back into
 	// simulated state.
 	prof *simprof.LaunchProf
-	// flight/frMerge mirror GPU.Flight: frMerge is the barrier thread's
-	// decision ring (partitions hold their own ring pointers).
+	// flight/frMerge mirror GPU.Flight: frMerge is the barrier's decision
+	// ring (partitions hold their own ring pointers).
 	flight  *simprof.FlightRecorder
 	frMerge *simprof.Ring
-	// profA/profMerge accumulate phase-A and merge wall time (prof only).
-	profA, profMerge time.Duration
 	// violations accumulates dynamic invariant failures when Config.Verify
 	// is set (see invariants.go).
 	violations []string
@@ -336,22 +329,12 @@ func (m *machine) run(ctx context.Context) error {
 	m.stats.ResidentWarpLimit = lim * m.warpsPerCTA
 	m.initPartitions()
 
-	m.inOrder = true
-	workers := m.parallelWorkers()
-	if workers > 1 {
-		m.inOrder = false
-		m.par = startParRunner(m, workers)
-		defer m.par.stop()
-	}
-	if m.prof != nil {
-		m.prof.Workers = workers
-	}
 	if m.flight != nil {
 		// Black-box a panic before it unwinds past the launch: the bundle
 		// then carries the decisions leading up to it.
 		defer func() {
 			if r := recover(); r != nil {
-				m.failFlight(workers, fmt.Sprintf("panic: %v", r))
+				m.failFlight(fmt.Sprintf("panic: %v", r))
 				panic(r)
 			}
 		}()
@@ -361,33 +344,17 @@ func (m *machine) run(ctx context.Context) error {
 		// Any non-cancellation launch failure — invariant violations,
 		// deadlock, cycle-budget trip, partition errors — stamps the flight
 		// recorder so the caller can dump a replayable bundle.
-		m.failFlight(workers, err.Error())
+		m.failFlight(err.Error())
 	}
 	return err
 }
 
 // failFlight records the failing launch's identity on the flight recorder:
-// kernel/scheme select the exact code (compilation is deterministic), the
-// config copy replays the same machine, and serial replay is bit-identical
-// by the §13 determinism guarantee.
-func (m *machine) failFlight(workers int, reason string) {
-	m.flight.Fail(m.k.Name, m.k.Scheme, workers, m.cycle, *m.cfg, reason)
-}
-
-// parallelWorkers reports how many goroutines phase A may use. Armed faults,
-// value tracing, observability, and the ECC register file all need the
-// global in-order instruction stream (dyn numbering, callback order, shared
-// stats), so they pin phase A to one goroutine; results are identical either
-// way because both modes run the same per-partition code.
-func (m *machine) parallelWorkers() int {
-	w := m.cfg.Workers
-	if w > len(m.parts) {
-		w = len(m.parts)
-	}
-	if w < 2 || m.g.Fault != nil || m.g.Trace != nil || m.obsm != nil || m.cfg.ECC {
-		return 1
-	}
-	return w
+// kernel/scheme select the exact code (compilation is deterministic), and
+// the config copy replays the same machine, which by the §13 determinism
+// argument reaches the same failure at the same cycle.
+func (m *machine) failFlight(reason string) {
+	m.flight.Fail(m.k.Name, m.k.Scheme, m.cycle, *m.cfg, reason)
 }
 
 // loop is the round loop; run() does setup so tests can drive loop directly.
@@ -425,31 +392,13 @@ func (m *machine) loop(ctx context.Context) error {
 			continue
 		}
 
-		// Phase A: partitions issue independently. When profiling, the two
-		// time.Now calls per round are the entire hot-path overhead of the
-		// phase-A/merge wall attribution (§14 overhead budget).
-		var tA time.Time
-		if m.prof != nil {
-			tA = time.Now()
-		}
-		if m.par != nil {
-			m.par.round()
-		} else {
-			for _, p := range m.parts {
-				p.step()
-			}
-		}
-		if m.prof != nil {
-			now := time.Now()
-			m.profA += now.Sub(tA)
-			tA = now
+		// Phase A: partitions issue independently.
+		for _, p := range m.parts {
+			p.step()
 		}
 
 		// Barrier: merge in fixed partition order.
 		done, err := m.mergeRound()
-		if m.prof != nil {
-			m.profMerge += time.Since(tA)
-		}
 		if err != nil {
 			return err
 		}
@@ -587,7 +536,7 @@ func (m *machine) mergeRound() (bool, error) {
 // every touched CTA: once all of a CTA's still-live warps have arrived, every
 // waiting warp is released (and its scheduler slot invalidated). Batching
 // arrivals, exits, and releases at the merge is what makes the outcome
-// independent of which goroutine ran which partition — and it also covers
+// independent of the order partitions ran in phase A — and it also covers
 // the exit-releases-barrier case (the last non-waiting warp exits,
 // satisfying the barrier).
 func (m *machine) applyCTAEvents() {
@@ -678,8 +627,6 @@ func (m *machine) finalizeProf() {
 		lp.Scheme = "none"
 	}
 	lp.Cycles = m.cycle
-	lp.PhaseAWall = m.profA
-	lp.MergeWall = m.profMerge
 	for i, p := range m.parts {
 		pp := &lp.Partitions[i]
 		pp.Issued = p.instrs
@@ -689,9 +636,9 @@ func (m *machine) finalizeProf() {
 		pp.StallNoWarp = p.stallNoWarp
 		pp.Parked = p.parks
 	}
-	// Surface the profile on the live registry when a recorder is armed
-	// (in-order mode): /metrics and /timeseries then carry the simprof.*
-	// families next to the sm.* ones.
+	// Surface the profile on the live registry when a recorder is armed:
+	// /metrics and /timeseries then carry the simprof.* families next to
+	// the sm.* ones.
 	if m.obsm != nil {
 		lp.EmitMetrics(m.obsm.rec.Registry())
 	}

@@ -8,11 +8,11 @@ package sm
 // integration preserves the §13 determinism contract: during phase A a
 // partition merely LOGS each LDG/STG's coalesced sector set into its
 // partition-local mlog and marks the destination register with the
-// memPending sentinel; the single-threaded merge barrier then presents the
-// logs to the hierarchy in fixed partition order (program order within a
-// partition) and finalizes the scoreboard. The hierarchy's mutable state is
-// therefore touched only between phases, so results stay bit-identical at
-// every worker count and phase A stays parallel with the model armed.
+// memPending sentinel; the merge barrier then presents the logs to the
+// hierarchy in fixed partition order (program order within a partition)
+// and finalizes the scoreboard. The hierarchy's mutable state is therefore
+// touched only between phases, so a load's timing never depends on the
+// order partitions ran in phase A.
 //
 // Stall attribution: serviceMem records the level that bounded each load
 // (regMem, parallel to regClass); a dependence stall on a pending-load

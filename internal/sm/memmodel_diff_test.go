@@ -16,12 +16,12 @@ import (
 // section 15). The contract has two halves: with the model off the
 // simulator must be BIT-IDENTICAL to the seed flat-latency path — the
 // hierarchy code may cost one nil check and nothing else — and with it
-// armed the simulation must stay deterministic across worker counts and
-// keep every conservation law (CPI partition, retire horizon) intact.
+// armed the simulation must match the reference scheduler's and keep every
+// conservation law (CPI partition, retire horizon) intact.
 
-// TestMemModelOffBitIdentical: MemModel "off" (and its "" spelling) must
-// reproduce the default configuration's Stats, CPI stack, and final memory
-// exactly, on every workload x scheme, at every worker count.
+// TestMemModelOffBitIdentical: MemModel "off" must reproduce the default
+// configuration's ("" spelling) Stats and final memory exactly, on every
+// workload x scheme.
 func TestMemModelOffBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
@@ -33,27 +33,23 @@ func TestMemModelOffBitIdentical(t *testing.T) {
 				continue // scheme not applicable
 			}
 			refSt, refMem := launchWith(t, w, k, s, sm.DefaultConfig())
-			for _, workers := range diffWorkers {
-				cfg := sm.DefaultConfig()
-				cfg.Workers = workers
-				cfg.MemModel = "off"
-				st, mem := launchWith(t, w, k, s, cfg)
-				if !reflect.DeepEqual(st, refSt) {
-					t.Errorf("%s/%v workers=%d: MemModel=off Stats diverge from seed path\n got %+v\nwant %+v",
-						w.Name, s, workers, st, refSt)
-				}
-				if !reflect.DeepEqual(mem, refMem) {
-					t.Errorf("%s/%v workers=%d: MemModel=off final memory diverges from seed path",
-						w.Name, s, workers)
-				}
-				if st.Mem != nil || st.MemStallCycles() != 0 {
-					t.Errorf("%s/%v workers=%d: flat path carries hierarchy state (Mem=%v, stalls=%d)",
-						w.Name, s, workers, st.Mem, st.MemStallCycles())
-				}
-				if st.UnknownClassOps != 0 {
-					t.Errorf("%s/%v workers=%d: %d unknown-class fallbacks on a real kernel",
-						w.Name, s, workers, st.UnknownClassOps)
-				}
+			cfg := sm.DefaultConfig()
+			cfg.MemModel = "off"
+			st, mem := launchWith(t, w, k, s, cfg)
+			if !reflect.DeepEqual(st, refSt) {
+				t.Errorf("%s/%v: MemModel=off Stats diverge from seed path\n got %+v\nwant %+v",
+					w.Name, s, st, refSt)
+			}
+			if !reflect.DeepEqual(mem, refMem) {
+				t.Errorf("%s/%v: MemModel=off final memory diverges from seed path", w.Name, s)
+			}
+			if st.Mem != nil || st.MemStallCycles() != 0 {
+				t.Errorf("%s/%v: flat path carries hierarchy state (Mem=%v, stalls=%d)",
+					w.Name, s, st.Mem, st.MemStallCycles())
+			}
+			if st.UnknownClassOps != 0 {
+				t.Errorf("%s/%v: %d unknown-class fallbacks on a real kernel",
+					w.Name, s, st.UnknownClassOps)
 			}
 		}
 	}
@@ -65,9 +61,9 @@ func TestMemModelOffBitIdentical(t *testing.T) {
 var memDiffWorkloads = []string{"bfs", "gauss", "mm", "lavaMD"}
 
 // TestMemModelArmedDifferential: the armed hierarchy must be bit-identical
-// across the reference scheduler, the cached serial loop, and the parallel
-// loop at every worker count — all hierarchy state advances on the barrier
-// thread in partition order, so worker count cannot move a single fill.
+// between the reference scheduler and the slot-cached default loop — all
+// hierarchy state advances at the barrier in partition order, so the
+// scheduler's caching cannot move a single fill.
 func TestMemModelArmedDifferential(t *testing.T) {
 	for _, name := range memDiffWorkloads {
 		w, err := workloads.ByName(name)
@@ -83,19 +79,15 @@ func TestMemModelArmedDifferential(t *testing.T) {
 			ref.Reference = true
 			ref.MemModel = "sectored"
 			refSt, refMem := launchWith(t, w, k, s, ref)
-			for _, workers := range diffWorkers {
-				cfg := sm.DefaultConfig()
-				cfg.Workers = workers
-				cfg.MemModel = "sectored"
-				st, mem := launchWith(t, w, k, s, cfg)
-				if !reflect.DeepEqual(st, refSt) {
-					t.Errorf("%s/%v workers=%d: armed Stats diverge from reference\n got %+v\nwant %+v",
-						w.Name, s, workers, st, refSt)
-				}
-				if !reflect.DeepEqual(mem, refMem) {
-					t.Errorf("%s/%v workers=%d: armed final memory diverges from reference",
-						w.Name, s, workers)
-				}
+			cfg := sm.DefaultConfig()
+			cfg.MemModel = "sectored"
+			st, mem := launchWith(t, w, k, s, cfg)
+			if !reflect.DeepEqual(st, refSt) {
+				t.Errorf("%s/%v: armed Stats diverge from reference\n got %+v\nwant %+v",
+					w.Name, s, st, refSt)
+			}
+			if !reflect.DeepEqual(mem, refMem) {
+				t.Errorf("%s/%v: armed final memory diverges from reference", w.Name, s)
 			}
 		}
 	}
@@ -111,13 +103,10 @@ func TestMemModelArmedVerifyMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 4} {
-			cfg := sm.DefaultConfig()
-			cfg.Workers = workers
-			cfg.MemModel = "sectored"
-			cfg.Verify = true
-			launchWith(t, w, w.Kernel, compiler.Baseline, cfg)
-		}
+		cfg := sm.DefaultConfig()
+		cfg.MemModel = "sectored"
+		cfg.Verify = true
+		launchWith(t, w, w.Kernel, compiler.Baseline, cfg)
 	}
 }
 

@@ -124,8 +124,8 @@ func (o *smObs) sample(m *machine) {
 
 // sampleParts emits the window's per-partition activity as one span per
 // partition trace thread, plus a merge-thread span carrying the barrier's
-// round/idle-skip profile — in the Chrome viewer the merge row is exactly
-// the serial residue between the partition rows' parallel work.
+// round/idle-skip profile — in the Chrome viewer the merge row sits
+// between the partition rows' issue work.
 func (o *smObs) sampleParts(m *machine, winStart int64) {
 	if !o.partsNamed {
 		o.partsNamed = true

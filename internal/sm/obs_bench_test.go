@@ -59,8 +59,8 @@ func BenchmarkSMCPIStack(b *testing.B) {
 }
 
 // BenchmarkSMProfArmed measures a launch with the partition profiler
-// (simprof.LaunchProf) armed: per-round counter folds, deferred-log peeks
-// at the merge barrier, and two wall-clock reads per round. Compare against
+// (simprof.LaunchProf) armed: per-round counter folds and deferred-log
+// peeks at the merge barrier. Compare against
 // BenchmarkSMObsDisabled for the armed-profiler premium; the disabled cost
 // is the same nil check that guards the recorder.
 func BenchmarkSMProfArmed(b *testing.B) {

@@ -5,21 +5,17 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/isa"
-	"swapcodes/internal/obs"
 	"swapcodes/internal/sm"
 	"swapcodes/internal/workloads"
 )
 
 // This file gates the partitioned round loop (DESIGN.md Section 13): the
-// slot-cached fast path and the parallel phase A must be BIT-IDENTICAL to the
-// full-rescan reference scheduler — same Stats, same CPI stack, same final
-// memory — on every workload, under every scheme, at every worker count.
-
-var diffWorkers = []int{0, 1, 2, 4}
+// slot-cached fast path must be BIT-IDENTICAL to the full-rescan reference
+// scheduler — same Stats, same CPI stack, same final memory — on every
+// workload, under every scheme.
 
 // diffSchemes is the baseline, every Figure 12 scheme (the Swap-Predict
 // kernels mix FlagPredicted and FlagShadow instructions), and InterThread.
@@ -42,8 +38,8 @@ func launchWith(t *testing.T, w *workloads.Workload, k *isa.Kernel, s compiler.S
 }
 
 // TestParallelSMDifferential sweeps every workload x scheme and requires the
-// default (slot-cached) scheduler and the parallel loop at 1/2/4 workers to
-// reproduce the reference scheduler's results exactly.
+// default (slot-cached) scheduler to reproduce the reference scheduler's
+// results exactly.
 func TestParallelSMDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
@@ -57,21 +53,16 @@ func TestParallelSMDifferential(t *testing.T) {
 			ref := sm.DefaultConfig()
 			ref.Reference = true
 			refSt, refMem := launchWith(t, w, k, s, ref)
-			refStack := refSt.CPIStack(w.Name, "x")
-			for _, workers := range diffWorkers {
-				cfg := sm.DefaultConfig()
-				cfg.Workers = workers
-				st, mem := launchWith(t, w, k, s, cfg)
-				if !reflect.DeepEqual(st, refSt) {
-					t.Errorf("%s/%v workers=%d: Stats diverge from reference\n got %+v\nwant %+v",
-						w.Name, s, workers, st, refSt)
-				}
-				if !reflect.DeepEqual(st.CPIStack(w.Name, "x"), refStack) {
-					t.Errorf("%s/%v workers=%d: CPI stack diverges from reference", w.Name, s, workers)
-				}
-				if !reflect.DeepEqual(mem, refMem) {
-					t.Errorf("%s/%v workers=%d: final memory diverges from reference", w.Name, s, workers)
-				}
+			st, mem := launchWith(t, w, k, s, sm.DefaultConfig())
+			if !reflect.DeepEqual(st, refSt) {
+				t.Errorf("%s/%v: Stats diverge from reference\n got %+v\nwant %+v",
+					w.Name, s, st, refSt)
+			}
+			if !reflect.DeepEqual(st.CPIStack(w.Name, "x"), refSt.CPIStack(w.Name, "x")) {
+				t.Errorf("%s/%v: CPI stack diverges from reference", w.Name, s)
+			}
+			if !reflect.DeepEqual(mem, refMem) {
+				t.Errorf("%s/%v: final memory diverges from reference", w.Name, s)
 			}
 		}
 	}
@@ -87,26 +78,38 @@ func TestParallelSMDifferentialVerifyMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 4} {
+		for _, reference := range []bool{false, true} {
 			cfg := sm.DefaultConfig()
-			cfg.Workers = workers
+			cfg.Reference = reference
 			cfg.Verify = true
 			if _, err := w.NewGPU(cfg).Launch(compiler.MustApply(w.Kernel, compiler.SwapECC)); err != nil {
-				t.Errorf("%s workers=%d: %v", name, workers, err)
-			}
-			ref := sm.DefaultConfig()
-			ref.Reference = true
-			ref.Verify = true
-			if _, err := w.NewGPU(ref).Launch(compiler.MustApply(w.Kernel, compiler.SwapECC)); err != nil {
-				t.Errorf("%s reference: %v", name, err)
+				t.Errorf("%s reference=%v: %v", name, reference, err)
 			}
 		}
 	}
 }
 
-// TestParallelSMCancellation cancels a launch mid-flight at several worker
-// counts and requires the partial-result contract to hold: non-nil stats,
-// the context error wrapped, and a cycle count short of the full run.
+// secondPollCancel is a context that is live on its first Err call and
+// cancelled on every later one. The round loop polls Err once every 4,096
+// rounds, so a launch under it stops at its second poll: mid-flight, and at
+// the same round on every run, whatever the host's speed.
+type secondPollCancel struct {
+	context.Context
+	polls int
+}
+
+func (c *secondPollCancel) Err() error {
+	c.polls++
+	if c.polls == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestParallelSMCancellation cancels a launch mid-flight and requires the
+// partial-result contract to hold: the context error wrapped, stats short of
+// the full run, a CPI stack that still partitions the cycles simulated, and
+// the same partial stats on a second run.
 func TestParallelSMCancellation(t *testing.T) {
 	w, err := workloads.ByName("lavaMD")
 	if err != nil {
@@ -116,51 +119,26 @@ func TestParallelSMCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 4} {
-		cfg := sm.DefaultConfig()
-		cfg.Workers = workers
-		ctx, cancel := context.WithCancel(context.Background())
-		timer := time.AfterFunc(time.Millisecond, cancel)
-		st, err := w.NewGPU(cfg).LaunchContext(ctx, w.Kernel)
-		timer.Stop()
-		cancel()
-		if err == nil {
-			t.Logf("workers=%d: launch finished before the cancel landed", workers)
-			continue
-		}
+	cancelled := func() *sm.Stats {
+		ctx := &secondPollCancel{Context: context.Background()}
+		st, err := w.NewGPU(sm.DefaultConfig()).LaunchContext(ctx, w.Kernel)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if st == nil {
-			t.Fatalf("workers=%d: no partial stats on cancellation", workers)
-		}
-		if st.Cycles >= full.Cycles {
-			t.Errorf("workers=%d: cancelled run simulated %d cycles, full run %d",
-				workers, st.Cycles, full.Cycles)
-		}
-	}
-}
-
-// TestParallelSMObsInOrderFallback: observability needs the in-order stream,
-// so a launch with a recorder ignores Workers — and its stats must match the
-// serial run's exactly.
-func TestParallelSMObsInOrderFallback(t *testing.T) {
-	w, err := workloads.ByName("hspot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) *sm.Stats {
-		cfg := sm.DefaultConfig()
-		cfg.Workers = workers
-		g := w.NewGPU(cfg)
-		g.Obs = obs.NewRecorder()
-		st, err := g.Launch(w.Kernel)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatal("no partial stats on cancellation")
 		}
 		return st
 	}
-	if got, want := run(4), run(0); !reflect.DeepEqual(got, want) {
-		t.Errorf("obs launch diverges across Workers: got %+v want %+v", got, want)
+	st := cancelled()
+	if st.Cycles <= 0 || st.Cycles >= full.Cycles {
+		t.Fatalf("cancelled run simulated %d cycles, want 0 < cycles < %d (the full run)",
+			st.Cycles, full.Cycles)
+	}
+	if sum := st.CPIStack(w.Name, "x").Sum(); sum != st.Cycles {
+		t.Errorf("partial CPI stack sums to %d, want the %d cycles simulated", sum, st.Cycles)
+	}
+	if again := cancelled(); !reflect.DeepEqual(again, st) {
+		t.Errorf("cancellation is not deterministic:\n got %+v\nwant %+v", again, st)
 	}
 }

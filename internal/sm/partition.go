@@ -25,7 +25,7 @@ type atomOp struct {
 	addr   [isa.WarpSize]int32
 	val    [isa.WarpSize]uint32
 	cmp    [isa.WarpSize]uint32
-	inject bool // armed fault targets this instruction (in-order mode only)
+	inject bool // armed fault targets this instruction
 }
 
 // ctaEvent is a deferred warp-lifecycle effect on a CTA that other
@@ -121,13 +121,11 @@ type partition struct {
 	parks int64
 
 	// unknownClass counts timing lookups that hit the unknown-class fallback
-	// (see Config.latency). Partition-local so phase-A counting stays
-	// race-free; finalize folds it into Stats.UnknownClassOps.
+	// (see Config.latency); finalize folds it into Stats.UnknownClassOps.
 	unknownClass int64
 
 	// fr is this partition's flight-recorder ring (nil unless GPU.Flight is
-	// armed). Partition-local single-writer during phase A, so recording
-	// does not pin the launch in-order.
+	// armed), written only by this partition during phase A.
 	fr *simprof.Ring
 }
 
@@ -388,9 +386,7 @@ func (p *partition) issue(j int) error {
 	p.instrs++
 	p.perClass[cl]++
 	p.perCat[in.Cat]++
-	if m.inOrder {
-		m.dyn++
-	}
+	m.dyn++
 	if p.fr != nil {
 		p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid),
 			PC: w.top().pc, Kind: simprof.KindIssue})
@@ -495,7 +491,7 @@ func (p *partition) bumpPendingPrev(w *warpState, r isa.Reg, t int64) {
 
 // refill adds delta cycles of this partition's bandwidth share to every
 // token bucket, called at the barrier so all partitions see the same global
-// time regardless of worker count.
+// time.
 func (p *partition) refill(delta int64) {
 	m := p.m
 	for cl := isa.ClassFxP; cl <= isa.ClassSpecial; cl++ {

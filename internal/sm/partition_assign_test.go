@@ -9,9 +9,9 @@ import (
 // TestPartitionAssignmentBalance pins the launchCTA placement rule: each
 // warp goes to the currently least-loaded partition (ties to the lowest
 // index), so within a single residency wave the per-partition warp counts
-// never spread by more than one, every warp lands somewhere, and the
-// assignment is identical at any worker count. Observed through
-// simprof.LaunchProf.WarpsAssigned, which counts exactly these placements.
+// never spread by more than one and every warp lands somewhere. Observed
+// through simprof.LaunchProf.WarpsAssigned, which counts exactly these
+// placements.
 func TestPartitionAssignmentBalance(t *testing.T) {
 	const n = 1 << 12
 	cases := []struct {
@@ -29,62 +29,47 @@ func TestPartitionAssignmentBalance(t *testing.T) {
 		warpsPerCTA := (tc.cta + 31) / 32
 		total := tc.grid * warpsPerCTA
 
-		var ref []int64
-		for _, workers := range []int{0, tc.scheds} {
-			cfg := DefaultConfig()
-			cfg.Schedulers = tc.scheds
-			cfg.Workers = workers
-			prof := &simprof.LaunchProf{}
-			g := NewGPU(cfg, 3*n+64)
-			g.Prof = prof
-			if _, err := g.Launch(k); err != nil {
-				t.Fatalf("scheds=%d grid=%d cta=%d: %v", tc.scheds, tc.grid, tc.cta, err)
+		cfg := DefaultConfig()
+		cfg.Schedulers = tc.scheds
+		prof := &simprof.LaunchProf{}
+		g := NewGPU(cfg, 3*n+64)
+		g.Prof = prof
+		if _, err := g.Launch(k); err != nil {
+			t.Fatalf("scheds=%d grid=%d cta=%d: %v", tc.scheds, tc.grid, tc.cta, err)
+		}
+		if len(prof.Partitions) != tc.scheds {
+			t.Fatalf("scheds=%d: prof has %d partitions", tc.scheds, len(prof.Partitions))
+		}
+		var sum, min, max int64
+		min = int64(total) + 1
+		counts := make([]int64, tc.scheds)
+		for i, p := range prof.Partitions {
+			counts[i] = p.WarpsAssigned
+			sum += p.WarpsAssigned
+			if p.WarpsAssigned < min {
+				min = p.WarpsAssigned
 			}
-			if len(prof.Partitions) != tc.scheds {
-				t.Fatalf("scheds=%d: prof has %d partitions", tc.scheds, len(prof.Partitions))
+			if p.WarpsAssigned > max {
+				max = p.WarpsAssigned
 			}
-			var sum, min, max int64
-			min = int64(total) + 1
-			counts := make([]int64, tc.scheds)
-			for i, p := range prof.Partitions {
-				counts[i] = p.WarpsAssigned
-				sum += p.WarpsAssigned
-				if p.WarpsAssigned < min {
-					min = p.WarpsAssigned
-				}
-				if p.WarpsAssigned > max {
-					max = p.WarpsAssigned
-				}
-			}
-			if sum != int64(total) {
-				t.Errorf("scheds=%d grid=%d cta=%d workers=%d: %d warps assigned, launched %d",
-					tc.scheds, tc.grid, tc.cta, workers, sum, total)
-			}
-			// Single wave (the whole grid is resident at once), so the
-			// least-loaded rule bounds the spread at one warp.
-			if max-min > 1 {
-				t.Errorf("scheds=%d grid=%d cta=%d workers=%d: assignment spread %d (counts %v), want <=1",
-					tc.scheds, tc.grid, tc.cta, workers, max-min, counts)
-			}
-			// Ties break to the lowest index: the extra warps of an uneven
-			// split sit in a prefix of the partition list.
-			for i := 1; i < len(counts); i++ {
-				if counts[i] > counts[i-1] {
-					t.Errorf("scheds=%d grid=%d cta=%d workers=%d: counts %v not non-increasing (tie-break to lowest index)",
-						tc.scheds, tc.grid, tc.cta, workers, counts)
-					break
-				}
-			}
-			if ref == nil {
-				ref = counts
-			} else {
-				for i := range counts {
-					if counts[i] != ref[i] {
-						t.Errorf("scheds=%d grid=%d cta=%d: assignment differs between worker counts: %v vs %v",
-							tc.scheds, tc.grid, tc.cta, counts, ref)
-						break
-					}
-				}
+		}
+		if sum != int64(total) {
+			t.Errorf("scheds=%d grid=%d cta=%d: %d warps assigned, launched %d",
+				tc.scheds, tc.grid, tc.cta, sum, total)
+		}
+		// Single wave (the whole grid is resident at once), so the
+		// least-loaded rule bounds the spread at one warp.
+		if max-min > 1 {
+			t.Errorf("scheds=%d grid=%d cta=%d: assignment spread %d (counts %v), want <=1",
+				tc.scheds, tc.grid, tc.cta, max-min, counts)
+		}
+		// Ties break to the lowest index: the extra warps of an uneven
+		// split sit in a prefix of the partition list.
+		for i := 1; i < len(counts); i++ {
+			if counts[i] > counts[i-1] {
+				t.Errorf("scheds=%d grid=%d cta=%d: counts %v not non-increasing (tie-break to lowest index)",
+					tc.scheds, tc.grid, tc.cta, counts)
+				break
 			}
 		}
 	}

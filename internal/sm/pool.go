@@ -9,9 +9,8 @@ import (
 // Per-warp and per-CTA scratch (register files, scoreboards, SIMT stacks,
 // shared memory) is recycled across CTAs and launches through sync.Pools:
 // a big grid otherwise allocates tens of kilobytes per CTA wave, and the
-// allocation+zeroing churn shows up directly in launch wall time. All gets
-// and puts happen on the barrier thread (CTA launch and retire), so the
-// pools see no concurrent access from phase A.
+// allocation+zeroing churn shows up directly in launch wall time. Gets and
+// puts happen at CTA launch and retire, outside phase A.
 
 var warpPool = sync.Pool{New: func() any { return new(warpState) }}
 var ctaPool = sync.Pool{New: func() any { return new(ctaState) }}

@@ -67,15 +67,6 @@ type Config struct {
 	// cost a few percent on hot launches).
 	Verify bool
 
-	// Workers is the number of goroutines phase A of the round loop may use
-	// (DESIGN.md Section 13): scheduler partitions are spread over
-	// min(Workers, Schedulers) workers, each advancing its partitions
-	// independently between barriers. 0 or 1 runs phase A on the launching
-	// goroutine. Results are bit-identical at every worker count. Launches
-	// that need the global in-order instruction stream (armed fault plans,
-	// value tracing, observability recorders, the ECC register file) ignore
-	// Workers and run phase A in-order.
-	Workers int
 	// Reference selects the reference scheduler (pickRef): every
 	// scheduling decision runs the full scoreboard scan on each live warp
 	// it visits and reads and writes none of the scheduler slots that
@@ -92,7 +83,7 @@ type Config struct {
 	// bandwidth/row-locality model, with per-level CPI-stall attribution
 	// (mem.l1/l2/dram/mshr). The hierarchy is timing-only — functional
 	// results never change — and it advances entirely inside the
-	// deterministic merge barrier, so Workers parallelism is unaffected.
+	// deterministic merge barrier.
 	MemModel string
 
 	// MaxCycles aborts the launch with an error once the simulated cycle
@@ -359,20 +350,17 @@ type GPU struct {
 	// microsecond. A nil Obs costs the cycle loop one branch per round
 	// (see BenchmarkSMObsDisabled).
 	Obs *obs.Recorder
-	// Prof, when non-nil, collects per-partition parallelism telemetry for
+	// Prof, when non-nil, collects per-partition scheduling telemetry for
 	// every launch (DESIGN.md §14): per-partition issue/stall/deferred-log
-	// profiles, round and idle-skip counts, and the phase-A vs merge wall
-	// split. Unlike Obs, an armed Prof does NOT pin phase A to one goroutine
-	// — profiling the parallel schedule is its purpose — and no wall-clock
-	// value it records ever feeds back into simulated results, so Stats stay
-	// bit-identical at every worker count with Prof on or off.
+	// profiles and round and idle-skip counts. Every value it records is a
+	// deterministic function of the launch, and none feeds back into
+	// simulated results, so Stats are bit-identical with Prof on or off.
 	Prof *simprof.LaunchProf
 	// Flight, when non-nil, arms the flight recorder: each partition logs
 	// its recent scheduler decisions into a fixed-size ring, and any launch
 	// failure (invariant violation, deadlock, cycle-budget trip, panic)
 	// stamps the recorder with enough identity (config, kernel, scheme,
 	// cycle) to re-run the launch deterministically from the dumped bundle.
-	// Like Prof, arming Flight does not force in-order execution.
 	Flight *simprof.FlightRecorder
 	// RetireHook, when non-nil, observes every retiring warp's final
 	// architectural state: regs is laid out reg*WarpSize+lane and preds

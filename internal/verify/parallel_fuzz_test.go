@@ -11,10 +11,10 @@ import (
 // FuzzParallelSMEquivalence fuzzes the partitioned scheduler against the
 // full-rescan reference: a generated kernel (always-terminating by
 // construction), an adversarial memory pattern, and a protection scheme run
-// once under sm.Config.Reference and again at several worker counts — the
-// Stats and final memory must be bit-identical. This is the property the
-// workload differential (internal/sm) checks on 15 fixed programs, extended
-// here to the open-ended kernel space.
+// once under sm.Config.Reference and once under the default slot-cached
+// scheduler — the Stats and final memory must be bit-identical. This is the
+// property the workload differential (internal/sm) checks on 15 fixed
+// programs, extended here to the open-ended kernel space.
 func FuzzParallelSMEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(2), uint8(1))
@@ -45,18 +45,13 @@ func FuzzParallelSMEquivalence(f *testing.F) {
 		ref := sm.DefaultConfig()
 		ref.Reference = true
 		refSt, refMem := run(ref)
-		for _, workers := range []int{0, 1, 2, 3, 4} {
-			cfg := sm.DefaultConfig()
-			cfg.Workers = workers
-			st, gm := run(cfg)
-			if !reflect.DeepEqual(st, refSt) {
-				t.Fatalf("seed=%d pattern=%s scheme=%v workers=%d: Stats diverge\n got %+v\nwant %+v",
-					seed, p.Name, scheme, workers, st, refSt)
-			}
-			if !reflect.DeepEqual(gm, refMem) {
-				t.Fatalf("seed=%d pattern=%s scheme=%v workers=%d: memory diverges",
-					seed, p.Name, scheme, workers)
-			}
+		st, gm := run(sm.DefaultConfig())
+		if !reflect.DeepEqual(st, refSt) {
+			t.Fatalf("seed=%d pattern=%s scheme=%v: Stats diverge\n got %+v\nwant %+v",
+				seed, p.Name, scheme, st, refSt)
+		}
+		if !reflect.DeepEqual(gm, refMem) {
+			t.Fatalf("seed=%d pattern=%s scheme=%v: memory diverges", seed, p.Name, scheme)
 		}
 	})
 }
