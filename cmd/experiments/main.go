@@ -176,9 +176,8 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		fmt.Fprintln(os.Stderr, "wrote", path)
 	}
 
-	// fig10/fig11 share the injection campaign and fig12/fig13 share the
-	// Figure 12 sweep; whichever experiment job gets there first computes
-	// the result once and the other reuses it.
+	// fig10/fig11 share the injection campaign; whichever experiment job
+	// gets there first computes it once and the other reuses it.
 	var injOnce sync.Once
 	var injRes *harness.InjectionResult
 	var injErr error
@@ -188,30 +187,13 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		})
 		return injRes, injErr
 	}
-	var perfOnce sync.Once
-	var perfRes *harness.PerfResult
-	var perfErr error
-	getPerf12 := func(ctx context.Context) (*harness.PerfResult, error) {
-		perfOnce.Do(func() {
-			perfRes, perfErr = harness.RunPerfCtxOpts(ctx, pool, harness.Fig12Schemes(), true,
-				harness.Options{MemModel: memModel})
-		})
-		return perfRes, perfErr
-	}
-	// memcpi always runs with the hierarchy armed; it shares getPerf12's
-	// sweep when -mem-model already arms it, and runs its own otherwise.
-	var perfMemOnce sync.Once
-	var perfMemRes *harness.PerfResult
-	var perfMemErr error
-	getPerfMem := func(ctx context.Context) (*harness.PerfResult, error) {
-		if memModel == "sectored" {
-			return getPerf12(ctx)
-		}
-		perfMemOnce.Do(func() {
-			perfMemRes, perfMemErr = harness.RunPerfCtxOpts(ctx, pool, harness.Fig12Schemes(), true,
-				harness.Options{MemModel: "sectored"})
-		})
-		return perfMemRes, perfMemErr
+	// Every perf sweep of the run (fig12, fig13, cpistack, memcpi, fig15,
+	// fig16 and the headline's three) resolves its cells through one store,
+	// so each distinct (workload, scheme, memory model) cell is launched
+	// once per run, however many experiments share it.
+	cells := harness.NewCellStore(nil)
+	sweep := func(ctx context.Context, schemes []compiler.Scheme, mem string) (*harness.PerfResult, error) {
+		return harness.RunPerfCtxOpts(ctx, pool, schemes, true, harness.Options{MemModel: mem, Cells: cells})
 	}
 
 	// Canonical order: this is both the -exp name space and the order the
@@ -222,7 +204,8 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	}
 	experiments := []experiment{
 		{"headline", func(ctx context.Context) (string, error) {
-			rows, err := harness.HeadlineCtx(ctx, pool, tuples, seed)
+			// The headline is a flat-memory table whatever -mem-model says.
+			rows, err := harness.HeadlineCtx(ctx, pool, tuples, seed, harness.Options{Cells: cells})
 			if err != nil {
 				return "", err
 			}
@@ -259,7 +242,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return out, nil
 		}},
 		{"fig12", func(ctx context.Context) (string, error) {
-			perf, err := getPerf12(ctx)
+			perf, err := sweep(ctx, harness.Fig12Schemes(), memModel)
 			if err != nil {
 				return "", err
 			}
@@ -271,7 +254,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return out, nil
 		}},
 		{"fig13", func(ctx context.Context) (string, error) {
-			perf, err := getPerf12(ctx)
+			perf, err := sweep(ctx, harness.Fig12Schemes(), memModel)
 			if err != nil {
 				return "", err
 			}
@@ -280,7 +263,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return mix.Render(), nil
 		}},
 		{"cpistack", func(ctx context.Context) (string, error) {
-			perf, err := getPerf12(ctx)
+			perf, err := sweep(ctx, harness.Fig12Schemes(), memModel)
 			if err != nil {
 				return "", err
 			}
@@ -294,7 +277,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return out, nil
 		}},
 		{"memcpi", func(ctx context.Context) (string, error) {
-			perf, err := getPerfMem(ctx)
+			perf, err := sweep(ctx, harness.Fig12Schemes(), "sectored")
 			if err != nil {
 				return "", err
 			}
@@ -317,8 +300,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 				fmt.Sprintf("worst power overhead: %.0f%% (paper: <=15%%)\n", 100*(pr.MaxRelPower()-1)), nil
 		}},
 		{"fig15", func(ctx context.Context) (string, error) {
-			perf, err := harness.RunPerfCtxOpts(ctx, pool, harness.Fig15Schemes(), true,
-				harness.Options{MemModel: memModel})
+			perf, err := sweep(ctx, harness.Fig15Schemes(), memModel)
 			if err != nil {
 				return "", err
 			}
@@ -326,8 +308,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return perf.Render("Figure 15: inter-thread duplication slowdown (fails on mm: CTA size; snap: shuffles)"), nil
 		}},
 		{"fig16", func(ctx context.Context) (string, error) {
-			perf, err := harness.RunPerfCtxOpts(ctx, pool, harness.Fig16Schemes(), true,
-				harness.Options{MemModel: memModel})
+			perf, err := sweep(ctx, harness.Fig16Schemes(), memModel)
 			if err != nil {
 				return "", err
 			}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,59 @@ import (
 // The e2e campaign: small enough to finish in seconds, large enough (two
 // shards per unit, twelve total) that a kill lands mid-run.
 var e2eSpec = jobs.Spec{Kind: jobs.KindCampaign, Tuples: 600, Seed: 1}
+
+// The e2e sweeps: a one-scheme perf job that finishes before the kill, and
+// a cpistack job over the same 30 (workload, scheme) cells that the
+// restarted server must assemble from the cells on disk.
+var (
+	e2ePerfSpec  = jobs.Spec{Kind: jobs.KindPerf, Schemes: []string{"swap-ecc"}}
+	e2eCellsSpec = jobs.Spec{Kind: jobs.KindCPIStack, Schemes: []string{"swap-ecc"}}
+)
+
+// runJob submits a spec, waits for it and returns its payload.
+func runJob(ctx context.Context, t *testing.T, c *jobs.Client, spec jobs.Spec) []byte {
+	t.Helper()
+	id, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, id, 20*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != jobs.StateDone {
+		t.Fatalf("%s job = %s: %s", spec.Kind, st.State, st.Error)
+	}
+	raw, err := c.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// scrapeCounter reads one sample of /metrics' Prometheus text.
+func scrapeCounter(t *testing.T, base, sample string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", sample, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
 
 // buildServer compiles the swapserve binary under test. With
 // SWAPSERVE_E2E_RACE=1 (the CI smoke job) it builds with the race detector,
@@ -119,7 +173,9 @@ func (s *server) client() *jobs.Client { return &jobs.Client{Base: s.base} }
 // after a restart against the same state dir and produces byte-identical
 // results to an uninterrupted run — and a second identical submission is
 // served from the content-addressed cache at least 5x faster than the cold
-// run.
+// run. The sweep cells of a perf job finished before the kill survive it
+// too: after the restart a job over the same cells is assembled from the
+// disk tier, byte-identical to an uninterrupted server's cold run.
 func TestServerE2EKillResume(t *testing.T) {
 	bin := buildServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -146,12 +202,14 @@ func TestServerE2EKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refCells := runJob(ctx, t, refClient, e2eCellsSpec)
 	refSrv.kill()
 
 	// Victim: same spec in its own state dir, SIGKILLed after at least one
 	// shard checkpoint but before completion.
 	stateDir := filepath.Join(t.TempDir(), "state")
 	srv := startServer(t, bin, stateDir)
+	runJob(ctx, t, srv.client(), e2ePerfSpec)
 	id, err := srv.client().Submit(ctx, e2eSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +255,19 @@ func TestServerE2EKillResume(t *testing.T) {
 	}
 	if killedMidRun {
 		t.Logf("killed mid-run and resumed: %d shards, byte-identical result", st.ShardsTotal)
+	}
+
+	// Cell reuse across the kill: every cell of the cpistack job was
+	// computed by the perf job before the kill, so the restarted server
+	// reads all 30 from the disk tier.
+	const cellHits = `jobs_cache_hits{item="cell"}`
+	hits := scrapeCounter(t, srv2.base, cellHits)
+	if got := runJob(ctx, t, c2, e2eCellsSpec); !bytes.Equal(got, refCells) {
+		t.Fatalf("job over restored cells differs from an uninterrupted server's\nrestored:  %.200s\nreference: %.200s",
+			got, refCells)
+	}
+	if n := scrapeCounter(t, srv2.base, cellHits) - hits; n != 30 {
+		t.Fatalf("%s rose by %d, want all 30 cells served from disk", cellHits, n)
 	}
 
 	// Cache speedup: an identical submission to the restarted server must be

@@ -1,0 +1,245 @@
+package harness
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"swapcodes/internal/compiler"
+	"swapcodes/internal/engine"
+	"swapcodes/internal/sm"
+	"swapcodes/internal/workloads"
+)
+
+// countingTier is a CellTier that counts the Puts under each key.
+type countingTier struct {
+	mu   sync.Mutex
+	m    map[string][]byte
+	puts map[string]int
+}
+
+func newCountingTier() *countingTier {
+	return &countingTier{m: map[string][]byte{}, puts: map[string]int{}}
+}
+
+func (t *countingTier) Get(key string) ([]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b, ok := t.m[key]
+	return b, ok
+}
+
+func (t *countingTier) Put(key string, val []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m[key] = val
+	t.puts[key]++
+	return nil
+}
+
+// TestSharedStoreLaunchesEachCellOnce runs Figures 12, 15 and 16 and the
+// headline concurrently through one store, as `experiments -exp all` does:
+// together they ask for 270 cells, of which 150 are distinct, and each
+// distinct cell must be launched, and stored, exactly once.
+func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
+	tier := newCountingTier()
+	cells := NewCellStore(tier)
+	opt := Options{Cells: cells}
+	pool := engine.New(4)
+	sweep := func(schemes []compiler.Scheme) engine.Job {
+		return engine.Job{Name: "sweep", Run: func(ctx context.Context) error {
+			_, err := RunPerfCtxOpts(ctx, pool, schemes, true, opt)
+			return err
+		}}
+	}
+	err := pool.Run(context.Background(), []engine.Job{
+		{Name: "headline", Run: func(ctx context.Context) error {
+			_, err := HeadlineCtx(ctx, pool, 300, 2, opt)
+			return err
+		}},
+		sweep(Fig12Schemes()), sweep(Fig15Schemes()), sweep(Fig16Schemes()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Baseline plus Figure 12's four, Figure 15's two, and Figure 16's
+	// three new schemes (its fourth, Pre MAD, is Figure 12's).
+	const distinct = 15 * (1 + 4 + 2 + 3)
+	if len(tier.puts) != distinct {
+		t.Errorf("%d distinct cells stored, want %d", len(tier.puts), distinct)
+	}
+	for key, n := range tier.puts {
+		if n != 1 {
+			t.Errorf("cell %s stored %d times", key[:12], n)
+		}
+	}
+}
+
+// TestStoredSweepEqualsLaunched: a sweep assembled entirely from stored
+// cells renders exactly what the launching sweep rendered, on the flat and
+// on the sectored memory model.
+func TestStoredSweepEqualsLaunched(t *testing.T) {
+	ctx := context.Background()
+	schemes := []compiler.Scheme{compiler.SwapECC, compiler.InterThread}
+	for _, mem := range []string{"", "sectored"} {
+		tier := newCountingTier()
+		opt := Options{MemModel: mem, Cells: NewCellStore(tier)}
+		cold, err := RunPerfCtxOpts(ctx, engine.New(2), schemes, false, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := len(tier.puts)
+		warm, err := RunPerfCtxOpts(ctx, engine.New(2), schemes, false, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored != 45 || len(tier.puts) != stored {
+			t.Errorf("mem %q: %d cells stored by the cold sweep, %d more by the stored one", mem, stored, len(tier.puts)-stored)
+		}
+		if cold.Render("t") != warm.Render("t") {
+			t.Errorf("mem %q: stored sweep renders differently", mem)
+		}
+		if CPIStacks(cold).CSV() != CPIStacks(warm).CSV() {
+			t.Errorf("mem %q: stored sweep's CPI stacks differ", mem)
+		}
+		if !reflect.DeepEqual(cold.Rows[0].Errs, warm.Rows[0].Errs) || len(warm.Rows[13].Errs) != 1 {
+			t.Errorf("mem %q: compiler refusals not kept: %v", mem, warm.Rows[13].Errs)
+		}
+	}
+}
+
+// TestCellKeyCoversInputs is the guard against serving a stale cell: the
+// workload, the scheme, every sm.Config field, verification and the format
+// version each change the key, and the reflection walk fails on a Config
+// field of a kind it cannot mutate, so a new field is never left out
+// unnoticed.
+func TestCellKeyCoversInputs(t *testing.T) {
+	cfg := sm.DefaultConfig()
+	base := CellKey("lavaMD", compiler.SwapECC, cfg, true)
+	if base != cellKey(cellFormat, "lavaMD", compiler.SwapECC, cfg, true) {
+		t.Fatal("CellKey does not use the current format")
+	}
+	for name, key := range map[string]string{
+		"workload": CellKey("bfs", compiler.SwapECC, cfg, true),
+		"scheme":   CellKey("lavaMD", compiler.SWDup, cfg, true),
+		"verify":   CellKey("lavaMD", compiler.SwapECC, cfg, false),
+		"format":   cellKey("cell/v0", "lavaMD", compiler.SwapECC, cfg, true),
+	} {
+		if key == base {
+			t.Errorf("changing the %s keeps the key", name)
+		}
+	}
+	rt := reflect.TypeOf(cfg)
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		mut := cfg
+		v := reflect.ValueOf(&mut).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.25)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Errorf("sm.Config.%s has kind %s: teach this test to mutate it", f.Name, f.Type.Kind())
+			continue
+		}
+		if CellKey("lavaMD", compiler.SwapECC, mut, true) == base {
+			t.Errorf("changing sm.Config.%s keeps the key", f.Name)
+		}
+	}
+}
+
+// TestFailedCellsStoreNothing: a failed launch, a failed verification and
+// an undecodable entry leave nothing behind that a later sweep would serve.
+func TestFailedCellsStoreNothing(t *testing.T) {
+	ctx := context.Background()
+	tier := newCountingTier()
+	cells := NewCellStore(tier)
+
+	boom := errors.New("boom")
+	for i := 0; i < 2; i++ {
+		launched := false
+		fail := func(context.Context) (cellOutcome, error) { launched = true; return cellOutcome{}, boom }
+		if _, ran, err := cells.resolve(ctx, "k1", fail); !errors.Is(err, boom) || !ran || !launched {
+			t.Fatalf("failed launch %d: ran %v, launched %v, err %v", i, ran, launched, err)
+		}
+	}
+	if len(tier.puts) != 0 {
+		t.Fatalf("failed launches stored %d cells", len(tier.puts))
+	}
+
+	w, err := workloads.ByName("lavaMD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Verify = func(*sm.GPU) error { return boom }
+	if _, _, err := runWorkload(ctx, w, []compiler.Scheme{compiler.SwapECC}, true, Options{Cells: cells}); !errors.Is(err, boom) {
+		t.Fatalf("failed verification = %v", err)
+	}
+	if len(tier.puts) != 0 {
+		t.Fatalf("failed verification stored %d cells", len(tier.puts))
+	}
+
+	key := CellKey(w.Name, compiler.Baseline, sm.DefaultConfig(), false)
+	tier.m[key] = []byte(`{"stats":`)
+	row, launched, err := runWorkload(ctx, w, nil, false, Options{Cells: cells})
+	if err != nil || launched != 1 || row.Baseline == nil {
+		t.Fatalf("undecodable cell: launched %d, err %v", launched, err)
+	}
+	if _, err := decodeCell(tier.m[key]); err != nil || tier.puts[key] != 1 {
+		t.Fatalf("undecodable cell not overwritten: %v (%d puts)", err, tier.puts[key])
+	}
+}
+
+// TestWaiterRetriesAfterOwnerFails: a sweep waiting on a cell whose owner
+// fails (here: the owner's sweep is cancelled) launches the cell itself.
+// Had the waiter arrived after the owner gave up, it would have launched
+// the cell as owner; either way the outcome is the same.
+func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
+	cells := NewCellStore(nil)
+	var launches atomic.Int64
+	ownerIn, release := make(chan struct{}), make(chan struct{})
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := cells.resolve(ownerCtx, "k", func(ctx context.Context) (cellOutcome, error) {
+			launches.Add(1)
+			close(ownerIn)
+			<-release
+			return cellOutcome{}, ctx.Err()
+		})
+		done <- err
+	}()
+	<-ownerIn
+	waiter := make(chan error, 1)
+	go func() {
+		out, ran, err := cells.resolve(context.Background(), "k", func(context.Context) (cellOutcome, error) {
+			launches.Add(1)
+			return cellOutcome{Refused: "ok"}, nil
+		})
+		if err == nil && (!ran || out.Refused != "ok") {
+			err = errors.New("waiter did not launch the cell itself")
+		}
+		waiter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block on the owner's flight
+	cancel()
+	close(release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner = %v, want cancelled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatal(err)
+	}
+	if n := launches.Load(); n != 2 {
+		t.Fatalf("launched %d, want 2", n)
+	}
+}

@@ -46,6 +46,10 @@ type Options struct {
 	// L1/MSHR/L2/DRAM hierarchy and populates the mem.* CPI components.
 	// Functional results are identical either way; only timing moves.
 	MemModel string
+	// Cells, when set, resolves every perf-sweep cell through the store:
+	// a cell it holds is not launched again, and a cell two sweeps need at
+	// once is launched once. Nil launches every cell.
+	Cells *CellStore
 }
 
 func (o Options) smConfig() sm.Config {
@@ -82,50 +86,69 @@ type PerfResult struct {
 // verifying functional correctness of every run. Scheme failures
 // (inter-thread on mm/snap) are recorded, not fatal. Workloads run in
 // parallel on the default engine pool; the numbers are identical to a
-// serial sweep (see RunPerfCtx).
+// serial sweep (see RunPerfCtxOpts).
 func RunPerf(schemes []compiler.Scheme, verify bool) (*PerfResult, error) {
-	return RunPerfCtx(context.Background(), DefaultPool(), schemes, verify)
+	return RunPerfCtxOpts(context.Background(), DefaultPool(), schemes, verify, Options{})
 }
 
-func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, error) {
+// runWorkload resolves one workload's row, baseline first, through
+// opt.Cells. It reports how many of the row's cells it launched.
+func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, int, error) {
 	row := &PerfRow{Workload: w.Name,
 		Stats: make(map[compiler.Scheme]*sm.Stats),
 		Errs:  make(map[compiler.Scheme]string)}
+	cfg := opt.smConfig()
+	launched := 0
 	for _, s := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
-		k, err := compiler.Apply(w.Kernel, s)
-		if err != nil {
-			row.Errs[s] = err.Error()
-			continue
+		out, ran, err := opt.Cells.resolve(ctx, CellKey(w.Name, s, cfg, verify),
+			func(ctx context.Context) (cellOutcome, error) { return launchCell(ctx, w, s, verify, opt) })
+		if ran {
+			launched++
 		}
-		g := w.NewGPU(opt.smConfig())
-		var fr *simprof.FlightRecorder
-		if opt.FlightRecord {
-			fr = simprof.NewFlightRecorder(0)
-			fr.Annotate(w.Name, 0)
-			g.Flight = fr
-		}
-		st, err := g.LaunchContext(ctx, k)
-		if err != nil {
-			return nil, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
-		}
-		if verify {
-			if err := w.Verify(g); err != nil {
-				if fr != nil {
-					// A differential mismatch is a failure the simulator
-					// cannot see from inside; stamp the black box here.
-					fr.Fail(k.Name, k.Scheme, st.Cycles, opt.smConfig(),
-						"output verification failed: "+err.Error())
-				}
-				return nil, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
-			}
-		}
-		if s == compiler.Baseline {
-			row.Baseline = st
-		} else {
-			row.Stats[s] = st
+		switch {
+		case err != nil:
+			return nil, launched, err
+		case out.Refused != "":
+			row.Errs[s] = out.Refused
+		case s == compiler.Baseline:
+			row.Baseline = out.Stats
+		default:
+			row.Stats[s] = out.Stats
 		}
 	}
-	return row, nil
+	return row, launched, nil
+}
+
+// launchCell computes one cell: compile the scheme, launch it on a freshly
+// set-up GPU and, when asked, check the output against the host reference.
+func launchCell(ctx context.Context, w *workloads.Workload, s compiler.Scheme, verify bool, opt Options) (cellOutcome, error) {
+	k, err := compiler.Apply(w.Kernel, s)
+	if err != nil {
+		return cellOutcome{Refused: err.Error()}, nil
+	}
+	g := w.NewGPU(opt.smConfig())
+	var fr *simprof.FlightRecorder
+	if opt.FlightRecord {
+		fr = simprof.NewFlightRecorder(0)
+		fr.Annotate(w.Name, 0)
+		g.Flight = fr
+	}
+	st, err := g.LaunchContext(ctx, k)
+	if err != nil {
+		return cellOutcome{}, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
+	}
+	if verify {
+		if err := w.Verify(g); err != nil {
+			if fr != nil {
+				// A differential mismatch is a failure the simulator
+				// cannot see from inside; stamp the black box here.
+				fr.Fail(k.Name, k.Scheme, st.Cycles, opt.smConfig(),
+					"output verification failed: "+err.Error())
+			}
+			return cellOutcome{}, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
+		}
+	}
+	return cellOutcome{Stats: st}, nil
 }
 
 // MeanSlowdown is the arithmetic-mean slowdown over the workloads where the

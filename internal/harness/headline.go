@@ -19,15 +19,19 @@ type HeadlineRow struct {
 
 // Headline recomputes the paper's headline claims in one pass (the table
 // EXPERIMENTS.md freezes) — the fastest way to check the whole artifact.
-// tuples controls the injection campaign size per unit.
+// tuples controls the injection campaign size per unit. Its three sweeps
+// share one cell store, so each baseline runs once.
 func Headline(tuples int, seed int64) ([]HeadlineRow, error) {
-	return HeadlineCtx(context.Background(), DefaultPool(), tuples, seed)
+	return HeadlineCtx(context.Background(), DefaultPool(), tuples, seed, Options{Cells: NewCellStore(nil)})
 }
 
-// HeadlineCtx is Headline on a caller-owned pool and context: all five
-// sweeps and the injection campaign execute their jobs on the given pool.
-func HeadlineCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64) ([]HeadlineRow, error) {
-	perf, err := RunPerfCtx(ctx, pool, Fig12Schemes(), true)
+// HeadlineCtx is Headline on a caller-owned pool, context and options: the
+// three perf sweeps (Figure 12, Figure 15 and the Fp-MAD projection) and
+// the injection campaign execute their jobs on the given pool, and the
+// sweeps resolve their cells through opt.Cells, so a caller that passes the
+// store of its other sweeps launches no cell twice.
+func HeadlineCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64, opt Options) ([]HeadlineRow, error) {
+	perf, err := RunPerfCtxOpts(ctx, pool, Fig12Schemes(), true, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -40,11 +44,11 @@ func HeadlineCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64)
 	if err != nil {
 		return nil, err
 	}
-	inter, err := RunPerfCtx(ctx, pool, Fig15Schemes(), false)
+	inter, err := RunPerfCtxOpts(ctx, pool, Fig15Schemes(), true, opt)
 	if err != nil {
 		return nil, err
 	}
-	fp, err := RunPerfCtx(ctx, pool, []compiler.Scheme{compiler.SwapPredictFpMAD}, false)
+	fp, err := RunPerfCtxOpts(ctx, pool, []compiler.Scheme{compiler.SwapPredictFpMAD}, true, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -89,27 +89,23 @@ func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed in
 	return plan.Assemble(shards, time.Since(campaignStart).Seconds()), err
 }
 
-// RunPerfCtx executes the workload×scheme sweep with workloads in parallel
-// (every workload row is one job: baseline plus each scheme, functionally
-// verified). Simulation is deterministic, so the sweep's numbers are
-// independent of the worker count. On cancellation the completed rows are
-// returned with the error.
-func RunPerfCtx(ctx context.Context, pool *engine.Pool, schemes []compiler.Scheme, verify bool) (*PerfResult, error) {
-	return RunPerfCtxOpts(ctx, pool, schemes, verify, Options{})
-}
-
-// RunPerfCtxOpts is RunPerfCtx with simulator options (memory model, flight
-// recorder).
+// RunPerfCtxOpts executes the workload×scheme sweep with workloads in
+// parallel: every workload row is one job, its baseline first, then each
+// scheme, functionally verified when asked. With opt.Cells set, a row
+// launches only the cells the store does not hold. Simulation is
+// deterministic, so the sweep's numbers are independent of the worker
+// count and of which cells came from the store. On cancellation the
+// completed rows are returned with the error.
 func RunPerfCtxOpts(ctx context.Context, pool *engine.Pool, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
 	all := workloads.All()
 	rows, err := engine.Map(ctx, pool, len(all), func(ctx context.Context, i int) (*PerfRow, error) {
 		rec := pool.Recorder()
 		start := rec.Now()
-		row, rerr := runWorkload(ctx, all[i], schemes, verify, opt)
+		row, launched, rerr := runWorkload(ctx, all[i], schemes, verify, opt)
 		if rerr == nil {
 			pool.Tracker().AddItems(int64(len(schemes) + 1))
 			rec.Span(rec.Process("harness"), rec.NextTID(), "perf:"+all[i].Name, "driver",
-				start, rec.Now()-start, map[string]any{"schemes": len(schemes)})
+				start, rec.Now()-start, map[string]any{"schemes": len(schemes), "launched": launched})
 		}
 		return row, rerr
 	})

@@ -53,11 +53,11 @@ func TestInjectionWorkerCountInvariance(t *testing.T) {
 // the serial sweep exactly.
 func TestPerfWorkerCountInvariance(t *testing.T) {
 	schemes := []compiler.Scheme{compiler.SwapECC}
-	serial, err := RunPerfCtx(context.Background(), engine.New(1), schemes, false)
+	serial, err := RunPerfCtxOpts(context.Background(), engine.New(1), schemes, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPerfCtx(context.Background(), engine.New(4), schemes, false)
+	par, err := RunPerfCtxOpts(context.Background(), engine.New(4), schemes, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,12 @@ import (
 )
 
 // Cache is the content-addressed store for expensive intermediates and
-// final results: operand traces (a full workload-suite replay each),
-// finished job payloads, and — in process memory — the six synthesized
-// arithmetic units with their warmed cone sizes. Keys are SHA-256 content
-// addresses derived from the inputs that determine the value (CacheKey), so
-// a hit is always semantically safe to reuse.
+// final results: operand traces (a full workload-suite replay each), perf
+// sweep cells (harness.CellKey), finished job payloads, and — in process
+// memory — the six synthesized arithmetic units with their warmed cone
+// sizes. Keys are SHA-256 content addresses derived from the inputs that
+// determine the value (CacheKey), so a hit is always semantically safe to
+// reuse, as long as one simulator build writes a state dir.
 //
 // Layout: a memory map in front of an optional disk tier at
 // <dir>/<kk>/<key> (kk = first key byte in hex, to keep directories small).
@@ -160,6 +161,13 @@ func (c *Cache) Put(item, key string, val []byte) error {
 	}
 	return nil
 }
+
+// cellTier files the harness's sweep cells in the cache under the "cell"
+// item: memory plus the disk tier, so cells outlive the process.
+type cellTier struct{ c *Cache }
+
+func (t cellTier) Get(key string) ([]byte, bool)    { return t.c.Get("cell", key) }
+func (t cellTier) Put(key string, val []byte) error { return t.c.Put("cell", key, val) }
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key)

@@ -261,6 +261,14 @@ func (j *Job) setState(st State, errMsg string) {
 	}
 }
 
+// start stamps the start time of a job that skips the running state (a
+// result answered at submit).
+func (j *Job) start() {
+	j.mu.Lock()
+	j.started = time.Now()
+	j.mu.Unlock()
+}
+
 func (j *Job) setResult(raw json.RawMessage, cacheHit bool) {
 	j.mu.Lock()
 	j.result = raw

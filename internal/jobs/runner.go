@@ -24,7 +24,8 @@ import (
 type runner struct {
 	pool  *engine.Pool
 	cache *Cache
-	store *Store // nil in store-less tests: no checkpoints, still correct
+	cells *harness.CellStore // the service's sweep cells, shared by every job
+	store *Store             // nil in store-less tests: no checkpoints, still correct
 
 	// Trace plumbing (zero values in store-less tests are fine: a nil
 	// Recorder records nothing). Each job gets its own trace process row
@@ -358,13 +359,19 @@ type PerfResult struct {
 	Text    string             `json:"text"`
 }
 
+// sweepOptions are the harness options of a perf or cpistack job: the
+// flight recorder armed on every launch, and every cell resolved through
+// the service's cell store.
+func (r *runner) sweepOptions(spec Spec) harness.Options {
+	return harness.Options{FlightRecord: true, MemModel: spec.MemModel, Cells: r.cells}
+}
+
 func (r *runner) runPerf(ctx context.Context, spec Spec) (*PerfResult, error) {
 	schemes, err := harness.ParseSchemes(spec.Schemes)
 	if err != nil {
 		return nil, err
 	}
-	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify,
-		harness.Options{FlightRecord: true, MemModel: spec.MemModel})
+	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify, r.sweepOptions(spec))
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +402,7 @@ type HeadlineResult struct {
 }
 
 func (r *runner) runHeadline(ctx context.Context, spec Spec) (*HeadlineResult, error) {
-	rows, err := harness.HeadlineCtx(ctx, r.pool, spec.Tuples, spec.Seed)
+	rows, err := harness.HeadlineCtx(ctx, r.pool, spec.Tuples, spec.Seed, harness.Options{Cells: r.cells})
 	if err != nil {
 		return nil, err
 	}
@@ -416,8 +423,7 @@ func (r *runner) runCPIStack(ctx context.Context, spec Spec) (*CPIStackResult, e
 	if err != nil {
 		return nil, err
 	}
-	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify,
-		harness.Options{FlightRecord: true, MemModel: spec.MemModel})
+	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify, r.sweepOptions(spec))
 	if err != nil {
 		return nil, err
 	}

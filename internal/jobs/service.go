@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -43,6 +44,7 @@ type Service struct {
 	pool   *engine.Pool
 	store  *Store // nil when StateDir is empty
 	cache  *Cache
+	cells  *harness.CellStore // sweep cells over cache, shared by all jobs
 	queue  *queue
 	rec    *obs.Recorder
 	log    *slog.Logger
@@ -105,6 +107,7 @@ func New(opts Options) (*Service, error) {
 
 	s := &Service{
 		pool: pool, store: store, cache: cache,
+		cells: harness.NewCellStore(cellTier{cache}),
 		queue: newQueue(opts.QueueCap), rec: rec, log: log,
 		queueCap: opts.QueueCap,
 		jobs:     make(map[string]*Job),
@@ -215,6 +218,10 @@ func (s *Service) SubmitWithTrace(spec Spec, traceID string) (string, error) {
 			return "", err
 		}
 	}
+	if raw, ok := s.cache.Get("result", spec.Key()); ok {
+		s.finishCached(j, raw)
+		return id, nil
+	}
 	if err := s.queue.push(spec.Tenant, id); err != nil {
 		j.setState(StateFailed, err.Error())
 		s.logState(j)
@@ -225,6 +232,31 @@ func (s *Service) SubmitWithTrace(spec Spec, traceID string) (string, error) {
 	s.log.Info("job submitted", s.jobAttrs(j,
 		slog.Int("queue_depth", s.queue.depth()))...)
 	return id, nil
+}
+
+// finishCached completes at submit a job whose result the cache already
+// holds. It never queues, so it waits behind no cold job and does not count
+// toward the queue bound; it starts and finishes at once.
+func (s *Service) finishCached(j *Job, raw json.RawMessage) {
+	s.rec.Registry().Counter("jobs.submitted").Inc()
+	tc := obs.TraceContext{TraceID: j.TraceID, JobID: j.ID, Tenant: j.Spec.Tenant}
+	s.rec.Instant(s.rec.Process("job:"+j.ID), 1, "result cache hit", "job", s.rec.Now(),
+		tc.Args(map[string]any{"key": j.Spec.Key()[:16], "at": "submit"}))
+	j.start()
+	s.finish(j, raw, true, 0)
+}
+
+// finish records a job's payload, in the WAL too, and marks it done.
+func (s *Service) finish(j *Job, raw json.RawMessage, cached bool, durMS int64) {
+	j.setResult(raw, cached)
+	if s.store != nil {
+		_ = s.store.AppendResult(j.ID, raw)
+	}
+	j.setState(StateDone, "")
+	s.logState(j)
+	s.rec.Registry().Counter("jobs.done").Inc()
+	s.log.Info("job done", s.jobAttrs(j,
+		slog.Int64("dur_ms", durMS), slog.Bool("cache_hit", cached))...)
 }
 
 // Get returns a job by id.
@@ -427,7 +459,7 @@ func (s *Service) execute(base context.Context, j *Job, rep map[int]*ShardSummar
 	s.rec.Registry().Gauge("jobs.running").Add(1)
 	defer s.rec.Registry().Gauge("jobs.running").Add(-1)
 
-	r := &runner{pool: s.pool, cache: s.cache, store: s.store,
+	r := &runner{pool: s.pool, cache: s.cache, cells: s.cells, store: s.store,
 		rec: s.rec, tc: tc, queuedUS: enqueuedUS}
 	start := time.Now()
 	raw, cached, err := r.run(ctx, j, rep)
@@ -437,15 +469,7 @@ func (s *Service) execute(base context.Context, j *Job, rep map[int]*ShardSummar
 
 	switch {
 	case err == nil:
-		j.setResult(raw, cached)
-		if s.store != nil {
-			_ = s.store.AppendResult(j.ID, raw)
-		}
-		j.setState(StateDone, "")
-		s.logState(j)
-		s.rec.Registry().Counter("jobs.done").Inc()
-		s.log.Info("job done", s.jobAttrs(j,
-			slog.Int64("dur_ms", durMS), slog.Bool("cache_hit", cached))...)
+		s.finish(j, raw, cached, durMS)
 	case j.userCancelled():
 		j.setState(StateCancelled, "")
 		s.logState(j)

@@ -15,9 +15,10 @@
 //     only the missing ones; the merged stream equals an uninterrupted run
 //     byte for byte.
 //   - Content addressing. Expensive intermediates (operand traces, built
-//     circuits with their cone sizes) and final results are cached under keys
-//     derived from the spec content, so resubmitting an identical spec is
-//     near-free.
+//     circuits with their cone sizes, perf sweep cells) and final results
+//     are cached under keys derived from their inputs, so resubmitting an
+//     identical spec is answered at submit, and a perf job launches only
+//     the (workload, scheme) cells no earlier job computed.
 package jobs
 
 import (

@@ -194,31 +194,30 @@ func Gauss() *Workload {
 	b.Label("kdone")
 	b.Exit()
 	k := b.MustBuild(grid, cta, 0)
-	setup := func(g *sm.GPU) {
+	// input is the matrices before elimination. The kernel updates them in
+	// place, so Verify regenerates them rather than reading state Setup
+	// left behind: a GPU set up by another instance, or two overlapping
+	// launches of this one, must verify the same.
+	input := func() []float32 {
 		r := lcg(808)
-		for i := 0; i < grid*cta; i++ {
-			v := r.f32(0.1, 1)
+		a := make([]float32, grid*cta)
+		for i := range a {
+			a[i] = r.f32(0.1, 1)
 			if i%cta%(side+1) == 0 {
-				v += 8
+				a[i] += 8
 			}
+		}
+		return a
+	}
+	setup := func(g *sm.GPU) {
+		for i, v := range input() {
 			g.SetFloat32(offA+i, v)
 		}
 	}
-	// The kernel updates in place; replicate on a host copy captured at
-	// setup time.
-	var snapshot []float32
-	origSetup := setup
-	setup = func(g *sm.GPU) {
-		origSetup(g)
-		snapshot = make([]float32, grid*cta)
-		for i := range snapshot {
-			snapshot[i] = g.Float32(offA + i)
-		}
-	}
 	verify := func(g *sm.GPU) error {
+		in := input()
 		for c := 0; c < grid; c++ {
-			a := make([]float32, cta)
-			copy(a, snapshot[c*cta:(c+1)*cta])
+			a := in[c*cta : (c+1)*cta]
 			for kk := 0; kk < side-1; kk++ {
 				rec := float32(1 / float64(a[kk*side+kk]))
 				next := append([]float32(nil), a...)

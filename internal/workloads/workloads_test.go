@@ -47,6 +47,25 @@ func TestAllWorkloadsVerifyUnderAllSchemes(t *testing.T) {
 	}
 }
 
+// TestVerifyReadsOnlyTheGPU: a workload's Verify must depend on nothing
+// but the GPU it is handed, never on state its own Setup left behind. A
+// sweep that shares cells may verify a GPU another instance of the
+// workload set up, and two launches of one instance may overlap.
+func TestVerifyReadsOnlyTheGPU(t *testing.T) {
+	launchers, verifiers := All(), All()
+	for i, w := range launchers {
+		t.Run(w.Name, func(t *testing.T) {
+			g := w.NewGPU(sm.DefaultConfig())
+			if _, err := g.Launch(w.Kernel); err != nil {
+				t.Fatalf("launch: %v", err)
+			}
+			if err := verifiers[i].Verify(g); err != nil {
+				t.Fatalf("verified by an instance whose Setup never ran: %v", err)
+			}
+		})
+	}
+}
+
 func TestInterThreadFailureModesMatchPaper(t *testing.T) {
 	// Section V: inter-thread duplication works for all Rodinia programs,
 	// fails on matrix multiply (threads per CTA) and on SNAP (shuffles).
