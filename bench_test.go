@@ -169,49 +169,68 @@ func BenchmarkFig14PowerEnergy(b *testing.B) {
 
 // ---- Ablations (DESIGN.md Section 4) ----
 
-// ablationRun measures one workload/scheme under a config tweak and reports
-// the slowdown versus the same config's baseline.
-func ablationRun(b *testing.B, name string, scheme compiler.Scheme, opts compiler.Opts, tweak func(*sm.Config)) {
-	b.Helper()
+// ablationRun returns one workload/scheme's slowdown, in percent, versus
+// the same config's baseline, both compiled with opts and launched under a
+// config tweak.
+func ablationRun(name string, scheme compiler.Scheme, opts compiler.Opts, tweak func(*sm.Config)) (float64, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
-		b.Fatal(err)
+		return 0, err
 	}
-	run := func(s compiler.Scheme) int64 {
+	run := func(s compiler.Scheme) (int64, error) {
 		k, err := compiler.ApplyOpts(w.Kernel, s, opts)
 		if err != nil {
-			b.Fatal(err)
+			return 0, err
 		}
 		cfg := sm.DefaultConfig()
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		g := w.NewGPU(cfg)
-		st, err := g.Launch(k)
+		st, err := w.NewGPU(cfg).Launch(k)
+		if err != nil {
+			return 0, err
+		}
+		return st.Cycles, nil
+	}
+	base, err := run(compiler.Baseline)
+	if err != nil {
+		return 0, err
+	}
+	cyc, err := run(scheme)
+	if err != nil {
+		return 0, err
+	}
+	return 100 * float64(cyc-base) / float64(base), nil
+}
+
+// benchAblation runs ablationRun b.N times and reports its slowdown.
+func benchAblation(b *testing.B, name string, scheme compiler.Scheme, opts compiler.Opts, tweak func(*sm.Config)) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		slow, err := ablationRun(name, scheme, opts, tweak)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return st.Cycles
+		b.ReportMetric(slow, "slowdown%")
 	}
-	base := run(compiler.Baseline)
-	cyc := run(scheme)
-	b.ReportMetric(100*float64(cyc-base)/float64(base), "slowdown%")
 }
+
+// bypassed, noMoveProp and infiniteRegfile are the ablations' tweaks.
+var (
+	bypassed        = func(c *sm.Config) { c.BypassSaving = 3 }
+	noMoveProp      = compiler.Opts{DisableMoveProp: true}
+	infiniteRegfile = func(c *sm.Config) { c.RegFileWords = 1 << 24 }
+)
 
 // BenchmarkAblationBypass quantifies the no-register-bypassing assumption
 // (Section III-A / VI): an idealized bypass network shortens dependent
 // chains for baseline and Swap-ECC alike.
 func BenchmarkAblationBypass(b *testing.B) {
 	b.Run("noBypass", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ablationRun(b, "lavaMD", compiler.SwapECC, compiler.Opts{}, nil)
-		}
+		benchAblation(b, "lavaMD", compiler.SwapECC, compiler.Opts{}, nil)
 	})
 	b.Run("bypassed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ablationRun(b, "lavaMD", compiler.SwapECC, compiler.Opts{},
-				func(c *sm.Config) { c.BypassSaving = 3 })
-		}
+		benchAblation(b, "lavaMD", compiler.SwapECC, compiler.Opts{}, bypassed)
 	})
 }
 
@@ -219,14 +238,10 @@ func BenchmarkAblationBypass(b *testing.B) {
 // (Figure 4): disabling it forces Swap-ECC to duplicate every MOV.
 func BenchmarkAblationMoveProp(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ablationRun(b, "pathf", compiler.SwapECC, compiler.Opts{}, nil)
-		}
+		benchAblation(b, "pathf", compiler.SwapECC, compiler.Opts{}, nil)
 	})
 	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ablationRun(b, "pathf", compiler.SwapECC, compiler.Opts{DisableMoveProp: true}, nil)
-		}
+		benchAblation(b, "pathf", compiler.SwapECC, noMoveProp, nil)
 	})
 }
 
@@ -234,31 +249,37 @@ func BenchmarkAblationMoveProp(b *testing.B) {
 // infinite register file removes SW-Dup's occupancy loss on SNAP.
 func BenchmarkAblationOccupancy(b *testing.B) {
 	b.Run("realRegfile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ablationRun(b, "snap", compiler.SWDup, compiler.Opts{}, nil)
-		}
+		benchAblation(b, "snap", compiler.SWDup, compiler.Opts{}, nil)
 	})
 	b.Run("infiniteRegfile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ablationRun(b, "snap", compiler.SWDup, compiler.Opts{},
-				func(c *sm.Config) { c.RegFileWords = 1 << 24 })
-		}
+		benchAblation(b, "snap", compiler.SWDup, compiler.Opts{}, infiniteRegfile)
 	})
 }
 
+// sectionVI computes the Section VI discussion points: the mean Swap-ECC
+// and HW-Sig-SRIV (SInRG's most aggressive organization) slowdowns, in
+// percent, and the SEC-DED add predictor's area in NAND2 equivalents.
+func sectionVI() (swapECC, hwSig, predNAND2 float64, err error) {
+	perf, err := harness.RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.SInRGSig}, false)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return 100 * perf.MeanSlowdown(compiler.SwapECC), 100 * perf.MeanSlowdown(compiler.SInRGSig),
+		arith.NewSECDEDAddPredictorCircuit().AreaNAND2(), nil
+}
+
 // BenchmarkSectionVIComparisons reports the Section VI discussion points:
-// HW-Sig-SRIV (SInRG's most aggressive organization) versus Swap-ECC, and
-// the SEC-DED add-predictor area story.
+// HW-Sig-SRIV versus Swap-ECC, and the SEC-DED add-predictor area story.
 func BenchmarkSectionVIComparisons(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		perf, err := harness.RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.SInRGSig}, false)
+		swapECC, hwSig, nand2, err := sectionVI()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(100*perf.MeanSlowdown(compiler.SwapECC), "SwapECC_mean%")
-			b.ReportMetric(100*perf.MeanSlowdown(compiler.SInRGSig), "HWSigSRIV_mean%")
-			b.ReportMetric(arith.NewSECDEDAddPredictorCircuit().AreaNAND2(), "SECDEDAddPred_nand2")
+			b.ReportMetric(swapECC, "SwapECC_mean%")
+			b.ReportMetric(hwSig, "HWSigSRIV_mean%")
+			b.ReportMetric(nand2, "SECDEDAddPred_nand2")
 		}
 	}
 }
@@ -410,44 +431,43 @@ func BenchmarkGateEvalIMAD(b *testing.B) {
 	}
 }
 
+// schedulerAblation returns the mean Swap-ECC slowdown, in percent, over
+// every workload, with both the baseline and the protected kernel list
+// scheduled or neither.
+func schedulerAblation(scheduled bool) (float64, error) {
+	var sum float64
+	all := workloads.All()
+	for _, w := range all {
+		k := compiler.MustApply(w.Kernel, compiler.SwapECC)
+		base := compiler.MustApply(w.Kernel, compiler.Baseline)
+		if scheduled {
+			k, base = compiler.Schedule(k), compiler.Schedule(base)
+		}
+		stB, err := w.NewGPU(sm.DefaultConfig()).Launch(base)
+		if err != nil {
+			return 0, err
+		}
+		st, err := w.NewGPU(sm.DefaultConfig()).Launch(k)
+		if err != nil {
+			return 0, err
+		}
+		sum += float64(st.Cycles-stB.Cycles) / float64(stB.Cycles)
+	}
+	return 100 * sum / float64(len(all)), nil
+}
+
 // BenchmarkAblationScheduler measures the Table II "Swap-ECC-aware
 // scheduling" pass: latency-aware list scheduling of the protected kernel.
 func BenchmarkAblationScheduler(b *testing.B) {
 	run := func(b *testing.B, scheduled bool) {
-		var sum float64
-		n := 0
-		for _, w := range workloads.All() {
-			k := compiler.MustApply(w.Kernel, compiler.SwapECC)
-			if scheduled {
-				k = compiler.Schedule(k)
-			}
-			base := compiler.MustApply(w.Kernel, compiler.Baseline)
-			if scheduled {
-				base = compiler.Schedule(base)
-			}
-			gb := w.NewGPU(sm.DefaultConfig())
-			stB, err := gb.Launch(base)
+		for i := 0; i < b.N; i++ {
+			mean, err := schedulerAblation(scheduled)
 			if err != nil {
 				b.Fatal(err)
 			}
-			g := w.NewGPU(sm.DefaultConfig())
-			st, err := g.Launch(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sum += float64(st.Cycles-stB.Cycles) / float64(stB.Cycles)
-			n++
+			b.ReportMetric(mean, "SwapECC_mean%")
 		}
-		b.ReportMetric(100*sum/float64(n), "SwapECC_mean%")
 	}
-	b.Run("unscheduled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, false)
-		}
-	})
-	b.Run("scheduled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, true)
-		}
-	})
+	b.Run("unscheduled", func(b *testing.B) { run(b, false) })
+	b.Run("scheduled", func(b *testing.B) { run(b, true) })
 }

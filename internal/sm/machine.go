@@ -230,9 +230,12 @@ func (m *machine) initPartitions() {
 		}
 	}
 	for i := range m.parts {
-		p := &partition{m: m, idx: i}
+		p := &partition{m: m, idx: i, due: parked, farDue: parked}
 		for cl := range p.tokens {
 			p.tokens[cl] = 1
+		}
+		if m.tokCap > 1 {
+			p.below = 1<<(isa.ClassSpecial+1) - 1
 		}
 		m.parts[i] = p
 	}
@@ -275,6 +278,7 @@ func (m *machine) launchCTA() {
 			w.rf = core.NewRegFile(m.cfg.Org, m.k.NumRegs, isa.WarpSize)
 		}
 		cta.warps = append(cta.warps, w)
+		p.stale |= 1 << uint(len(p.warps))
 		p.warps = append(p.warps, w)
 		p.sched = append(p.sched, schedSlot{})
 		if m.prof != nil {
@@ -305,9 +309,10 @@ const farFuture = int64(math.MaxInt64 / 4)
 // the slot, only the token bucket left to check" (see pick).
 const depsReady = int64(-1)
 
-// parked is the scheduler-slot wake of a done or atomHold-parked warp. It
-// lies above every live wake (farFuture, memPending, any throttle wake), so
-// one compare skips a parked slot and a blocked one alike.
+// parked is the scheduler-slot wake of a done or atomHold-parked warp, which
+// no scheduler set files. It lies above every live wake (farFuture,
+// memPending, any throttle wake), so it also stands for "none" as a
+// partition's earliest wake.
 const parked = int64(math.MaxInt64)
 
 func (m *machine) run(ctx context.Context) error {
@@ -645,10 +650,10 @@ func (m *machine) finalizeProf() {
 }
 
 // retire removes finished warps from their partitions, compacting the
-// scheduler slots alongside and renumbering the survivors' slot indices, and
-// recycles completed CTAs. (liveWarps is decremented at EXIT time so barrier
-// release logic sees it immediately; m.liveWarps tracks resident warps and
-// drops here.)
+// scheduler slots alongside, renumbering the survivors' slot indices and
+// refiling them in the scheduler sets, and recycles completed CTAs.
+// (liveWarps is decremented at EXIT time so barrier release logic sees it
+// immediately; m.liveWarps tracks resident warps and drops here.)
 func (m *machine) retire() {
 	for _, p := range m.parts {
 		if p.retired == 0 {
@@ -656,6 +661,8 @@ func (m *machine) retire() {
 		}
 		live := p.warps[:0]
 		sched := p.sched[:0]
+		stale := p.stale
+		p.clearSets()
 		for j, w := range p.warps {
 			if w.done {
 				if m.obsm != nil {
@@ -670,9 +677,16 @@ func (m *machine) retire() {
 				m.liveWarps--
 				continue
 			}
-			w.slot = len(live)
+			k := len(live)
+			w.slot = k
 			live = append(live, w)
 			sched = append(sched, p.sched[j])
+			switch {
+			case stale&(1<<uint(j)) != 0:
+				p.stale |= 1 << uint(k)
+			case sched[k].wake != parked:
+				p.place(k)
+			}
 		}
 		p.warps = live
 		p.sched = sched

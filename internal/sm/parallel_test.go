@@ -9,6 +9,7 @@ import (
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/isa"
 	"swapcodes/internal/sm"
+	"swapcodes/internal/verify"
 	"swapcodes/internal/workloads"
 )
 
@@ -63,6 +64,37 @@ func TestParallelSMDifferential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(mem, refMem) {
 				t.Errorf("%s/%v: final memory diverges from reference", w.Name, s)
+			}
+		}
+	}
+}
+
+// TestSchedulerConfigDifferential runs the reference-versus-default
+// differential over the non-default configurations of verify.SchedConfigs,
+// on five workloads under the baseline and Swap-ECC: Stats and final memory
+// must be identical. bfs, kmeans and mumm reach 64 resident warps, every
+// bit of a set under a single scheduler; lavaMD reaches 32, and needle 8,
+// two per partition under four schedulers.
+func TestSchedulerConfigDifferential(t *testing.T) {
+	for _, c := range verify.SchedConfigs() {
+		for _, name := range []string{"lavaMD", "bfs", "needle", "kmeans", "mumm"} {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []compiler.Scheme{compiler.Baseline, compiler.SwapECC} {
+				k := compiler.MustApply(w.Kernel, s)
+				ref := c.Cfg
+				ref.Reference = true
+				refSt, refMem := launchWith(t, w, k, s, ref)
+				st, mem := launchWith(t, w, k, s, c.Cfg)
+				if !reflect.DeepEqual(st, refSt) {
+					t.Errorf("%s %s/%v: Stats diverge from reference\n got %+v\nwant %+v",
+						c.Name, name, s, st, refSt)
+				}
+				if !reflect.DeepEqual(mem, refMem) {
+					t.Errorf("%s %s/%v: final memory diverges from reference", c.Name, name, s)
+				}
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"math/bits"
+
 	"swapcodes/internal/isa"
 	"swapcodes/internal/obs/simprof"
 )
@@ -46,25 +48,35 @@ type smemEvent struct {
 	val  uint32
 }
 
-// schedSlot is one warp's cached scheduling verdict, kept dense in
-// partition.sched so the ready scan walks 16-byte slots instead of chasing
-// warp pointers (DESIGN.md §13). wake encodes the verdict:
+// schedSlot is one warp's scheduling verdict, kept dense in partition.sched
+// and filed in one of the partition's scheduler sets (DESIGN.md §13). wake
+// encodes the verdict:
 //
 //   - wake > cycle: the warp cannot issue before wake, for reason (a
 //     dependence stall on a producer of pipe class, bounded by hierarchy
-//     level mem, or a barrier). These wakes move only when the warp issues,
-//     its barrier releases, or a hierarchy load it waits on is serviced —
-//     the invalidation points, which all go through invalidate.
-//   - wake == depsReady: operands satisfied, next instruction of pipe class;
-//     only the (uncacheable) token bucket is left to check.
+//     level mem, or a barrier). next is the pipe of the instruction it
+//     waits to issue. These wakes move only when the warp issues, its
+//     barrier releases, or a hierarchy load it waits on is serviced — the
+//     invalidation points, which all go through invalidate.
+//   - wake == depsReady: operands satisfied, next instruction of pipe class
+//     (and next); only the token bucket is left to check.
 //   - wake == parked: the warp is done or atomHold-parked.
-//   - otherwise (0 after invalidate, or a passed wake): rescan.
+//   - otherwise (0 after invalidate): stale, to rescan.
 type schedSlot struct {
 	wake   int64
 	reason stallReason
 	class  isa.Class
 	mem    uint8
+	next   isa.Class
 }
+
+// wheelSize is the wake wheel's horizon in cycles, a power of two: a wait
+// due at most this far ahead sits in the wheel bucket of its wake, a later
+// one in the far set.
+const (
+	wheelSize = 256
+	wheelMask = wheelSize - 1
+)
 
 // partition is one scheduler's slice of the machine: the warps it owns, its
 // share of the issue bandwidth, its statistics deltas, and its deferred
@@ -78,6 +90,27 @@ type partition struct {
 	// both, retire compacts both.
 	sched  []schedSlot
 	tokens [10]float64
+	// below marks the token buckets under tokCap, the only ones refill
+	// touches.
+	below uint16
+
+	// The scheduler sets: bit j stands for slot j, and every slot that is
+	// neither parked nor stale is filed in exactly one of ready, wheel and
+	// far. ready[cl] holds the depsReady slots whose next instruction
+	// issues on pipe cl, and readyCls marks the non-empty ones. wheel[b]
+	// holds the waits due at the one pending wake w with w&wheelMask == b,
+	// wheelSum marks the non-empty buckets, and every pending wake lies in
+	// [due, due+wheelSize). far holds barrier and memPending waits and
+	// waits past the wheel's horizon, none due before farDue. An unlink
+	// leaves both bounds as they were; nearest and expire tighten them, to
+	// parked when their set is empty.
+	ready       [10]uint64
+	readyCls    uint16
+	stale       uint64
+	far         uint64
+	wheel       [wheelSize]uint64
+	wheelSum    [wheelSize / 64]uint64
+	due, farDue int64
 
 	// Per-round outputs, consumed by the barrier. memc carries the
 	// memory-hierarchy level (memmodel.Level) the nearest-to-ready warp's
@@ -175,16 +208,12 @@ func (p *partition) step() {
 }
 
 // pick returns the slot index of the first warp in round-robin order (from
-// cycle % n) that can issue, or -1. Phase 1 walks the slots: a slot whose
-// verdict still holds (wake > cycle: blocked or parked) costs one compare, a
-// stale one is rescanned and its verdict stored, and a depsReady slot issues
-// if its pipe has a token. When nothing can issue and why is set, phase 2
-// reports what the partition waits on: every live slot now holds a verdict,
-// and the first slot in rotation order at the earliest wake gives the wake,
-// the stall reason, the pipe class that reason attributes to, and the
-// memory-hierarchy level when it is a hierarchy-load dependence.
-// Config.Reference selects pickRef, which computes the same answer from
-// scratch.
+// cycle % n) that can issue, or -1. It first brings the sets up to the
+// cycle, expiring the waits now due and rescanning the stale slots; the
+// pick is then the first slot in rotation order in the ready set of a pipe
+// that holds a token. When nothing can issue and why is set, stall reports
+// what the partition waits on. Config.Reference selects pickRef, which
+// computes the same answer from scratch.
 func (p *partition) pick(why bool) (int, int64, stallReason, isa.Class, uint8) {
 	if p.m.cfg.Reference {
 		return p.pickRef()
@@ -194,47 +223,196 @@ func (p *partition) pick(why bool) (int, int64, stallReason, isa.Class, uint8) {
 		return -1, farFuture, stallNoWarp, isa.ClassFxP, 0
 	}
 	cycle := p.m.cycle
-	start := int(cycle % int64(n))
-	for j, i := start, 0; i < n; i++ {
-		s := &p.sched[j]
-		if s.wake <= cycle {
-			if s.wake != depsReady {
-				*s = p.scan(p.warps[j])
-			}
-			if s.wake == depsReady && p.tokens[s.class] >= 1 {
-				return j, 0, stallNone, s.class, 0
-			}
+	if p.due <= cycle || p.farDue <= cycle {
+		p.expire(cycle)
+	}
+	// scan is pure, so rescanning every stale slot now gives the verdicts a
+	// lazy rescan in rotation order would.
+	for ; p.stale != 0; p.stale &= p.stale - 1 {
+		j := bits.TrailingZeros64(p.stale)
+		p.sched[j] = p.scan(p.warps[j])
+		p.place(j)
+	}
+	var can uint64
+	for cls := p.readyCls; cls != 0; cls &= cls - 1 {
+		if cl := bits.TrailingZeros16(cls); p.tokens[cl] >= 1 {
+			can |= p.ready[cl]
 		}
-		if j++; j == n {
-			j = 0
-		}
+	}
+	if can != 0 {
+		j := firstFrom(can, int(cycle%int64(n)))
+		return j, 0, stallNone, p.sched[j].class, 0
 	}
 	if !why {
 		return -1, farFuture, stallNoWarp, isa.ClassFxP, 0
 	}
-	// Phase 2. A live wake is always below parked, so the strict compare
-	// both skips parked slots and keeps the first slot at the minimum.
-	best, bestWake := -1, parked
-	for j, i := start, 0; i < n; i++ {
-		wake := p.sched[j].wake
-		if wake == depsReady {
-			wake = p.throttleWake(p.sched[j].class)
-		}
-		if wake < bestWake {
-			best, bestWake = j, wake
-		}
-		if j++; j == n {
-			j = 0
+	wake, reason, cl, memc := p.stall(int(cycle % int64(n)))
+	return -1, wake, reason, cl, memc
+}
+
+// stall is pick's report when nothing can issue: the first slot in rotation
+// order from start at the earliest wake gives the wake, the stall reason,
+// the pipe class that reason attributes to, and the memory-hierarchy level
+// when it is a hierarchy-load dependence. The earliest wake is the nearest
+// wheel bucket's, a far wait's, or the throttle wake of a pipe with ready
+// slots, which every ready slot of that pipe shares.
+func (p *partition) stall(start int) (int64, stallReason, isa.Class, uint8) {
+	best, at := parked, uint64(0)
+	if b, wake := p.nearest(); b >= 0 {
+		best, at = wake, p.wheel[b]
+	}
+	for f := p.far; f != 0; f &= f - 1 {
+		j := bits.TrailingZeros64(f)
+		if wake := p.sched[j].wake; wake < best {
+			best, at = wake, 1<<uint(j)
+		} else if wake == best {
+			at |= 1 << uint(j)
 		}
 	}
-	if best < 0 {
-		return -1, farFuture, stallNoWarp, isa.ClassFxP, 0
+	for cls := p.readyCls; cls != 0; cls &= cls - 1 {
+		cl := isa.Class(bits.TrailingZeros16(cls))
+		if wake := p.throttleWake(cl); wake < best {
+			best, at = wake, p.ready[cl]
+		} else if wake == best {
+			at |= p.ready[cl]
+		}
 	}
-	s := &p.sched[best]
+	if at == 0 {
+		return farFuture, stallNoWarp, isa.ClassFxP, 0
+	}
+	s := &p.sched[firstFrom(at, start)]
 	if s.wake == depsReady {
-		return -1, bestWake, stallThrottle, s.class, 0
+		return best, stallThrottle, s.class, 0
 	}
-	return -1, s.wake, s.reason, s.class, s.mem
+	return s.wake, s.reason, s.class, s.mem
+}
+
+// firstFrom returns the first set bit of set (non-zero) in rotation order
+// from bit start.
+func firstFrom(set uint64, start int) int {
+	if hi := set >> uint(start) << uint(start); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(set)
+}
+
+// place files slot j under the verdict it holds, which is neither stale
+// nor parked.
+func (p *partition) place(j int) {
+	bit := uint64(1) << uint(j)
+	s := &p.sched[j]
+	switch {
+	case s.wake == depsReady:
+		p.ready[s.class] |= bit
+		p.readyCls |= 1 << s.class
+	case s.wake-p.m.cycle <= wheelSize:
+		b := s.wake & wheelMask
+		p.wheel[b] |= bit
+		p.wheelSum[b>>6] |= 1 << (b & 63)
+		p.due = min(p.due, s.wake)
+	default:
+		p.far |= bit
+		p.farDue = min(p.farDue, s.wake)
+	}
+}
+
+// unlink removes slot j from whichever set files it.
+func (p *partition) unlink(j int) {
+	bit := uint64(1) << uint(j)
+	s := &p.sched[j]
+	switch {
+	case p.stale&bit != 0:
+		p.stale &^= bit
+	case s.wake == depsReady:
+		if p.ready[s.class] &^= bit; p.ready[s.class] == 0 {
+			p.readyCls &^= 1 << s.class
+		}
+	case p.far&bit != 0:
+		p.far &^= bit
+	case s.wake != parked:
+		b := s.wake & wheelMask
+		if p.wheel[b] &^= bit; p.wheel[b] == 0 {
+			p.wheelSum[b>>6] &^= 1 << (b & 63)
+		}
+	}
+}
+
+// expire moves every wait due by cycle to its ready set without a rescan:
+// the wheel buckets in wake order, found through wheelSum however far the
+// idle skip jumped, then the far waits. This is sound because the ready
+// times a wait was computed from change only when its warp issues or a
+// load it issued is serviced, and both invalidate the slot: at its wake
+// the warp's operands are ready, and its next instruction waits only for
+// a token of its pipe.
+func (p *partition) expire(cycle int64) {
+	for p.due <= cycle {
+		b, wake := p.nearest()
+		if wake > cycle {
+			break
+		}
+		for set := p.wheel[b]; set != 0; set &= set - 1 {
+			p.toReady(bits.TrailingZeros64(set))
+		}
+		p.wheel[b] = 0
+		p.wheelSum[b>>6] &^= 1 << (b & 63)
+		p.due = wake + 1
+	}
+	if p.farDue <= cycle {
+		p.farDue = parked
+		for f := p.far; f != 0; f &= f - 1 {
+			j := bits.TrailingZeros64(f)
+			if wake := p.sched[j].wake; wake <= cycle {
+				p.far &^= 1 << uint(j)
+				p.toReady(j)
+			} else {
+				p.farDue = min(p.farDue, wake)
+			}
+		}
+	}
+}
+
+// toReady files slot j, whose wait is over, as depsReady on its next pipe:
+// the verdict a rescan would give.
+func (p *partition) toReady(j int) {
+	cl := p.sched[j].next
+	p.sched[j] = schedSlot{wake: depsReady, class: cl, next: cl}
+	p.ready[cl] |= 1 << uint(j)
+	p.readyCls |= 1 << cl
+}
+
+// nearest returns the wheel's earliest occupied bucket and its wake (-1 and
+// parked when the wheel is empty), tightening due to that wake. Pending
+// wakes lie in [due, due+wheelSize), one per bucket, so the first occupied
+// bucket in rotation order from due's is the earliest.
+func (p *partition) nearest() (int, int64) {
+	s := int(p.due & wheelMask)
+	for i := 0; i <= len(p.wheelSum); i++ {
+		wi := (s>>6 + i) % len(p.wheelSum)
+		w := p.wheelSum[wi]
+		if i == 0 {
+			w &= ^uint64(0) << uint(s&63)
+		}
+		if w != 0 {
+			b := wi<<6 | bits.TrailingZeros64(w)
+			p.due += int64((b - s) & wheelMask)
+			return b, p.due
+		}
+	}
+	p.due = parked
+	return -1, parked
+}
+
+// clearSets empties every scheduler set; retire refiles the survivors.
+func (p *partition) clearSets() {
+	for i, w := range p.wheelSum {
+		for ; w != 0; w &= w - 1 {
+			p.wheel[i<<6|bits.TrailingZeros64(w)] = 0
+		}
+	}
+	p.wheelSum = [len(p.wheelSum)]uint64{}
+	p.ready = [len(p.ready)]uint64{}
+	p.readyCls, p.stale, p.far = 0, 0, 0
+	p.due, p.farDue = parked, parked
 }
 
 // pickRef is the reference scheduler (Config.Reference): the same choice
@@ -270,16 +448,18 @@ func (p *partition) pickRef() (int, int64, stallReason, isa.Class, uint8) {
 	return -1, minWake, reason, class, memc
 }
 
-// invalidate drops slot j's verdict so the next pick rescans its warp, or
-// parks the slot while the warp is done or atomHold-parked. Issue, barrier
-// release, serviceMem and the atomic replay (which is how a warp unparks)
-// call it.
+// invalidate drops slot j's verdict and marks it stale so the next pick
+// rescans its warp, or parks the slot while the warp is done or
+// atomHold-parked. Issue, barrier release, serviceMem and the atomic replay
+// (which is how a warp unparks) call it.
 func (p *partition) invalidate(j int) {
-	wake := int64(0)
+	p.unlink(j)
 	if w := p.warps[j]; w.done || w.atomHold {
-		wake = parked
+		p.sched[j].wake = parked
+		return
 	}
-	p.sched[j].wake = wake
+	p.sched[j].wake = 0
+	p.stale |= 1 << uint(j)
 }
 
 // throttleWake is the cycle a pipe's empty token bucket next admits an
@@ -368,10 +548,10 @@ func (p *partition) scan(w *warpState) schedSlot {
 		if blockReg != isa.RZ {
 			blockMem = w.regMem[blockReg]
 		}
-		return schedSlot{wake: wake, reason: stallDeps, class: blockCl, mem: blockMem}
+		return schedSlot{wake: wake, reason: stallDeps, class: blockCl, mem: blockMem, next: in.Op.Class()}
 	}
 	// Operands satisfied: they stay satisfied until the warp issues.
-	return schedSlot{wake: depsReady, class: in.Op.Class()}
+	return schedSlot{wake: depsReady, class: in.Op.Class(), next: in.Op.Class()}
 }
 
 // issue consumes a token, executes the instruction in slot j functionally,
@@ -382,7 +562,7 @@ func (p *partition) issue(j int) error {
 	w := p.warps[j]
 	in := &m.k.Code[w.top().pc]
 	cl := in.Op.Class()
-	p.tokens[cl]--
+	p.take(cl)
 	p.instrs++
 	p.perClass[cl]++
 	p.perCat[in.Cat]++
@@ -489,15 +669,25 @@ func (p *partition) bumpPendingPrev(w *warpState, r isa.Reg, t int64) {
 	}
 }
 
+// take spends one token of pipe cl, which leaves its bucket below the cap.
+func (p *partition) take(cl isa.Class) {
+	p.tokens[cl]--
+	p.below |= 1 << cl
+}
+
 // refill adds delta cycles of this partition's bandwidth share to every
-// token bucket, called at the barrier so all partitions see the same global
-// time.
+// token bucket below its cap, called at the barrier so all partitions see
+// the same global time. A bucket at the cap is skipped: with a positive,
+// finite rate (Config.validate) adding to it and clamping would leave it at
+// the cap.
 func (p *partition) refill(delta int64) {
 	m := p.m
-	for cl := isa.ClassFxP; cl <= isa.ClassSpecial; cl++ {
+	for b := p.below; b != 0; b &= b - 1 {
+		cl := bits.TrailingZeros16(b)
 		p.tokens[cl] += m.prate[cl] * float64(delta)
-		if p.tokens[cl] > m.tokCap {
+		if p.tokens[cl] >= m.tokCap {
 			p.tokens[cl] = m.tokCap
+			p.below &^= 1 << cl
 		}
 	}
 }

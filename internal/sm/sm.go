@@ -14,6 +14,7 @@ package sm
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/core"
@@ -34,7 +35,7 @@ type Config struct {
 	// RegAllocGranule is the register-file allocation granularity per
 	// thread (occupancy rounds registers/thread up to a multiple of this).
 	RegAllocGranule int
-	// MaxWarps is the resident warp limit.
+	// MaxWarps is the resident warp limit, at most 64 per scheduler.
 	MaxWarps int
 	// MaxCTAs is the resident CTA limit.
 	MaxCTAs int
@@ -55,7 +56,8 @@ type Config struct {
 	// default.
 	BypassSaving int64
 
-	// Per-class issue throughput in warp-instructions per cycle.
+	// Per-class issue throughput in warp-instructions per cycle, each
+	// positive and finite.
 	ThrFxP, ThrFP32, ThrFP64, ThrSFU, ThrMove, ThrSMem, ThrGMem, ThrSpecial, ThrCtrl float64
 
 	// Verify enables dynamic self-checks on the simulator's own invariants:
@@ -189,6 +191,29 @@ func (c *Config) rate(cl isa.Class) (float64, bool) {
 	default:
 		return c.ThrCtrl, false
 	}
+}
+
+// validate rejects a config the round loop cannot serve. An issue rate that
+// is not positive and finite makes throttle wakes divide by zero, go
+// negative, or convert an infinity or NaN to int64, and the idle skip then
+// crawls one cycle per round. A partition's scheduler sets are one 64-bit
+// word, and least-loaded placement keeps every partition at or below
+// ceil(MaxWarps/Schedulers) warps, so MaxWarps is bounded by 64 per
+// partition.
+func (c *Config) validate() error {
+	names := [...]string{"ThrFxP", "ThrFP32", "ThrFP64", "ThrSFU", "ThrMove",
+		"ThrSMem", "ThrGMem", "ThrSpecial", "ThrCtrl"}
+	for i, r := range [...]float64{c.ThrFxP, c.ThrFP32, c.ThrFP64, c.ThrSFU, c.ThrMove,
+		c.ThrSMem, c.ThrGMem, c.ThrSpecial, c.ThrCtrl} {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("sm: Config.%s = %v: issue rates must be positive and finite", names[i], r)
+		}
+	}
+	if n := max(c.Schedulers, 1); c.MaxWarps > 64*n {
+		return fmt.Errorf("sm: Config.MaxWarps = %d exceeds 64 warps per scheduler (%d schedulers)",
+			c.MaxWarps, n)
+	}
+	return nil
 }
 
 // FaultPlan injects one transient pipeline error: when the global dynamic
@@ -427,6 +452,9 @@ func (g *GPU) Launch(k *isa.Kernel) (*Stats, error) {
 // early-stopped experiments.
 func (g *GPU) LaunchContext(ctx context.Context, k *isa.Kernel) (*Stats, error) {
 	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	if err := g.Cfg.validate(); err != nil {
 		return nil, err
 	}
 	m := newMachine(g, k)

@@ -239,3 +239,36 @@ func Patterns() []Pattern {
 func GenFill(p Pattern, seed int64) func(g *sm.GPU) {
 	return func(g *sm.GPU) { p.Fill(g.Mem, seed) }
 }
+
+// SchedConfig is one named SM configuration of the scheduler differentials.
+type SchedConfig struct {
+	Name string
+	Cfg  sm.Config
+}
+
+// SchedConfigs returns the non-default configurations the reference-versus-
+// default scheduler differentials run beside DefaultConfig, which holds at
+// most 16 warps per partition, dual issue, dyadic rates and flat latencies
+// of at most 140 cycles. Each reaches scheduler state the default does not.
+func SchedConfigs() []SchedConfig {
+	with := func(name string, tweak func(*sm.Config)) SchedConfig {
+		c := sm.DefaultConfig()
+		tweak(&c)
+		return SchedConfig{name, c}
+	}
+	return []SchedConfig{
+		// Up to 64 resident warps in one partition: every bit of a set.
+		with("schedulers-1", func(c *sm.Config) { c.Schedulers = 1 }),
+		// Per-partition rates and token caps that are not dyadic.
+		with("schedulers-3", func(c *sm.Config) { c.Schedulers = 3 }),
+		with("schedulers-2-issue-4", func(c *sm.Config) { c.Schedulers, c.IssuePerSched = 2, 4 }),
+		with("issue-1", func(c *sm.Config) { c.IssuePerSched = 1 }),
+		// Dependence wakes past the 256-cycle wake wheel.
+		with("slow-memory", func(c *sm.Config) { c.LatGMem, c.LatSMem = 600, 300 }),
+		with("odd-rates", func(c *sm.Config) {
+			c.ThrSFU, c.ThrFP64, c.ThrGMem, c.ThrFxP = 0.3, 0.7, 0.45, 1.7
+		}),
+		with("sectored-schedulers-3", func(c *sm.Config) { c.MemModel, c.Schedulers = "sectored", 3 }),
+		with("bypass-3", func(c *sm.Config) { c.BypassSaving = 3 }),
+	}
+}
