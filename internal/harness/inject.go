@@ -18,8 +18,9 @@ import (
 // (Section IV-A); we additionally trace SNAP because it is the workload
 // with substantial double-precision arithmetic — without it the FP64 units
 // would be injected with synthetic operands instead of real ones.
-// Workloads are traced in parallel on the default pool; the merged trace
-// matches a serial collection exactly (see CollectOperandsCtx).
+// Workloads are traced one after another in that order, and a workload
+// that could only feed units already full is not launched (see
+// CollectOperandsCtx).
 func CollectOperands(limit int) (*trace.OperandTrace, error) {
 	return CollectOperandsCtx(context.Background(), DefaultPool(), limit)
 }

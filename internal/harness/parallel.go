@@ -18,60 +18,91 @@ import (
 // context-free APIs lose nothing by defaulting to full parallelism.
 func DefaultPool() *engine.Pool { return engine.New(0) }
 
-// CollectOperandsCtx traces every injection-source workload in parallel:
-// each workload runs under its own tracer, and the per-workload traces are
-// merged in the canonical workload order, which reproduces exactly the
-// tuple stream of a serial collection (trace.OperandTrace.Merge). On
-// cancellation the partial trace collected so far is returned with the
-// error.
+// CollectOperandsCtx traces the injection-source workloads one after
+// another, in workload order, into one trace, and skips every workload
+// whose code can feed only units that are already full
+// (trace.OperandTrace.CanGrow). The result is, byte for byte, the trace
+// that per-workload traces concatenated in workload order and cut at the
+// limit would give: a skipped workload could add no tuple, and a launched
+// one appends its tuples in execution order until its units fill. At
+// 2,000 tuples 4 of the 14 workloads launch. The pool supplies only the
+// recorder, which gets one "trace:<workload>" span per launch. On
+// cancellation the trace as far as it got is returned with the error.
 func CollectOperandsCtx(ctx context.Context, pool *engine.Pool, limit int) (*trace.OperandTrace, error) {
+	tr := trace.NewOperandTrace(limit)
+	feed := tr.Func(8) // lowest 8 lanes per warp ≈ lowest threads
+	rec := pool.Recorder()
+	for _, w := range injectionSources() {
+		if !tr.CanGrow(w.Kernel) {
+			continue
+		}
+		start, before := rec.Now(), operandCount(tr)
+		g := w.NewGPU(sm.DefaultConfig())
+		g.Trace = feed
+		if _, err := g.LaunchContext(ctx, w.Kernel); err != nil {
+			return tr, err
+		}
+		if rec != nil {
+			rec.Span(rec.Process("harness"), rec.NextTID(), "trace:"+w.Name, "driver",
+				start, rec.Now()-start, map[string]any{"operands": operandCount(tr) - before})
+		}
+	}
+	return tr, nil
+}
+
+// injectionSources lists the workloads operands are traced from, in
+// collection order: the Rodinia programs, then SNAP (see CollectOperands).
+func injectionSources() []*workloads.Workload {
 	progs := append([]*workloads.Workload{}, workloads.Rodinia()...)
 	if snap, err := workloads.ByName("snap"); err == nil {
 		progs = append(progs, snap)
 	}
-	traces, err := engine.Map(ctx, pool, len(progs), func(ctx context.Context, i int) (*trace.OperandTrace, error) {
-		rec := pool.Recorder()
-		start := rec.Now()
-		tr := trace.NewOperandTrace(limit)
-		g := progs[i].NewGPU(sm.DefaultConfig())
-		g.Trace = tr.Func(8) // lowest 8 lanes per warp ≈ lowest threads
-		if _, lerr := g.LaunchContext(ctx, progs[i].Kernel); lerr != nil {
-			return nil, lerr
-		}
-		if rec != nil {
-			operands := 0
-			for _, n := range tr.Counts() {
-				operands += n
-			}
-			rec.Span(rec.Process("harness"), rec.NextTID(), "trace:"+progs[i].Name, "driver",
-				start, rec.Now()-start, map[string]any{"operands": operands})
-		}
-		return tr, nil
-	})
-	merged := trace.NewOperandTrace(limit)
-	for _, tr := range traces {
-		if tr != nil {
-			merged.Merge(tr)
-		}
-	}
-	return merged, err
+	return progs
 }
 
-// RunInjectionCtx is the parallel Figure 10/11 campaign driver: operand
-// tuples are traced workload-parallel, then every unit's campaign is split
-// into seed-derived shards (faultsim.ShardedCampaign) and all shards of all
-// six units execute as one flat job list on the pool. For a given master
-// seed the result is bit-identical at any worker count. On cancellation it
-// returns the partial result (whole shards only, concatenated in order)
-// with the error — always a valid, non-nil InjectionResult whose counts
-// remain usable as Wilson-interval inputs, even when no shard completed.
+// operandCount is the number of tuples a trace holds over all units.
+func operandCount(tr *trace.OperandTrace) int {
+	n := 0
+	for _, c := range tr.Counts() {
+		n += c
+	}
+	return n
+}
+
+// RunInjectionCtx is the parallel Figure 10/11 campaign driver. Two pool
+// jobs run side by side first: the operand trace (CollectOperandsCtx) and
+// the six units' cone tables (gates.Circuit's fan-out CSR and cone sizes),
+// which the first shard of each unit would otherwise build while the other
+// workers wait on it (Fp-MAD64's take about 100 ms on a 2-vCPU Xeon VM).
+// Then every unit's campaign is split into seed-derived shards
+// (faultsim.ShardedCampaign) and all shards of all six units execute as
+// one flat job list on the pool. For a given master seed the result is
+// bit-identical at any worker count. On cancellation it returns the
+// partial result (whole shards only, concatenated in order) with the
+// error — always a valid, non-nil InjectionResult whose counts remain
+// usable as Wilson-interval inputs, even when no shard completed.
 func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64) (*InjectionResult, error) {
 	units := arith.Units()
 	res := &InjectionResult{Tuples: tuples}
 	for _, u := range units {
 		res.Units = append(res.Units, &UnitInjection{Unit: u})
 	}
-	tr, err := CollectOperandsCtx(ctx, pool, tuples)
+	var tr *trace.OperandTrace
+	err := pool.Run(ctx, []engine.Job{
+		{Name: "trace", Run: func(ctx context.Context) (err error) {
+			tr, err = CollectOperandsCtx(ctx, pool, tuples)
+			return err
+		}},
+		{Name: "cones", Run: func(ctx context.Context) error {
+			for _, u := range units {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				u.ConeStats() // builds the circuit's cone tables once
+			}
+			return nil
+		}},
+	})
 	if err != nil {
 		// Partial-result contract: a cancelled trace yields an empty but
 		// valid campaign result (zero injections per unit), not nil.

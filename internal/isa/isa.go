@@ -169,6 +169,20 @@ func (o Opcode) DupEligible() bool {
 	return false
 }
 
+// Traced reports whether o executes on one of the six pipelined arithmetic
+// units whose error patterns Figure 10 measures (the 32-bit fixed-point and
+// the 32- and 64-bit floating-point adders and multiply-adders): IADD,
+// ISUB, IMUL, IMAD, FADD, FSUB, FMUL, FFMA, DADD, DSUB, DMUL and DFMA.
+// These are the only opcodes the simulator's value tracer observes, and
+// the only ones internal/trace maps onto a unit.
+func (o Opcode) Traced() bool {
+	switch o {
+	case IADD, ISUB, IMUL, IMAD, FADD, FSUB, FMUL, FFMA, DADD, DSUB, DMUL, DFMA:
+		return true
+	}
+	return false
+}
+
 // Modifier refines an opcode: the comparison for SETP, the function for
 // MUFU, the operation for ATOM.
 type Modifier uint8

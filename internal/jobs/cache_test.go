@@ -1,9 +1,15 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"swapcodes/internal/obs"
+	"swapcodes/internal/trace"
 )
 
 func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
@@ -61,5 +67,49 @@ func TestCacheKeyDistinguishesBoundaries(t *testing.T) {
 	}
 	if CacheKey("a") != CacheKey("a") {
 		t.Fatal("CacheKey not deterministic")
+	}
+}
+
+// corruptTrace is a trace entry whose one unit claims 2^62 tuples: the
+// bytes of a real, empty trace with its unit count patched to one.
+func corruptTrace(t *testing.T, limit int) []byte {
+	t.Helper()
+	b, err := trace.NewOperandTrace(limit).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = binary.AppendUvarint(b[:len(b)-1], 1) // unit count 0 → 1
+	b = binary.AppendUvarint(b, 1)            // name length
+	b = append(b, 'u')
+	return binary.AppendUvarint(b, 1<<62) // tuple count
+}
+
+// TestCorruptTraceEntryIsRecollected: a corrupt operand trace under
+// <state>/cas is recollected, not decoded into a panic that takes the
+// service down, and the campaign job returns a cold service's bytes.
+func TestCorruptTraceEntryIsRecollected(t *testing.T) {
+	const tuples = 64
+	spec := Spec{Kind: KindCampaign, Tuples: tuples, Seed: 1}
+	cold := runSpec(t, newService(t, Options{Workers: 2}), spec)
+
+	dir := t.TempDir()
+	key := CacheKey("trace", "v1", fmt.Sprintf("limit=%d", tuples))
+	path := filepath.Join(dir, "cas", key[:2], key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, corruptTrace(t, tuples), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := runSpec(t, newService(t, Options{StateDir: dir, Workers: 2}), spec)
+	if !bytes.Equal(got, cold) {
+		t.Error("campaign over a recollected trace differs from a cold service's")
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.NewOperandTrace(tuples).UnmarshalBinary(b); err != nil {
+		t.Errorf("corrupt trace entry not replaced by the recollected one: %v", err)
 	}
 }

@@ -144,8 +144,10 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 
 	// Register-writing instructions: the common cases take the fused
 	// per-opcode lane loops; everything else goes through the generic
-	// compute/writeback pair.
-	if w.rf == nil && !injectNow && m.g.Trace == nil {
+	// compute/writeback pair, and so do the opcodes an armed tracer
+	// observes, which it reads lane by lane before the write.
+	traced := m.g.Trace != nil && in.Op.Traced()
+	if w.rf == nil && !injectNow && !traced {
 		if done, err := p.execFast(w, in, mask); done || err != nil {
 			if err != nil {
 				return err
@@ -166,7 +168,7 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 		}
 		res[lane] = lo
 		resHi[lane] = hi
-		if m.g.Trace != nil {
+		if traced {
 			m.traceLane(w, in, lane, uint64(lo)|uint64(hi)<<32)
 		}
 	}
@@ -178,10 +180,10 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 // execFast handles the hot value-producing opcodes with one fused loop per
 // opcode, writing lanes directly into the destination register. It is only
 // entered when nothing observes intermediate state (no ECC register file, no
-// armed fault, no tracer), and bails out (false) on anything unusual so the
-// generic path stays the single source of truth for rare shapes. Cross-lane
-// reads (SHFL) are excluded: in-place writes would corrupt them when the
-// destination aliases the source.
+// armed fault, no tracer that observes the opcode), and bails out (false) on
+// anything unusual so the generic path stays the single source of truth for
+// rare shapes. Cross-lane reads (SHFL) are excluded: in-place writes would
+// corrupt them when the destination aliases the source.
 //
 // A Swap-ECC/Swap-Predict shadow of a duplicable opcode is done without
 // touching a lane: with no ECC register file writeLane masks a shadow write
@@ -511,7 +513,8 @@ func (p *partition) execAtom(w *warpState, in *isa.Instr, mask uint32, injectNow
 	return nil
 }
 
-// traceLane forwards one executed lane to the value tracer.
+// traceLane forwards one executed lane of a traced opcode
+// (isa.Opcode.Traced) to the value tracer.
 func (m *machine) traceLane(w *warpState, in *isa.Instr, lane int, result uint64) {
 	var a, b, c uint64
 	switch in.Op {

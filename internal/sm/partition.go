@@ -778,9 +778,6 @@ func (m *machine) replayAtom(op *atomOp) {
 				m.g.Mem[addr] = val
 			}
 		}
-		if m.g.Trace != nil {
-			m.traceLane(w, in, lane, uint64(old))
-		}
 		if in.Dst != isa.RZ {
 			value := old
 			if op.inject && lane == fp.Lane {

@@ -354,8 +354,12 @@ func (s *Stats) IPC() float64 {
 }
 
 // TraceFunc observes executed arithmetic, SASSI-style (Section IV-A): one
-// call per value-producing lane with the operand values and result. FP64
-// operands arrive as full 64-bit values; everything else in the low 32 bits.
+// call per active lane of every instruction whose opcode feeds one of the
+// six Figure 10 units (isa.Opcode.Traced: IADD, ISUB, IMUL, IMAD, FADD,
+// FSUB, FMUL, FFMA, DADD, DSUB, DMUL and DFMA), with the operand values and
+// result, in the launch's instruction order. No other opcode reaches it,
+// ATOM included. FP64 operands arrive as full 64-bit values, and so does
+// a wide IMAD's addend; everything else in the low 32 bits.
 type TraceFunc func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64)
 
 // GPU owns global memory and runs kernels.
@@ -365,8 +369,10 @@ type GPU struct {
 	// Fault, when non-nil, arms pipeline error injection for the next
 	// launch.
 	Fault *FaultPlan
-	// Trace, when non-nil, receives per-lane operand/result values of
-	// arithmetic instructions (the binary-instrumentation value tracer).
+	// Trace, when non-nil, receives per-lane operand/result values of the
+	// traced arithmetic opcodes (the binary-instrumentation value tracer;
+	// see TraceFunc). Only those opcodes leave the fused fast path for the
+	// generic one, and an armed tracer changes no simulated number.
 	Trace TraceFunc
 	// Obs, when non-nil, records scheduling observability for every launch:
 	// windowed occupancy/issue/stall counter samples, per-warp lifetime

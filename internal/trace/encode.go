@@ -45,7 +45,10 @@ func (t *OperandTrace) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a trace encoded by MarshalBinary, replacing the
-// receiver's contents.
+// receiver's contents. Corrupt input returns an error, never a panic: a
+// unit, tuple or operand count is checked against the bytes left before
+// anything is sized from it (every unit takes at least two bytes, every
+// tuple at least one, every operand eight).
 func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
 		return fmt.Errorf("trace: bad magic")
@@ -67,6 +70,9 @@ func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if nUnits > uint64(len(data))/2 {
+		return fmt.Errorf("trace: %d units in %d bytes", nUnits, len(data))
+	}
 	t.limit = int(limit)
 	t.perUnit = make(map[string][][]uint64, nUnits)
 	for u := uint64(0); u < nUnits; u++ {
@@ -83,13 +89,16 @@ func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return err
 		}
+		if nTuples > uint64(len(data)) {
+			return fmt.Errorf("trace: unit %q: %d tuples in %d bytes", name, nTuples, len(data))
+		}
 		tuples := make([][]uint64, 0, nTuples)
 		for i := uint64(0); i < nTuples; i++ {
 			width, err := uvarint()
 			if err != nil {
 				return err
 			}
-			if uint64(len(data)) < 8*width {
+			if width > uint64(len(data))/8 {
 				return fmt.Errorf("trace: truncated tuple")
 			}
 			tup := make([]uint64, width)

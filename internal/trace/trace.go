@@ -23,10 +23,11 @@ const (
 	UnitFpMAD64  = "Fp-MAD64"
 )
 
+// unitNames lists the traced units in Figure 10 order; unitOf indexes it.
+var unitNames = [...]string{UnitFxPAdd32, UnitFxPMAD32, UnitFpAdd32, UnitFpMAD32, UnitFpAdd64, UnitFpMAD64}
+
 // UnitNames lists the traced units in Figure 10 order.
-func UnitNames() []string {
-	return []string{UnitFxPAdd32, UnitFxPMAD32, UnitFpAdd32, UnitFpMAD32, UnitFpAdd64, UnitFpMAD64}
-}
+func UnitNames() []string { return append([]string(nil), unitNames[:]...) }
 
 // OperandTrace accumulates operand tuples per arithmetic unit.
 type OperandTrace struct {
@@ -42,77 +43,100 @@ func NewOperandTrace(limit int) *OperandTrace {
 
 // Func returns the sm.TraceFunc that feeds this trace. Only the lowest
 // maxLane lanes are observed, mirroring the paper's 2048-lowest-threads
-// bound.
+// bound. The opcode picks the unit before anything else is done, so a
+// call for a unit that is already full returns without allocating.
 func (t *OperandTrace) Func(maxLane int) sm.TraceFunc {
 	return func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64) {
 		if lane >= maxLane {
 			return
 		}
-		unit, tuple := classify(op, wide, a, b, c)
-		if unit == "" {
+		u := unitOf(op)
+		if u < 0 {
 			return
 		}
-		if len(t.perUnit[unit]) >= t.limit {
+		have := t.perUnit[unitNames[u]]
+		if len(have) >= t.limit {
 			return
 		}
-		t.perUnit[unit] = append(t.perUnit[unit], tuple)
+		t.perUnit[unitNames[u]] = append(have, operands(op, wide, a, b, c))
 	}
 }
 
-// classify maps an executed opcode onto the injected unit and its operand
-// tuple. Subtractions are folded onto the adders via operand negation.
-func classify(op isa.Opcode, wide bool, a, b, c uint64) (string, []uint64) {
+// CanGrow reports whether launching k could add a tuple to the trace:
+// whether k's code holds a traced opcode whose unit is not yet full. A
+// kernel it rejects can be skipped without changing the trace.
+func (t *OperandTrace) CanGrow(k *isa.Kernel) bool {
+	for i := range k.Code {
+		if u := unitOf(k.Code[i].Op); u >= 0 && len(t.perUnit[unitNames[u]]) < t.limit {
+			return true
+		}
+	}
+	return false
+}
+
+// unitOf returns the index in unitNames of the unit that executes a traced
+// opcode (isa.Opcode.Traced), and -1 for every other opcode: the pipe class
+// gives the unit's format and width, and the multiplies go to its
+// multiply-add.
+func unitOf(op isa.Opcode) int {
+	if !op.Traced() {
+		return -1
+	}
+	var u int
+	switch op.Class() {
+	case isa.ClassFxP:
+		u = 0
+	case isa.ClassFP32:
+		u = 2
+	case isa.ClassFP64:
+		u = 4
+	default:
+		return -1
+	}
+	switch op {
+	case isa.IMUL, isa.IMAD, isa.FMUL, isa.FFMA, isa.DMUL, isa.DFMA:
+		u++
+	}
+	return u
+}
+
+// operands builds the tuple a traced opcode feeds its unit. Subtractions
+// are folded onto the adders via operand negation.
+func operands(op isa.Opcode, wide bool, a, b, c uint64) []uint64 {
 	switch op {
 	case isa.IADD:
-		return UnitFxPAdd32, []uint64{a & 0xffffffff, b & 0xffffffff}
+		return []uint64{a & 0xffffffff, b & 0xffffffff}
 	case isa.ISUB:
-		return UnitFxPAdd32, []uint64{a & 0xffffffff, uint64(uint32(-int32(b)))}
+		return []uint64{a & 0xffffffff, uint64(uint32(-int32(b)))}
 	case isa.IMUL:
-		return UnitFxPMAD32, []uint64{a & 0xffffffff, b & 0xffffffff, 0}
+		return []uint64{a & 0xffffffff, b & 0xffffffff, 0}
 	case isa.IMAD:
 		if wide {
-			return UnitFxPMAD32, []uint64{a & 0xffffffff, b & 0xffffffff, c}
+			return []uint64{a & 0xffffffff, b & 0xffffffff, c}
 		}
-		return UnitFxPMAD32, []uint64{a & 0xffffffff, b & 0xffffffff, c & 0xffffffff}
+		return []uint64{a & 0xffffffff, b & 0xffffffff, c & 0xffffffff}
 	case isa.FADD:
-		return UnitFpAdd32, []uint64{a & 0xffffffff, b & 0xffffffff}
+		return []uint64{a & 0xffffffff, b & 0xffffffff}
 	case isa.FSUB:
-		return UnitFpAdd32, []uint64{a & 0xffffffff, (b ^ 0x80000000) & 0xffffffff}
+		return []uint64{a & 0xffffffff, (b ^ 0x80000000) & 0xffffffff}
 	case isa.FMUL:
-		return UnitFpMAD32, []uint64{a & 0xffffffff, b & 0xffffffff, 0}
+		return []uint64{a & 0xffffffff, b & 0xffffffff, 0}
 	case isa.FFMA:
-		return UnitFpMAD32, []uint64{a & 0xffffffff, b & 0xffffffff, c & 0xffffffff}
+		return []uint64{a & 0xffffffff, b & 0xffffffff, c & 0xffffffff}
 	case isa.DADD:
-		return UnitFpAdd64, []uint64{a, b}
+		return []uint64{a, b}
 	case isa.DSUB:
-		return UnitFpAdd64, []uint64{a, b ^ (1 << 63)}
+		return []uint64{a, b ^ (1 << 63)}
 	case isa.DMUL:
-		return UnitFpMAD64, []uint64{a, b, 0}
+		return []uint64{a, b, 0}
 	case isa.DFMA:
-		return UnitFpMAD64, []uint64{a, b, c}
+		return []uint64{a, b, c}
 	}
-	return "", nil
+	return nil
 }
 
 // Tuples returns the collected tuples for a unit.
 func (t *OperandTrace) Tuples(unit string) [][]uint64 { return t.perUnit[unit] }
-
-// Merge appends another trace's tuples, respecting this trace's per-unit
-// limit. Collecting each workload into its own trace and merging in a fixed
-// workload order yields exactly the tuple stream a single serial collection
-// over the same workloads would produce — which is what lets the harness
-// trace workloads in parallel without perturbing the injection campaigns
-// downstream.
-func (t *OperandTrace) Merge(o *OperandTrace) {
-	for unit, tuples := range o.perUnit {
-		have := t.perUnit[unit]
-		room := t.limit - len(have)
-		if room <= 0 {
-			continue
-		}
-		t.perUnit[unit] = append(have, tuples[:min(room, len(tuples))]...)
-	}
-}
 
 // Sample draws n tuples (with replacement) for a unit using the given seed;
 // it synthesizes filler tuples deterministically if the trace is empty for

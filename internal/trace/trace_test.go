@@ -27,32 +27,67 @@ func TestClassifyMapping(t *testing.T) {
 		{isa.DFMA, false, UnitFpMAD64, 3},
 	}
 	for _, c := range cases {
-		unit, tuple := classify(c.op, c.wide, 1, 2, 3)
-		if unit != c.unit || len(tuple) != c.arity {
-			t.Errorf("%v: unit=%s arity=%d, want %s/%d", c.op, unit, len(tuple), c.unit, c.arity)
+		u, tuple := unitOf(c.op), operands(c.op, c.wide, 1, 2, 3)
+		if u < 0 || unitNames[u] != c.unit || len(tuple) != c.arity {
+			t.Errorf("%v: unit=%d arity=%d, want %s/%d", c.op, u, len(tuple), c.unit, c.arity)
 		}
 	}
-	if unit, _ := classify(isa.LDG, false, 0, 0, 0); unit != "" {
+	if unitOf(isa.LDG) >= 0 {
 		t.Error("non-arithmetic opcode classified")
 	}
 }
 
+// TestTracedOpcodesAreTheMappedOnes: the opcodes isa.Opcode.Traced accepts
+// — the only ones the simulator hands the tracer — are exactly the opcodes
+// the trace maps onto a unit, and they are the twelve that feed the six
+// Figure 10 units, each onto its own unit.
+func TestTracedOpcodesAreTheMappedOnes(t *testing.T) {
+	want := map[isa.Opcode]string{
+		isa.IADD: UnitFxPAdd32, isa.ISUB: UnitFxPAdd32,
+		isa.IMUL: UnitFxPMAD32, isa.IMAD: UnitFxPMAD32,
+		isa.FADD: UnitFpAdd32, isa.FSUB: UnitFpAdd32,
+		isa.FMUL: UnitFpMAD32, isa.FFMA: UnitFpMAD32,
+		isa.DADD: UnitFpAdd64, isa.DSUB: UnitFpAdd64,
+		isa.DMUL: UnitFpMAD64, isa.DFMA: UnitFpMAD64,
+	}
+	for i := 0; i < 256; i++ {
+		op := isa.Opcode(i)
+		u := unitOf(op)
+		if op.Traced() != (u >= 0) {
+			t.Errorf("%v: Traced() = %v but unit index %d", op, op.Traced(), u)
+		}
+		unit := ""
+		if u >= 0 {
+			unit = unitNames[u]
+		}
+		if unit != want[op] {
+			t.Errorf("%v maps to unit %q, want %q", op, unit, want[op])
+		}
+		if got := operands(op, false, 1, 2, 3); (got != nil) != op.Traced() {
+			t.Errorf("%v: operand tuple %v for Traced() = %v", op, got, op.Traced())
+		}
+	}
+}
+
 func TestSubtractionNegatesOperand(t *testing.T) {
-	_, tup := classify(isa.ISUB, false, 10, 3, 0)
+	tup := operands(isa.ISUB, false, 10, 3, 0)
 	if tup[1] != uint64(^uint32(3)+1) {
 		t.Errorf("ISUB operand b = %#x, want two's complement of 3", tup[1])
 	}
-	_, ftup := classify(isa.FSUB, false, 0, uint64(math.Float32bits(2.5)), 0)
+	ftup := operands(isa.FSUB, false, 0, uint64(math.Float32bits(2.5)), 0)
 	if ftup[1] != uint64(math.Float32bits(-2.5)) {
 		t.Errorf("FSUB operand b = %#x, want sign-flipped 2.5", ftup[1])
 	}
-	_, dtup := classify(isa.DSUB, false, 0, math.Float64bits(1.5), 0)
+	dtup := operands(isa.DSUB, false, 0, math.Float64bits(1.5), 0)
 	if dtup[1] != math.Float64bits(-1.5) {
 		t.Error("DSUB operand b should be sign-flipped")
 	}
 }
 
-func TestOperandTraceCollectsFromKernel(t *testing.T) {
+// kernelTrace traces a one-warp kernel (S2R, I2F, FADD, FFMA, IADD, STG)
+// with the lowest 8 lanes observed.
+func kernelTrace(t testing.TB, limit int) *OperandTrace {
+	t.Helper()
 	a := compiler.NewAsm("tr")
 	const rTid, rF, rG, rD = isa.Reg(0), isa.Reg(1), isa.Reg(2), isa.Reg(3)
 	a.S2R(rTid, isa.SRTid)
@@ -62,13 +97,17 @@ func TestOperandTraceCollectsFromKernel(t *testing.T) {
 	a.IAddI(rD, rTid, 5)
 	a.Stg(rTid, 0, rD)
 	a.Exit()
-	k := a.MustBuild(1, 32, 0)
-	tr := NewOperandTrace(100)
+	tr := NewOperandTrace(limit)
 	g := sm.NewGPU(sm.DefaultConfig(), 64)
 	g.Trace = tr.Func(8)
-	if _, err := g.Launch(k); err != nil {
+	if _, err := g.Launch(a.MustBuild(1, 32, 0)); err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+func TestOperandTraceCollectsFromKernel(t *testing.T) {
+	tr := kernelTrace(t, 100)
 	counts := tr.Counts()
 	if counts[UnitFpAdd32] != 8 { // 8 observed lanes
 		t.Errorf("FpAdd tuples %d, want 8", counts[UnitFpAdd32])
@@ -138,41 +177,45 @@ func TestMixComputesFractions(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesSerialCollection: per-source traces merged in source
-// order reproduce the single-trace stream, including the limit cut.
-func TestMergeMatchesSerialCollection(t *testing.T) {
-	feed := func(tr *OperandTrace, base uint64, n int) {
-		f := tr.Func(8)
-		for i := 0; i < n; i++ {
-			f(isa.IADD, false, 0, base+uint64(i), 1, 0, 0)
-		}
+// TestFuncFullUnitDoesNotAllocate: once a unit holds limit tuples, a call
+// for it returns before building a tuple.
+func TestFuncFullUnitDoesNotAllocate(t *testing.T) {
+	tr := NewOperandTrace(4)
+	f := tr.Func(8)
+	for i := 0; i < 4; i++ {
+		f(isa.DFMA, false, 0, 1, 2, 3, 0)
 	}
-	serial := NewOperandTrace(10)
-	feed(serial, 100, 7)
-	feed(serial, 200, 7)
+	if n := testing.AllocsPerRun(100, func() { f(isa.DFMA, false, 0, 1, 2, 3, 0) }); n != 0 {
+		t.Errorf("call for a full unit allocates %v times", n)
+	}
+	if got := tr.Counts()[UnitFpMAD64]; got != 4 {
+		t.Errorf("Fp-MAD64 holds %d tuples, want 4", got)
+	}
+}
 
-	a, b := NewOperandTrace(10), NewOperandTrace(10)
-	feed(a, 100, 7)
-	feed(b, 200, 7)
-	merged := NewOperandTrace(10)
-	merged.Merge(a)
-	merged.Merge(b)
-
-	st, mt := serial.Tuples(UnitFxPAdd32), merged.Tuples(UnitFxPAdd32)
-	if len(st) != 10 || len(mt) != 10 {
-		t.Fatalf("lengths %d / %d, want 10 (limit)", len(st), len(mt))
-	}
-	for i := range st {
-		if st[i][0] != mt[i][0] || st[i][1] != mt[i][1] {
-			t.Fatalf("tuple %d differs: %v vs %v", i, st[i], mt[i])
+// TestCanGrow: a kernel can grow the trace only through a traced opcode
+// whose unit still has room.
+func TestCanGrow(t *testing.T) {
+	kernel := func(ops ...isa.Opcode) *isa.Kernel {
+		k := &isa.Kernel{}
+		for _, op := range ops {
+			k.Code = append(k.Code, isa.Instr{Op: op})
 		}
+		return k
 	}
-	// Merging more once full is a no-op.
-	merged.Merge(a)
-	if len(merged.Tuples(UnitFxPAdd32)) != 10 {
-		t.Error("limit not respected on re-merge")
-	}
-	if merged.Counts()[UnitFxPAdd32] != 10 {
-		t.Error("counts")
+	tr := NewOperandTrace(1)
+	tr.Func(8)(isa.IADD, false, 0, 1, 2, 0, 0)
+	for _, c := range []struct {
+		k    *isa.Kernel
+		want bool
+	}{
+		{kernel(isa.IADD, isa.ISUB, isa.MOV, isa.EXIT), false}, // FxP-Add32 is full
+		{kernel(isa.LDG, isa.MUFU, isa.AND, isa.EXIT), false},  // nothing traced
+		{kernel(isa.IADD, isa.DSUB, isa.EXIT), true},           // Fp-Add64 has room
+		{kernel(isa.IMUL, isa.EXIT), true},                     // FxP-MAD32 has room
+	} {
+		if got := tr.CanGrow(c.k); got != c.want {
+			t.Errorf("CanGrow(%v) = %v, want %v", c.k.Code, got, c.want)
+		}
 	}
 }
