@@ -71,7 +71,7 @@ func BenchmarkTable4Synthesis(b *testing.B) {
 
 func benchCampaign(b *testing.B, tuples int) *harness.InjectionResult {
 	b.Helper()
-	inj, err := harness.RunInjection(tuples, 1)
+	inj, err := harness.RunInjectionCtx(context.Background(), engine.New(0), tuples, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkFig11SDCRisk(b *testing.B) {
 func benchPerf(b *testing.B, schemes []compiler.Scheme, label string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		perf, err := harness.RunPerf(schemes, false)
+		perf, err := harness.RunPerfCtxOpts(context.Background(), engine.New(0), schemes, false, harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkFig16FuturePredictors(b *testing.B) { benchPerf(b, harness.Fig16Sc
 
 func BenchmarkFig13InstructionBloat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		perf, err := harness.RunPerf(harness.Fig13Schemes(), false)
+		perf, err := harness.RunPerfCtxOpts(context.Background(), engine.New(0), harness.Fig13Schemes(), false, harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkFig13InstructionBloat(b *testing.B) {
 
 func BenchmarkFig14PowerEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pr, err := harness.RunPower()
+		pr, err := harness.RunPower(context.Background(), engine.New(0), harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func BenchmarkAblationOccupancy(b *testing.B) {
 // and HW-Sig-SRIV (SInRG's most aggressive organization) slowdowns, in
 // percent, and the SEC-DED add predictor's area in NAND2 equivalents.
 func sectionVI() (swapECC, hwSig, predNAND2 float64, err error) {
-	perf, err := harness.RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.SInRGSig}, false)
+	perf, err := harness.RunPerfCtxOpts(context.Background(), engine.New(0), []compiler.Scheme{compiler.SwapECC, compiler.SInRGSig}, false, harness.Options{})
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -47,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"swapcodes/internal/arith"
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/harness"
@@ -141,7 +140,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		if err := os.MkdirAll(verilogDir, 0o755); err != nil {
 			return err
 		}
-		for _, u := range arith.Units() {
+		for _, u := range harness.Units() {
 			path := filepath.Join(verilogDir, strings.ReplaceAll(u.Name, "-", "_")+".v")
 			if err := os.WriteFile(path, []byte(u.Circuit.Verilog()), 0o644); err != nil {
 				return err
@@ -176,8 +175,9 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		fmt.Fprintln(os.Stderr, "wrote", path)
 	}
 
-	// fig10/fig11 share the injection campaign; whichever experiment job
-	// gets there first computes it once and the other reuses it.
+	// fig10, fig11 and the headline share the injection campaign; whichever
+	// experiment job gets there first computes it once and the others reuse
+	// it.
 	var injOnce sync.Once
 	var injRes *harness.InjectionResult
 	var injErr error
@@ -188,9 +188,10 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		return injRes, injErr
 	}
 	// Every perf sweep of the run (fig12, fig13, cpistack, memcpi, fig15,
-	// fig16 and the headline's three) resolves its cells through one store,
-	// so each distinct (workload, scheme, memory model) cell is launched
-	// once per run, however many experiments share it.
+	// fig16 and the headline's three) and both Figure 14 power estimates
+	// resolve their cells through one store, so each distinct (workload,
+	// scheme, memory model) cell is launched once per run, however many
+	// experiments share it.
 	cells := harness.NewCellStore(nil)
 	sweep := func(ctx context.Context, schemes []compiler.Scheme, mem string) (*harness.PerfResult, error) {
 		return harness.RunPerfCtxOpts(ctx, pool, schemes, true, harness.Options{MemModel: mem, Cells: cells})
@@ -205,7 +206,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	experiments := []experiment{
 		{"headline", func(ctx context.Context) (string, error) {
 			// The headline is a flat-memory table whatever -mem-model says.
-			rows, err := harness.HeadlineCtx(ctx, pool, tuples, seed, harness.Options{Cells: cells})
+			rows, err := harness.HeadlineCtx(ctx, pool, getInj, harness.Options{Cells: cells})
 			if err != nil {
 				return "", err
 			}
@@ -290,8 +291,10 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			writeCSV("memcpi.csv", mc.CSV())
 			return out, nil
 		}},
-		{"fig14", func(context.Context) (string, error) {
-			pr, err := harness.RunPower()
+		{"fig14", func(ctx context.Context) (string, error) {
+			// Like the headline, Figure 14 is flat-memory whatever
+			// -mem-model says.
+			pr, err := harness.RunPower(ctx, pool, harness.Options{Cells: cells})
 			if err != nil {
 				return "", err
 			}

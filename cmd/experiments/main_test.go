@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"swapcodes/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/all.golden from current output")
+var update = flag.Bool("update", false, "rewrite testdata/all.golden and testdata/work.golden from current output")
 
 // buildExperiments compiles the experiments binary under test. It builds
 // without the race detector even under go test -race: the pin checks output
@@ -33,20 +37,35 @@ func buildExperiments(t *testing.T) string {
 //
 // and the diff shows exactly which numbers moved. Output is the same at
 // every -workers count, so two workers keep the test's wall time down.
+//
+// The same run also pins what it computed: its work ledger (workLedger)
+// must equal testdata/work.golden, which -update rewrites too. A change
+// that adds or removes work, with every printed number unchanged, fails
+// here with a ledger diff.
 func TestAllGolden(t *testing.T) {
 	bin := buildExperiments(t)
-	cmd := exec.Command(bin, "-exp", "all", "-workers", "2")
+	dir := t.TempDir()
+	metrics, trace := filepath.Join(dir, "metrics.json"), filepath.Join(dir, "trace.json")
+	cmd := exec.Command(bin, "-exp", "all", "-workers", "2", "-metrics", metrics, "-trace", trace)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("experiments -exp all: %v\n%s", err, stderr.Bytes())
 	}
-	path := filepath.Join("testdata", "all.golden")
+	checkGolden(t, "all.golden", stdout.Bytes())
+	checkLedger(t, "work.golden", workLedger(t, metrics, trace))
+}
+
+// readGolden rewrites testdata/name with got under -update, then returns
+// its content.
+func readGolden(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +73,14 @@ func TestAllGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run go test -run TestAllGolden -update to create it)", err)
 	}
-	got := stdout.Bytes()
+	return want
+}
+
+// checkGolden fails at the first line where got differs from the golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	want := readGolden(t, name, got)
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -69,6 +95,82 @@ func TestAllGolden(t *testing.T) {
 		}
 		return []byte("<end of output>")
 	}
-	t.Fatalf("-exp all stdout differs from %s (%d bytes, want %d); first at line %d:\ngot:  %q\nwant: %q",
+	t.Errorf("-exp all stdout differs from %s (%d bytes, want %d); first at line %d:\ngot:  %q\nwant: %q",
 		path, len(got), len(want), i+1, line(gl), line(wl))
+}
+
+// workLedger is the work an -exp all run did, read from its -metrics and
+// -trace files: every faultsim.* counter per unit, the cells the perf
+// sweeps launched (the sum of "launched" over the perf:* spans) and the
+// traced launches (the trace:* spans). Each is a total, and the same at
+// every worker count; which sweep launched a shared cell is not, so the
+// ledger does not say.
+func workLedger(t *testing.T, metricsPath, tracePath string) []byte {
+	t.Helper()
+	f, err := os.Open(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	metrics, err := obs.DecodeJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ValidateTrace(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, m := range metrics {
+		if m.Type == "counter" && strings.HasPrefix(m.Name, "faultsim.") {
+			fmt.Fprintf(&b, "%s %d\n", m.Name, m.Value)
+		}
+	}
+	launched, traced := 0, 0
+	for _, e := range events {
+		switch {
+		case strings.HasPrefix(e.Name, "perf:"):
+			n, _ := e.Args["launched"].(float64)
+			launched += int(n)
+		case strings.HasPrefix(e.Name, "trace:"):
+			traced++
+		}
+	}
+	fmt.Fprintf(&b, "perf:* launched %d\ntrace:* spans %d\n", launched, traced)
+	return b.Bytes()
+}
+
+// checkLedger fails with every ledger line that differs from the golden:
+// "-" for the golden's, "+" for this run's.
+func checkLedger(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want := readGolden(t, name, got)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	in := func(lines []string) map[string]bool {
+		m := make(map[string]bool, len(lines))
+		for _, l := range lines {
+			m[l] = true
+		}
+		return m
+	}
+	gotSet, wantSet := in(gl), in(wl)
+	var diff strings.Builder
+	for _, l := range wl {
+		if !gotSet[l] {
+			fmt.Fprintf(&diff, "-%s\n", l)
+		}
+	}
+	for _, l := range gl {
+		if !wantSet[l] {
+			fmt.Fprintf(&diff, "+%s\n", l)
+		}
+	}
+	t.Errorf("work ledger differs from testdata/%s:\n%s", name, diff.String())
 }

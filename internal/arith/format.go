@@ -5,8 +5,9 @@ package arith
 // normalized-only datapath: an operand with a zero exponent field is treated
 // as zero, rounding is truncation, and exponent overflow/underflow wraps.
 // (The injected operand streams come from traced workload values, which are
-// overwhelmingly normal numbers, so these simplifications do not perturb the
-// Figure 10 error-pattern statistics.)
+// overwhelmingly normal numbers; how much these simplifications move the
+// Figure 10 error-pattern statistics has not been measured. EXPERIMENTS.md
+// lists them under "Known deviations".)
 type fpFormat struct {
 	E    int // exponent bits
 	M    int // stored mantissa bits

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/engine"
+	"swapcodes/internal/obs"
 	"swapcodes/internal/sm"
 	"swapcodes/internal/workloads"
 )
@@ -41,10 +43,10 @@ func (t *countingTier) Put(key string, val []byte) error {
 	return nil
 }
 
-// TestSharedStoreLaunchesEachCellOnce runs Figures 12, 15 and 16 and the
-// headline concurrently through one store, as `experiments -exp all` does:
-// together they ask for 270 cells, of which 150 are distinct, and each
-// distinct cell must be launched, and stored, exactly once.
+// TestSharedStoreLaunchesEachCellOnce runs Figures 12, 14, 15 and 16 and
+// the headline concurrently through one store, as `experiments -exp all`
+// does: together they ask for 365 cells, of which 150 are distinct, and
+// each distinct cell must be launched, and stored, exactly once.
 func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
 	tier := newCountingTier()
 	cells := NewCellStore(tier)
@@ -58,7 +60,12 @@ func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
 	}
 	err := pool.Run(context.Background(), []engine.Job{
 		{Name: "headline", Run: func(ctx context.Context) error {
-			_, err := HeadlineCtx(ctx, pool, 300, 2, opt)
+			campaign := func(ctx context.Context) (*InjectionResult, error) { return RunInjectionCtx(ctx, pool, 300, 2) }
+			_, err := HeadlineCtx(ctx, pool, campaign, opt)
+			return err
+		}},
+		{Name: "fig14", Run: func(ctx context.Context) error {
+			_, err := RunPower(ctx, pool, opt)
 			return err
 		}},
 		sweep(Fig12Schemes()), sweep(Fig15Schemes()), sweep(Fig16Schemes()),
@@ -67,7 +74,8 @@ func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline plus Figure 12's four, Figure 15's two, and Figure 16's
-	// three new schemes (its fourth, Pre MAD, is Figure 12's).
+	// three new schemes (its fourth, Pre MAD, is Figure 12's). Figure 14's
+	// ten cells are Figure 12's on mm and snap.
 	const distinct = 15 * (1 + 4 + 2 + 3)
 	if len(tier.puts) != distinct {
 		t.Errorf("%d distinct cells stored, want %d", len(tier.puts), distinct)
@@ -76,6 +84,56 @@ func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
 		if n != 1 {
 			t.Errorf("cell %s stored %d times", key[:12], n)
 		}
+	}
+}
+
+// TestPowerServedFromStore: Figure 14 reads the verified Figure 12 cells of
+// mm and snap. After a Figure 12 sweep through a store, RunPower through
+// the same store launches and stores nothing, and renders what RunPower
+// with no store renders; on a fresh store it launches its 10 cells, as
+// `experiments -exp fig14` alone does.
+func TestPowerServedFromStore(t *testing.T) {
+	ctx := context.Background()
+	pool := engine.New(2)
+	rec := obs.NewRecorder()
+	pool.SetObs(rec)
+	launched := func() int {
+		n := 0
+		for _, e := range rec.Events() {
+			if strings.HasPrefix(e.Name, "perf:") {
+				n += e.Args["launched"].(int)
+			}
+		}
+		return n
+	}
+	want, err := RunPower(ctx, engine.New(2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := newCountingTier()
+	if _, err := RunPower(ctx, pool, Options{Cells: NewCellStore(fresh)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := launched(); n != 10 || len(fresh.puts) != 10 {
+		t.Errorf("RunPower on a fresh store launched %d cells and stored %d, want 10 and 10", n, len(fresh.puts))
+	}
+
+	tier := newCountingTier()
+	opt := Options{Cells: NewCellStore(tier)}
+	if _, err := RunPerfCtxOpts(ctx, engine.New(2), Fig12Schemes(), true, opt); err != nil {
+		t.Fatal(err)
+	}
+	stored, before := len(tier.puts), launched()
+	got, err := RunPower(ctx, pool, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := launched() - before; n != 0 || len(tier.puts) != stored {
+		t.Errorf("RunPower after the Figure 12 sweep launched %d cells and stored %d, want 0 and 0", n, len(tier.puts)-stored)
+	}
+	if got.Render() != want.Render() {
+		t.Errorf("Figure 14 from stored cells:\n%s\nwithout a store:\n%s", got.Render(), want.Render())
 	}
 }
 

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/engine"
 	"swapcodes/internal/isa"
 	"swapcodes/internal/obs/cpistack"
 	"swapcodes/internal/sm"
@@ -17,7 +19,7 @@ import (
 // launch's cycle count, and each scheme's attribution contributions must
 // sum exactly to its slowdown.
 func TestCPIStackPartitionHeadlineSweep(t *testing.T) {
-	perf, err := RunPerf(Fig12Schemes(), false)
+	perf, err := RunPerfCtxOpts(context.Background(), engine.New(0), Fig12Schemes(), false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

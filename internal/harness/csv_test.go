@@ -1,17 +1,19 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/engine"
 )
 
 func TestCSVExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps")
 	}
-	perf, err := RunPerf([]compiler.Scheme{compiler.SwapECC}, false)
+	perf, err := RunPerfCtxOpts(context.Background(), engine.New(0), []compiler.Scheme{compiler.SwapECC}, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestCSVExports(t *testing.T) {
 		t.Error("mix CSV content")
 	}
 
-	inj, err := RunInjection(200, 5)
+	inj, err := RunInjectionCtx(context.Background(), engine.New(0), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestCSVExports(t *testing.T) {
 		}
 	}
 
-	pr, err := RunPower()
+	pr, err := RunPower(context.Background(), engine.New(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestInterThreadFailureRenderedAsFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	perf, err := RunPerf([]compiler.Scheme{compiler.InterThread}, false)
+	perf, err := RunPerfCtxOpts(context.Background(), engine.New(0), []compiler.Scheme{compiler.InterThread}, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestChartRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	perf, err := RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.InterThread}, false)
+	perf, err := RunPerfCtxOpts(context.Background(), engine.New(0), []compiler.Scheme{compiler.SwapECC, compiler.InterThread}, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,15 +82,6 @@ type PerfResult struct {
 	Rows    []*PerfRow
 }
 
-// RunPerf executes every workload under baseline plus the given schemes,
-// verifying functional correctness of every run. Scheme failures
-// (inter-thread on mm/snap) are recorded, not fatal. Workloads run in
-// parallel on the default engine pool; the numbers are identical to a
-// serial sweep (see RunPerfCtxOpts).
-func RunPerf(schemes []compiler.Scheme, verify bool) (*PerfResult, error) {
-	return RunPerfCtxOpts(context.Background(), DefaultPool(), schemes, verify, Options{})
-}
-
 // runWorkload resolves one workload's row, baseline first, through
 // opt.Cells. It reports how many of the row's cells it launched.
 func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, int, error) {

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/ecc"
+	"swapcodes/internal/engine"
 	"swapcodes/internal/faultsim"
 	"swapcodes/internal/isa"
 )
@@ -57,7 +59,7 @@ func TestRunPerfFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	perf, err := RunPerf(Fig12Schemes(), true)
+	perf, err := RunPerfCtxOpts(context.Background(), engine.New(0), Fig12Schemes(), true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestRunPerfFig12Shape(t *testing.T) {
 }
 
 func TestRunInjectionSmall(t *testing.T) {
-	inj, err := RunInjection(400, 3)
+	inj, err := RunInjectionCtx(context.Background(), engine.New(0), 400, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestRunPowerFig14(t *testing.T) {
 	if testing.Short() {
 		t.Skip("power sweep")
 	}
-	pr, err := RunPower()
+	pr, err := RunPower(context.Background(), engine.New(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestFig15FailuresRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	perf, err := RunPerf(Fig15Schemes(), false)
+	perf, err := RunPerfCtxOpts(context.Background(), engine.New(0), Fig15Schemes(), false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,9 @@ func TestHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	rows, err := Headline(300, 2)
+	pool := engine.New(0)
+	campaign := func(ctx context.Context) (*InjectionResult, error) { return RunInjectionCtx(ctx, pool, 300, 2) }
+	rows, err := HeadlineCtx(context.Background(), pool, campaign, Options{Cells: NewCellStore(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

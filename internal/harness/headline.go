@@ -17,30 +17,27 @@ type HeadlineRow struct {
 	Measured string
 }
 
-// Headline recomputes the paper's headline claims in one pass (the table
-// EXPERIMENTS.md freezes) — the fastest way to check the whole artifact.
-// tuples controls the injection campaign size per unit. Its three sweeps
-// share one cell store, so each baseline runs once.
-func Headline(tuples int, seed int64) ([]HeadlineRow, error) {
-	return HeadlineCtx(context.Background(), DefaultPool(), tuples, seed, Options{Cells: NewCellStore(nil)})
-}
-
-// HeadlineCtx is Headline on a caller-owned pool, context and options: the
-// three perf sweeps (Figure 12, Figure 15 and the Fp-MAD projection) and
-// the injection campaign execute their jobs on the given pool, and the
-// sweeps resolve their cells through opt.Cells, so a caller that passes the
-// store of its other sweeps launches no cell twice.
-func HeadlineCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64, opt Options) ([]HeadlineRow, error) {
+// HeadlineCtx recomputes the paper's headline claims in one pass (the
+// table EXPERIMENTS.md freezes) — the fastest way to check the whole
+// artifact. Its three perf sweeps (Figure 12, Figure 15 and the Fp-MAD
+// projection) and Figure 14's power run on the given pool and resolve
+// their cells through opt.Cells, so a caller that passes the store of its
+// other sweeps launches no cell twice. campaign supplies the Figure 10/11
+// injection campaign, so a caller that also prints those figures computes
+// it once. It is called after the Figure 12 sweep: a caller whose other
+// experiments hold the pool's helper workers and share the campaign finds
+// it done by then, rather than waiting on it with a worker idle.
+func HeadlineCtx(ctx context.Context, pool *engine.Pool, campaign func(context.Context) (*InjectionResult, error), opt Options) ([]HeadlineRow, error) {
 	perf, err := RunPerfCtxOpts(ctx, pool, Fig12Schemes(), true, opt)
 	if err != nil {
 		return nil, err
 	}
 	mix := RunCodeMix(perf)
-	inj, err := RunInjectionCtx(ctx, pool, tuples, seed)
+	inj, err := campaign(ctx)
 	if err != nil {
 		return nil, err
 	}
-	pwr, err := RunPower()
+	pwr, err := RunPower(ctx, pool, opt)
 	if err != nil {
 		return nil, err
 	}

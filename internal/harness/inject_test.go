@@ -1,13 +1,18 @@
 package harness
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"swapcodes/internal/engine"
+)
 
 // TestTracedOperandsAreRealistic backs the injection methodology: the
 // floating-point operand streams extracted from the running workloads are
 // dominated by normal numbers in working-set-typical exponent bands, not
 // uniform bit noise.
 func TestTracedOperandsAreRealistic(t *testing.T) {
-	tr, err := CollectOperands(2000)
+	tr, err := CollectOperandsCtx(context.Background(), engine.New(1), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

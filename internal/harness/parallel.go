@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"swapcodes/internal/arith"
@@ -12,15 +13,26 @@ import (
 	"swapcodes/internal/workloads"
 )
 
-// DefaultPool is the engine pool used by the context-free driver entry
-// points (RunPerf, RunInjection, Headline): all cores. Results are
-// bit-identical at any worker count — see internal/engine — so the
-// context-free APIs lose nothing by defaulting to full parallelism.
-func DefaultPool() *engine.Pool { return engine.New(0) }
+// units is the process's unit set, built on first use.
+var units = sync.OnceValue(arith.Units)
 
-// CollectOperandsCtx traces the injection-source workloads one after
-// another, in workload order, into one trace, and skips every workload
-// whose code can feed only units that are already full
+// Units returns the process's unit set: the six arithmetic units of
+// Figures 10 and 11, synthesized by the first call and shared by every
+// campaign after it. Netlists never change, and a unit's cone tables are
+// read-only once built, so concurrent campaigns share them safely.
+// arith.Units builds a fresh set instead.
+func Units() []*arith.Unit { return units() }
+
+// CollectOperandsCtx runs un-duplicated workloads under the value tracer
+// and returns the operand trace. The paper traces the Rodinia 2.3
+// programs, targets the lowest-numbered threads, and bounds the trace size
+// (Section IV-A); we additionally trace SNAP because it is the workload
+// with substantial double-precision arithmetic — without it the FP64 units
+// would be injected with synthetic operands instead of real ones.
+//
+// The workloads are traced one after another, in workload order, into one
+// trace, and every workload whose code can feed only units that are
+// already full is skipped
 // (trace.OperandTrace.CanGrow). The result is, byte for byte, the trace
 // that per-workload traces concatenated in workload order and cut at the
 // limit would give: a skipped workload could add no tuple, and a launched
@@ -51,7 +63,7 @@ func CollectOperandsCtx(ctx context.Context, pool *engine.Pool, limit int) (*tra
 }
 
 // injectionSources lists the workloads operands are traced from, in
-// collection order: the Rodinia programs, then SNAP (see CollectOperands).
+// collection order: the Rodinia programs, then SNAP (see CollectOperandsCtx).
 func injectionSources() []*workloads.Workload {
 	progs := append([]*workloads.Workload{}, workloads.Rodinia()...)
 	if snap, err := workloads.ByName("snap"); err == nil {
@@ -69,32 +81,24 @@ func operandCount(tr *trace.OperandTrace) int {
 	return n
 }
 
-// RunInjectionCtx is the parallel Figure 10/11 campaign driver. Two pool
-// jobs run side by side first: the operand trace (CollectOperandsCtx) and
-// the six units' cone tables (gates.Circuit's fan-out CSR and cone sizes),
-// which the first shard of each unit would otherwise build while the other
-// workers wait on it (Fp-MAD64's take about 100 ms on a 2-vCPU Xeon VM).
-// Then every unit's campaign is split into seed-derived shards
-// (faultsim.ShardedCampaign) and all shards of all six units execute as
-// one flat job list on the pool. For a given master seed the result is
-// bit-identical at any worker count. On cancellation it returns the
-// partial result (whole shards only, concatenated in order) with the
-// error — always a valid, non-nil InjectionResult whose counts remain
-// usable as Wilson-interval inputs, even when no shard completed.
-func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64) (*InjectionResult, error) {
-	units := arith.Units()
-	res := &InjectionResult{Tuples: tuples}
-	for _, u := range units {
-		res.Units = append(res.Units, &UnitInjection{Unit: u})
-	}
+// PlanCampaign plans a Figure 10/11 campaign over the process's unit set
+// (Units). Two pool jobs run side by side: collect, which supplies the
+// operand trace, and the unit set's cone tables (gates.Circuit's fan-out
+// CSR and cone sizes), which the first shard of each unit would otherwise
+// build while the other workers wait on it (Fp-MAD64's take about 100 ms
+// on a 2-vCPU Xeon VM). Only the process's first campaign builds the units
+// and their tables; every later one finds them built. On error the plan is
+// nil.
+func PlanCampaign(ctx context.Context, pool *engine.Pool, tuples int, seed int64,
+	collect func(context.Context) (*trace.OperandTrace, error)) (*InjectionPlan, error) {
 	var tr *trace.OperandTrace
 	err := pool.Run(ctx, []engine.Job{
 		{Name: "trace", Run: func(ctx context.Context) (err error) {
-			tr, err = CollectOperandsCtx(ctx, pool, tuples)
+			tr, err = collect(ctx)
 			return err
 		}},
 		{Name: "cones", Run: func(ctx context.Context) error {
-			for _, u := range units {
+			for _, u := range Units() {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -104,15 +108,33 @@ func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed in
 		}},
 	})
 	if err != nil {
-		// Partial-result contract: a cancelled trace yields an empty but
+		return nil, err
+	}
+	return PlanInjection(Units(), tr, tuples, seed), nil
+}
+
+// RunInjectionCtx is the parallel Figure 10/11 campaign driver. It plans
+// the campaign (PlanCampaign, collecting the trace with CollectOperandsCtx)
+// and then executes every unit's seed-derived shards
+// (faultsim.ShardedCampaign) for all six units as one flat job list on the
+// pool. For a given master seed the result is bit-identical at any worker
+// count. On cancellation it returns the partial result (whole shards only,
+// concatenated in order) with the error — always a valid, non-nil
+// InjectionResult whose counts remain usable as Wilson-interval inputs,
+// even when no shard completed.
+func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64) (*InjectionResult, error) {
+	plan, err := PlanCampaign(ctx, pool, tuples, seed, func(ctx context.Context) (*trace.OperandTrace, error) {
+		return CollectOperandsCtx(ctx, pool, tuples)
+	})
+	if err != nil {
+		// Partial-result contract: a cancelled plan yields an empty but
 		// valid campaign result (zero injections per unit), not nil.
-		return res, err
+		return (&InjectionPlan{Units: Units(), Tuples: tuples}).Assemble(nil, 0), err
 	}
 
 	// The plan flattens (unit, shard) pairs into one job list rather than
 	// nesting Map calls per unit, so a six-unit campaign saturates the pool
 	// even when single units have few shards.
-	plan := PlanInjection(units, tr, tuples, seed)
 	campaignStart := time.Now()
 	shards, err := engine.Map(ctx, pool, len(plan.Shards()), func(ctx context.Context, j int) (ShardResult, error) {
 		return plan.RunShard(ctx, pool, j)
@@ -128,14 +150,20 @@ func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed in
 // count and of which cells came from the store. On cancellation the
 // completed rows are returned with the error.
 func RunPerfCtxOpts(ctx context.Context, pool *engine.Pool, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
-	all := workloads.All()
-	rows, err := engine.Map(ctx, pool, len(all), func(ctx context.Context, i int) (*PerfRow, error) {
+	return runRows(ctx, pool, workloads.All(), schemes, verify, opt)
+}
+
+// runRows is RunPerfCtxOpts over the given workloads: one row each, in
+// order, with one "perf:<workload>" span per row that counts the cells the
+// row launched.
+func runRows(ctx context.Context, pool *engine.Pool, ws []*workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
+	rows, err := engine.Map(ctx, pool, len(ws), func(ctx context.Context, i int) (*PerfRow, error) {
 		rec := pool.Recorder()
 		start := rec.Now()
-		row, launched, rerr := runWorkload(ctx, all[i], schemes, verify, opt)
+		row, launched, rerr := runWorkload(ctx, ws[i], schemes, verify, opt)
 		if rerr == nil {
 			pool.Tracker().AddItems(int64(len(schemes) + 1))
-			rec.Span(rec.Process("harness"), rec.NextTID(), "perf:"+all[i].Name, "driver",
+			rec.Span(rec.Process("harness"), rec.NextTID(), "perf:"+ws[i].Name, "driver",
 				start, rec.Now()-start, map[string]any{"schemes": len(schemes), "launched": launched})
 		}
 		return row, rerr

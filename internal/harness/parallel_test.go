@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"swapcodes/internal/compiler"
@@ -45,6 +46,58 @@ func TestInjectionWorkerCountInvariance(t *testing.T) {
 	// hold to the same byte-identical contract.
 	if serial.RenderConeStats() != par.RenderConeStats() {
 		t.Error("cone stats output differs between worker counts")
+	}
+}
+
+// TestConcurrentCampaignsShareUnits runs two campaigns with different
+// seeds at once on one pool, both on the process's unit set. Run alone, as
+// CI's race step runs it, the two make the process's first Units call, so
+// the race detector watches the units and their cone tables being built
+// while both campaigns wait on them. Each campaign must equal its own
+// serial run, injection stream for injection stream, and Units must return
+// the same units on every call.
+func TestConcurrentCampaignsShareUnits(t *testing.T) {
+	const tuples = 300
+	seeds := [2]int64{11, 12}
+	pool := engine.New(4)
+	var got [2]*InjectionResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunInjectionCtx(context.Background(), pool, tuples, seed)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := Units()
+	for i, seed := range seeds {
+		serial, err := RunInjectionCtx(context.Background(), engine.New(1), tuples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, u := range serial.Units {
+			if u.Unit != units[k] || got[i].Units[k].Unit != units[k] {
+				t.Errorf("seed %d: %s is not the process's unit", seed, u.Unit.Name)
+			}
+			if !reflect.DeepEqual(got[i].Units[k].Injections, u.Injections) {
+				t.Errorf("seed %d: %s: concurrent injection stream differs from the serial one", seed, u.Unit.Name)
+			}
+		}
+	}
+	if reflect.DeepEqual(got[0].Units[0].Injections, got[1].Units[0].Injections) {
+		t.Error("two seeds drew the same injection stream")
+	}
+	for i, u := range Units() {
+		if u != units[i] {
+			t.Errorf("Units()[%d] changed between calls", i)
+		}
 	}
 }
 

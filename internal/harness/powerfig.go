@@ -1,12 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/engine"
 	"swapcodes/internal/power"
-	"swapcodes/internal/sm"
 	"swapcodes/internal/workloads"
 )
 
@@ -36,32 +37,33 @@ func Fig14Schemes() []compiler.Scheme {
 // RunPower estimates power and energy for the high-utilization workloads
 // using the paper's sampling procedure (90th percentile over coarse
 // windows; the kernel occupies most of the application window for these
-// two programs).
-func RunPower() (*PowerResult, error) {
+// two programs). Its launches are verified sweep cells resolved through
+// opt.Cells: under flat memory they are the Figure 12 sweep's cells of
+// those two workloads, so after that sweep through the same store it
+// launches nothing.
+func RunPower(ctx context.Context, pool *engine.Pool, opt Options) (*PowerResult, error) {
+	var high []*workloads.Workload
+	for _, w := range workloads.All() {
+		if w.HighUtil {
+			high = append(high, w)
+		}
+	}
+	perf, err := runRows(ctx, pool, high, Fig14Schemes(), true, opt)
+	if err != nil {
+		return nil, err
+	}
 	model := power.DefaultModel()
 	res := &PowerResult{}
-	for _, w := range workloads.All() {
-		if !w.HighUtil {
-			continue
-		}
-		var baseW, baseE float64
-		for _, s := range append([]compiler.Scheme{compiler.Baseline}, Fig14Schemes()...) {
-			k, err := compiler.Apply(w.Kernel, s)
-			if err != nil {
-				return nil, err
-			}
-			g := w.NewGPU(sm.DefaultConfig())
-			st, err := g.Launch(k)
-			if err != nil {
-				return nil, err
+	for _, row := range perf.Rows {
+		baseW, baseE := model.Estimate(row.Baseline, 0.8, 66)
+		for _, s := range perf.Schemes {
+			st := row.Stats[s]
+			if st == nil {
+				return nil, fmt.Errorf("harness: power %s/%v: %s", row.Workload, s, row.Errs[s])
 			}
 			watts, energy := model.Estimate(st, 0.8, 66)
-			if s == compiler.Baseline {
-				baseW, baseE = watts, energy
-				continue
-			}
 			res.Rows = append(res.Rows, PowerRow{
-				Workload: w.Name, Scheme: s,
+				Workload: row.Workload, Scheme: s,
 				Watts: watts, EnergyUJ: energy,
 				RelPower:  watts / baseW,
 				RelEnergy: energy / baseE,

@@ -43,12 +43,6 @@ type SMProfResult struct {
 	Rows []*SMProfRow `json:"rows"`
 }
 
-// RunSMProf profiles every workload under baseline plus the Figure 12
-// schemes.
-func RunSMProf() (*SMProfResult, error) {
-	return RunSMProfCtx(context.Background(), Fig12Schemes(), Options{})
-}
-
 // RunSMProfCtx runs the profile sweep, one launch at a time in workload x
 // scheme order.
 func RunSMProfCtx(ctx context.Context, schemes []compiler.Scheme, opt Options) (*SMProfResult, error) {

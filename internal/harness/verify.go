@@ -60,12 +60,6 @@ func (r *VerifyResult) Render(title string) string {
 	return b.String()
 }
 
-// RunVerify checks every workload against the full matrix on the default
-// pool.
-func RunVerify() (*VerifyResult, error) {
-	return RunVerifyCtx(context.Background(), DefaultPool(), verify.Matrix())
-}
-
 // RunVerifyCtx runs the differential verifier workload-parallel: each job
 // replays one workload's baseline once, then checks every combo against it.
 // Pass/fail outcomes are deterministic, so results are independent of the

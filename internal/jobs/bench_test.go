@@ -38,8 +38,8 @@ func benchRunCampaign(b *testing.B, svc *Service, seed int64) {
 func BenchmarkServiceTelemetry(b *testing.B) {
 	run := func(b *testing.B, svc *Service) {
 		defer svc.Close()
-		// One untimed run warms the process-wide unit netlists and the
-		// engine pool so neither variant is charged for one-time setup.
+		// One untimed run warms the process's unit set (harness.Units) and
+		// the engine pool so neither variant is charged for one-time setup.
 		benchRunCampaign(b, svc, 999)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -8,17 +8,15 @@ import (
 	"path/filepath"
 	"sync"
 
-	"swapcodes/internal/arith"
 	"swapcodes/internal/obs"
 )
 
 // Cache is the content-addressed store for expensive intermediates and
 // final results: operand traces (a full workload-suite replay each), perf
-// sweep cells (harness.CellKey), finished job payloads, and — in process
-// memory — the six synthesized arithmetic units with their warmed cone
-// sizes. Keys are SHA-256 content addresses derived from the inputs that
-// determine the value (CacheKey), so a hit is always semantically safe to
-// reuse, as long as one simulator build writes a state dir.
+// sweep cells (harness.CellKey) and finished job payloads. Keys are
+// SHA-256 content addresses derived from the inputs that determine the
+// value (CacheKey), so a hit is always semantically safe to reuse, as long
+// as one simulator build writes a state dir.
 //
 // Layout: a memory map in front of an optional disk tier at
 // <dir>/<kk>/<key> (kk = first key byte in hex, to keep directories small).
@@ -171,29 +169,4 @@ func (t cellTier) Put(key string, val []byte) error { return t.c.Put("cell", key
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key)
-}
-
-// The six arithmetic units are synthesized gate netlists whose construction
-// (and cone-size precomputation) costs ~0.1 s — but they are immutable and
-// identical for every campaign, the textbook process-wide content-addressed
-// intermediate. Build them once per process, warm the cone sizes, and count
-// reuse through the same cache counters.
-var (
-	unitsOnce sync.Once
-	unitsMemo []*arith.Unit
-)
-
-// Units returns the process-cached unit set, counting a miss on first build
-// and a hit on every reuse.
-func (c *Cache) Units() []*arith.Unit {
-	built := false
-	unitsOnce.Do(func() {
-		built = true
-		unitsMemo = arith.Units()
-		for _, u := range unitsMemo {
-			u.ConeStats() // warm the cone sizes outside any job's critical path
-		}
-	})
-	c.hit("units", !built)
-	return unitsMemo
 }

@@ -47,8 +47,7 @@ func runShards(t *testing.T, pool *engine.Pool, plan *harness.InjectionPlan, idx
 // Wilson confidence intervals (assembled result bytes) — at 1, 4, and 16
 // workers, interleaving replayed and re-run shards arbitrarily.
 func TestCampaignResumeDeterminism(t *testing.T) {
-	cache, _ := NewCache("", nil)
-	units := cache.Units()
+	units := harness.Units()
 	tr := trace.NewOperandTrace(resumeTuples) // empty: Sample synthesizes deterministically
 	spec := Spec{Kind: KindCampaign, Tuples: resumeTuples, Seed: 1}
 
@@ -125,8 +124,7 @@ func TestCampaignResumeDeterminism(t *testing.T) {
 // checks the partial results honor shard atomicity: every completed shard
 // matches the reference exactly; no torn shards.
 func TestCampaignCancelKeepsWholeShards(t *testing.T) {
-	cache, _ := NewCache("", nil)
-	units := cache.Units()
+	units := harness.Units()
 	tr := trace.NewOperandTrace(resumeTuples)
 	plan := harness.PlanInjection(units, tr, resumeTuples, 1)
 	refs := plan.Shards()

@@ -153,13 +153,13 @@ type CampaignResult struct {
 
 func (r *runner) runCampaign(ctx context.Context, j *Job, replayed map[int]*ShardSummary) (*CampaignResult, error) {
 	spec := j.Spec
-	units := r.cache.Units()
-	tr, err := r.operandTrace(ctx, spec.Tuples)
+	plan, err := harness.PlanCampaign(ctx, r.pool, spec.Tuples, spec.Seed, func(ctx context.Context) (*trace.OperandTrace, error) {
+		return r.operandTrace(ctx, spec.Tuples)
+	})
 	if err != nil {
 		return nil, err
 	}
-	plan := harness.PlanInjection(units, tr, spec.Tuples, spec.Seed)
-	refs := plan.Shards()
+	units, refs := plan.Units, plan.Shards()
 	j.setShardTotal(len(refs))
 
 	sums := make([]*ShardSummary, len(refs))
@@ -402,7 +402,10 @@ type HeadlineResult struct {
 }
 
 func (r *runner) runHeadline(ctx context.Context, spec Spec) (*HeadlineResult, error) {
-	rows, err := harness.HeadlineCtx(ctx, r.pool, spec.Tuples, spec.Seed, harness.Options{Cells: r.cells})
+	campaign := func(ctx context.Context) (*harness.InjectionResult, error) {
+		return harness.RunInjectionCtx(ctx, r.pool, spec.Tuples, spec.Seed)
+	}
+	rows, err := harness.HeadlineCtx(ctx, r.pool, campaign, harness.Options{Cells: r.cells})
 	if err != nil {
 		return nil, err
 	}

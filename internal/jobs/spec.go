@@ -14,11 +14,12 @@
 //     log checkpoints each completed shard, and a restarted server re-runs
 //     only the missing ones; the merged stream equals an uninterrupted run
 //     byte for byte.
-//   - Content addressing. Expensive intermediates (operand traces, built
-//     circuits with their cone sizes, perf sweep cells) and final results
-//     are cached under keys derived from their inputs, so resubmitting an
-//     identical spec is answered at submit, and a perf job launches only
-//     the (workload, scheme) cells no earlier job computed.
+//   - Content addressing. Expensive intermediates (operand traces and perf
+//     sweep cells) and final results are cached under keys derived from
+//     their inputs, so resubmitting an identical spec is answered at
+//     submit, and a perf job launches only the (workload, scheme) cells no
+//     earlier job computed. The six unit netlists are the process's own
+//     (harness.Units), built by its first campaign.
 package jobs
 
 import (

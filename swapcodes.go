@@ -19,9 +19,12 @@
 package swapcodes
 
 import (
+	"context"
+
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/core"
 	"swapcodes/internal/ecc"
+	"swapcodes/internal/engine"
 	"swapcodes/internal/harness"
 	"swapcodes/internal/isa"
 	"swapcodes/internal/sm"
@@ -171,14 +174,17 @@ func Workloads() []*Workload { return workloads.All() }
 // WorkloadByName looks up one workload.
 func WorkloadByName(name string) (*Workload, error) { return workloads.ByName(name) }
 
-// RunPerf sweeps every workload under the given schemes (Figures 12/15/16);
-// see internal/harness for the per-figure helpers and renderers.
+// RunPerf sweeps every workload under the given schemes (Figures 12/15/16)
+// on all cores; see internal/harness for the per-figure helpers and
+// renderers. The numbers are the same at any worker count.
 func RunPerf(schemes []Scheme, verify bool) (*harness.PerfResult, error) {
-	return harness.RunPerf(schemes, verify)
+	return harness.RunPerfCtxOpts(context.Background(), engine.New(0), schemes, verify, harness.Options{})
 }
 
 // RunInjection runs the gate-level error-injection campaign of Figures
-// 10/11 with the given number of operand tuples per arithmetic unit.
+// 10/11 on all cores with the given number of operand tuples per
+// arithmetic unit. For a given seed the result is the same at any worker
+// count.
 func RunInjection(tuples int, seed int64) (*harness.InjectionResult, error) {
-	return harness.RunInjection(tuples, seed)
+	return harness.RunInjectionCtx(context.Background(), engine.New(0), tuples, seed)
 }
