@@ -59,13 +59,13 @@ type Bench struct {
 }
 
 // suite is the tier-1 benchmark set the trajectory tracks: the engine and
-// campaign throughput benches at the root, the observability overhead pair,
+// campaign throughput benches at the root, the plain and observed launches,
 // the CPI-stack accounting bench, and the job-service telemetry overhead
 // pair.
 var suite = []struct{ pkg, pattern string }{
 	{".", "BenchmarkEngineScaling"},
 	{".", "BenchmarkCampaignEvaluator"},
-	{"./internal/sm", "BenchmarkSMObsDisabled|BenchmarkSMObsEnabled"},
+	{"./internal/sm", "BenchmarkSMObsDisabled|BenchmarkSMObserved"},
 	{"./internal/sm", "BenchmarkSMProfArmed|BenchmarkSMFlightArmed"},
 	{"./internal/sm", "BenchmarkSMCPIStack"},
 	{"./internal/sm", "BenchmarkSMMemModelOff|BenchmarkSMMemModelArmed"},

@@ -8,6 +8,7 @@
 //	swapsim -workload lavaMD -scheme swap-ecc
 //	swapsim -workload mm -scheme baseline,sw-dup,swap-ecc -workers 4
 //	swapsim -workload bfs -scheme swap-ecc -mem-model sectored
+//	swapsim -workload bprop -scheme swap-ecc -fault 49 -lane 3 -bit 21
 //	swapsim -workload mm -scheme sw-dup -fault 120 -lane 3 -bit 9
 //	swapsim -workload mm -scheme sw-dup -fault 120 -lane -1 -bit -1 -seed 7
 //	swapsim -file kernel.sasm -scheme swap-ecc -mem 65536
@@ -19,13 +20,18 @@
 // With a comma-separated -scheme list the runs execute in parallel on an
 // engine pool (-workers, default all cores) and are reported in list order;
 // the simulator is deterministic, so the numbers match serial runs exactly.
-// With -lane -1 or -bit -1 the faulted lane/bit are drawn from -seed.
+// With -lane -1 or -bit -1 the faulted lane/bit are drawn from -seed. A
+// launch that fails after the injected fault fired is reported as the run's
+// outcome (output CRASHED), like a corrupted output.
 // With -submit the -scheme sweep runs as a perf job on a swapserve (or is
 // answered from its content-addressed cache) instead of simulating locally.
 // With -flight each launch runs under the flight recorder (DESIGN.md §14):
 // if a scheme fails to launch, or its output mismatches without a
 // deliberately injected fault, the black-box bundle of scheduler decisions
-// is written to the given path for replay.
+// is written to the given path for replay. With -metrics, -trace,
+// -metrics-interval or -serve each launch's recorder holds the whole launch
+// (harness.LaunchRings), and the SM's metrics and timeline are derived from
+// it once the launch ends (harness.ObserveLaunch).
 package main
 
 import (
@@ -143,6 +149,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	fail(checkFaultSite(*lane, *bit))
 	opts := runOpts{name: *name, file: *file, memWords: *memWords,
 		fault: *fault, lane: *lane, bit: *bit, memModel: *memModel,
 		disas: *disas, optimize: *optimize, log: log}
@@ -234,8 +241,8 @@ func run(schemes []compiler.Scheme, opts runOpts, workers int, seed int64,
 		}
 	}
 	// A stopped run still reports: the deferred flush leaves a coherent
-	// partial trace (finalize flushes the tail window and closes live warp
-	// spans) and partial counters.
+	// partial trace (ObserveLaunch closes the tail window and the spans of
+	// the warps still resident at the stop) and partial counters.
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		opts.log.Warn("cancelled; reporting partial results")
 	}
@@ -286,20 +293,38 @@ func runScheme(ctx context.Context, scheme compiler.Scheme, o runOpts) (string, 
 		g = sm.NewGPU(cfg, o.memWords)
 	}
 	if o.fault >= 0 {
-		g.Fault = &sm.FaultPlan{TargetDynInstr: o.fault, Lane: o.lane, BitMask: 1 << uint(o.bit%32)}
+		g.Fault = &sm.FaultPlan{TargetDynInstr: o.fault, Lane: o.lane, BitMask: 1 << uint(o.bit)}
 	}
-	g.Obs = o.rec
+	// One recorder per launch serves both -flight and the observation; the
+	// observation needs rings that hold the whole launch.
 	var fr *simprof.FlightRecorder
-	if o.flight != nil {
-		fr = simprof.NewFlightRecorder(0)
+	if o.flight != nil || o.rec != nil {
+		rings := 0
+		if o.rec != nil {
+			rings = harness.LaunchRings
+		}
+		fr = simprof.NewFlightRecorder(rings)
 		if w != nil {
 			fr.Annotate(w.Name, 0)
 		}
 		g.Flight = fr
 	}
 	st, err := g.LaunchContext(ctx, k)
+	if st != nil && o.rec != nil {
+		if oerr := harness.ObserveLaunch(o.rec, g, k, st); oerr != nil {
+			o.log.Warn("SM timeline omitted", slog.String("err", oerr.Error()))
+		}
+	}
 	if err != nil {
 		o.flight.dump(fr)
+		if st == nil && g.Fault != nil && g.Fault.Applied {
+			// The injected fault crashed the kernel: that is the run's
+			// outcome, not a tool failure.
+			fmt.Fprintf(&b, "workload    %s under %v\n", k.Name, scheme)
+			fmt.Fprintf(&b, "fault       applied=true\n")
+			fmt.Fprintf(&b, "output      CRASHED: %v\n\n", err)
+			return b.String(), nil
+		}
 		if st == nil || ctx.Err() == nil {
 			return "", err
 		}
@@ -396,6 +421,18 @@ func submitPerf(log *slog.Logger, base, tenant, traceParent string, schemes []st
 		return err
 	}
 	fmt.Println(jobs.RenderPayload(raw))
+	return nil
+}
+
+// checkFaultSite rejects a fault lane or bit outside a 32-lane warp and a
+// 32-bit register; -1 draws it from -seed.
+func checkFaultSite(lane, bit int) error {
+	if lane < -1 || lane > 31 {
+		return fmt.Errorf("-lane %d: want a lane in 0..31, or -1 to draw one from -seed", lane)
+	}
+	if bit < -1 || bit > 31 {
+		return fmt.Errorf("-bit %d: want a bit in 0..31, or -1 to draw one from -seed", bit)
+	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"sync"
-	"time"
 
 	"swapcodes/internal/arith"
 	"swapcodes/internal/compiler"
@@ -131,15 +130,7 @@ func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed in
 		// valid campaign result (zero injections per unit), not nil.
 		return (&InjectionPlan{Units: Units(), Tuples: tuples}).Assemble(nil, 0), err
 	}
-
-	// The plan flattens (unit, shard) pairs into one job list rather than
-	// nesting Map calls per unit, so a six-unit campaign saturates the pool
-	// even when single units have few shards.
-	campaignStart := time.Now()
-	shards, err := engine.Map(ctx, pool, len(plan.Shards()), func(ctx context.Context, j int) (ShardResult, error) {
-		return plan.RunShard(ctx, pool, j)
-	})
-	return plan.Assemble(shards, time.Since(campaignStart).Seconds()), err
+	return plan.Run(ctx, pool)
 }
 
 // RunPerfCtxOpts executes the workload×scheme sweep with workloads in

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"time"
 
 	"swapcodes/internal/arith"
 	"swapcodes/internal/engine"
@@ -12,10 +13,10 @@ import (
 
 // InjectionPlan is the shard-level decomposition of a Figure 10/11 campaign:
 // every (unit, shard) pair as an independently runnable, independently
-// seeded unit of work. RunInjectionCtx executes a plan's shards in one flat
-// Map; the job server executes the same shards through engine.MapIndices,
-// skipping the ones whose results it already holds from a previous,
-// interrupted run. Because shard i of unit u depends only on
+// seeded unit of work. Run executes a plan's shards in one flat Map; the
+// job server's campaign jobs execute the same shards through
+// engine.MapIndices, skipping the ones whose results it already holds from
+// a previous, interrupted run. Because shard i of unit u depends only on
 // (Seed, u, i) and the operand trace — never on other shards — the two
 // execution styles produce bit-identical injection streams.
 type InjectionPlan struct {
@@ -78,6 +79,19 @@ func (p *InjectionPlan) RunShard(ctx context.Context, pool *engine.Pool, j int) 
 		faultsim.RecordShard(pool.Recorder(), obs.FromContext(ctx), p.Units[u].Name, sh, start, n, inj, st)
 	}
 	return ShardResult{Injections: inj, Stats: st}, err
+}
+
+// Run executes every shard of the plan and assembles the result. The
+// (unit, shard) pairs run as one flat job list rather than one Map per
+// unit, so a six-unit campaign saturates the pool even when single units
+// have few shards. On cancellation the result holds the whole shards that
+// finished, with the error.
+func (p *InjectionPlan) Run(ctx context.Context, pool *engine.Pool) (*InjectionResult, error) {
+	start := time.Now()
+	shards, err := engine.Map(ctx, pool, len(p.shards), func(ctx context.Context, j int) (ShardResult, error) {
+		return p.RunShard(ctx, pool, j)
+	})
+	return p.Assemble(shards, time.Since(start).Seconds()), err
 }
 
 // Assemble merges per-shard results — positionally aligned with Shards,

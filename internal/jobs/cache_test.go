@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"swapcodes/internal/obs"
@@ -111,5 +112,38 @@ func TestCorruptTraceEntryIsRecollected(t *testing.T) {
 	}
 	if err := trace.NewOperandTrace(tuples).UnmarshalBinary(b); err != nil {
 		t.Errorf("corrupt trace entry not replaced by the recollected one: %v", err)
+	}
+}
+
+// TestHeadlineReadsCampaignTrace: a headline job after a campaign job at
+// the same tuple limit plans its campaign over the operand trace the
+// campaign job stored in the CAS: one more trace hit, and no trace:*
+// launch.
+func TestHeadlineReadsCampaignTrace(t *testing.T) {
+	const tuples = 64
+	svc := newService(t, Options{Workers: 2})
+	traceHits := func() int64 {
+		return svc.rec.Registry().Counter(obs.Name("jobs.cache_hits", "item", "trace")).Value()
+	}
+	traceSpans := func() int {
+		n := 0
+		for _, e := range svc.rec.Events() {
+			if strings.HasPrefix(e.Name, "trace:") {
+				n++
+			}
+		}
+		return n
+	}
+	runSpec(t, svc, Spec{Kind: KindCampaign, Tuples: tuples, Seed: 1})
+	hits, spans := traceHits(), traceSpans()
+	if spans == 0 {
+		t.Fatal("the campaign job collected its trace without a trace:* span")
+	}
+	runSpec(t, svc, Spec{Kind: KindHeadline, Tuples: tuples, Seed: 1})
+	if got := traceHits(); got != hits+1 {
+		t.Errorf("the headline job added %d trace hits, want 1", got-hits)
+	}
+	if got := traceSpans(); got != spans {
+		t.Errorf("the headline job recorded %d trace:* spans, want none", got-spans)
 	}
 }

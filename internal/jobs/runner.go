@@ -153,9 +153,7 @@ type CampaignResult struct {
 
 func (r *runner) runCampaign(ctx context.Context, j *Job, replayed map[int]*ShardSummary) (*CampaignResult, error) {
 	spec := j.Spec
-	plan, err := harness.PlanCampaign(ctx, r.pool, spec.Tuples, spec.Seed, func(ctx context.Context) (*trace.OperandTrace, error) {
-		return r.operandTrace(ctx, spec.Tuples)
-	})
+	plan, err := r.planCampaign(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -317,6 +315,15 @@ func assembleCampaign(spec Spec, plan *harness.InjectionPlan, sums []*ShardSumma
 	return res
 }
 
+// planCampaign plans spec's campaign over the operand trace of the
+// content-addressed cache (operandTrace), as campaign and headline jobs both
+// do.
+func (r *runner) planCampaign(ctx context.Context, spec Spec) (*harness.InjectionPlan, error) {
+	return harness.PlanCampaign(ctx, r.pool, spec.Tuples, spec.Seed, func(ctx context.Context) (*trace.OperandTrace, error) {
+		return r.operandTrace(ctx, spec.Tuples)
+	})
+}
+
 // operandTrace loads the workload operand trace from the content-addressed
 // cache or collects it (a full workload replay) and stores it. The trace is
 // the service's most expensive reusable intermediate: every campaign and
@@ -403,7 +410,11 @@ type HeadlineResult struct {
 
 func (r *runner) runHeadline(ctx context.Context, spec Spec) (*HeadlineResult, error) {
 	campaign := func(ctx context.Context) (*harness.InjectionResult, error) {
-		return harness.RunInjectionCtx(ctx, r.pool, spec.Tuples, spec.Seed)
+		plan, err := r.planCampaign(ctx, spec)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Run(ctx, r.pool)
 	}
 	rows, err := harness.HeadlineCtx(ctx, r.pool, campaign, harness.Options{Cells: r.cells})
 	if err != nil {

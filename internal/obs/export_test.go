@@ -89,7 +89,6 @@ func TestWriteMetricsByExtension(t *testing.T) {
 func TestTraceWriteAndValidate(t *testing.T) {
 	r := NewRecorder()
 	pid := r.Process("engine")
-	r.ThreadName(pid, 1, "worker-1")
 	r.Span(pid, 1, "job", "job", 10, 50, map[string]any{"n": 3})
 	r.Instant(pid, 1, "mark", "x", 20, nil)
 	r.Sample(pid, "queue", 30, map[string]any{"depth": 4})
@@ -101,8 +100,8 @@ func TestTraceWriteAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recorder produced an invalid trace: %v", err)
 	}
-	if len(events) != 5 { // process_name + thread_name + span + instant + counter
-		t.Errorf("trace has %d events, want 5", len(events))
+	if len(events) != 4 { // process_name + span + instant + counter
+		t.Errorf("trace has %d events, want 4", len(events))
 	}
 }
 

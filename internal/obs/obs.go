@@ -5,11 +5,11 @@
 //
 // The layer is built for hot loops. Instruments are lock-free after
 // registration (plain atomic adds), and every producer guards its
-// instrumentation behind a nil check on its *Recorder — a disabled simulator
-// pays exactly one predictable branch per scheduler round (see
-// BenchmarkSMObsDisabled in internal/sm). Registration itself
-// (Registry.Counter and friends) takes a mutex and is meant for cold paths:
-// fetch instruments once at setup, not per event.
+// instrumentation behind a nil check on its *Recorder. The SM records
+// nothing here while it runs: its series and timeline are derived after
+// each launch from its flight recorder (harness.ObserveLaunch).
+// Registration itself (Registry.Counter and friends) takes a mutex and is
+// meant for cold paths: fetch instruments once at setup, not per event.
 package obs
 
 import (

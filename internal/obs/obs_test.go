@@ -121,7 +121,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Span(1, 1, "s", "c", 0, 5, nil)
 	r.Instant(1, 1, "i", "c", 0, nil)
 	r.Sample(1, "n", 0, map[string]any{"v": 1})
-	r.ThreadName(1, 1, "t")
 	r.SetMaxEvents(5)
 	if r.Process("p") != 0 || r.NextTID() != 0 || r.Now() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder returned non-zero ids")

@@ -144,15 +144,6 @@ func (r *Recorder) NextTID() int64 {
 	return tid
 }
 
-// ThreadName emits thread_name metadata for (pid, tid).
-func (r *Recorder) ThreadName(pid, tid int64, name string) {
-	if r == nil {
-		return
-	}
-	r.add(Event{Name: "thread_name", Ph: "M", PID: pid, TID: tid,
-		Args: map[string]any{"name": name}})
-}
-
 // Span records a complete ("X") event covering [ts, ts+dur).
 func (r *Recorder) Span(pid, tid int64, name, cat string, ts, dur int64, args map[string]any) {
 	if r == nil {

@@ -13,7 +13,8 @@ import (
 type Kind uint8
 
 const (
-	// KindIssue: a warp issued one instruction (Warp, PC set).
+	// KindIssue: a warp issued one instruction (Warp, PC set), logged after
+	// it executed; Aux is 1 when the instruction retired the warp.
 	KindIssue Kind = iota + 1
 	// KindStall: a partition issued nothing this round (Reason set, Aux is
 	// the partition's earliest wake cycle).
@@ -28,11 +29,19 @@ const (
 	KindMerge
 	// KindViolate: a dynamic invariant recorded a violation at this cycle.
 	KindViolate
+	// KindResident: a warp became resident at its CTA's launch (Warp set).
+	KindResident
+	// KindDue: a register read flagged a pipeline DUE (Warp, PC set; Aux is
+	// reg<<8 | lane).
+	KindDue
+	// KindTrap: a BPT trap fired (Warp, PC set).
+	KindTrap
 )
 
 var kindNames = map[Kind]string{
 	KindIssue: "issue", KindStall: "stall", KindPark: "park",
 	KindSkip: "skip", KindMerge: "merge", KindViolate: "violate",
+	KindResident: "resident", KindDue: "due", KindTrap: "trap",
 }
 
 // String names the kind for human consumption of bundles.
@@ -58,9 +67,12 @@ type Decision struct {
 // Ring is a fixed-capacity decision ring. Add is a store and an increment —
 // the "near-zero cost when armed" budget — and is single-writer by
 // construction: each partition owns its ring during phase A, the merge ring
-// belongs to the barrier.
+// belongs to the barrier. A ring larger than DefaultRingCapacity starts at
+// that size and doubles as it fills, so a ring sized for a whole launch
+// costs the memory the launch logs, not its capacity.
 type Ring struct {
 	buf []Decision
+	max int    // capacity buf grows to
 	n   uint64 // total ever appended; buf index is n & mask
 }
 
@@ -70,14 +82,21 @@ func newRing(capacity int) *Ring {
 	for c < capacity {
 		c <<= 1
 	}
-	return &Ring{buf: make([]Decision, c)}
+	return &Ring{buf: make([]Decision, min(c, DefaultRingCapacity)), max: c}
 }
 
 // Add appends one decision, overwriting the oldest once full.
 func (r *Ring) Add(d Decision) {
+	if r.n == uint64(len(r.buf)) && len(r.buf) < r.max {
+		r.buf = append(r.buf, make([]Decision, len(r.buf))...)
+	}
 	r.buf[r.n&uint64(len(r.buf)-1)] = d
 	r.n++
 }
+
+// Lost returns how many decisions the ring overwrote: zero means Snapshot
+// holds every decision ever added.
+func (r *Ring) Lost() uint64 { return r.n - min(r.n, uint64(len(r.buf))) }
 
 // Snapshot returns the retained decisions oldest-first.
 func (r *Ring) Snapshot() []Decision {
@@ -270,6 +289,12 @@ func (b *Bundle) Decisions() int {
 	return n
 }
 
+// MaxBundlePartitions bounds the partition index a bundle line may name. A
+// partition is a warp scheduler, and an SM has a handful; without the bound
+// one line naming a huge index would make ReadBundle allocate a stream for
+// every partition below it.
+const MaxBundlePartitions = 1024
+
 // ReadBundle parses a JSONL bundle, validating the end-line count so a
 // truncated dump is reported rather than silently replayed short.
 func ReadBundle(r io.Reader) (*Bundle, error) {
@@ -297,6 +322,9 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 			if bl.Part < 0 {
 				b.Merge = append(b.Merge, bl.Decision)
 				continue
+			}
+			if bl.Part >= MaxBundlePartitions {
+				return nil, fmt.Errorf("simprof: bundle line %d: partition %d past the bound of %d", n, bl.Part, MaxBundlePartitions)
 			}
 			for len(b.Partitions) <= bl.Part {
 				b.Partitions = append(b.Partitions, nil)

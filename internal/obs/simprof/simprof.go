@@ -11,12 +11,6 @@
 // value types defined here.
 package simprof
 
-import (
-	"fmt"
-
-	"swapcodes/internal/obs"
-)
-
 // PartitionProf is one scheduler partition's share of a launch, filled by the
 // machine at finalize (cumulative counters) and at each merge barrier (log
 // peaks). All fields are written either by the partition during phase A or
@@ -113,49 +107,4 @@ func (lp *LaunchProf) LoadImbalance() float64 {
 	}
 	mean := float64(sum) / float64(len(lp.Partitions))
 	return float64(max) / mean
-}
-
-// stall reason labels, in partition slot-counter order.
-var stallLabels = [4]string{"deps", "throttle", "barrier", "nowarp"}
-
-func (p *PartitionProf) stallByReason() [4]int64 {
-	return [4]int64{p.StallDeps, p.StallThrottle, p.StallBarrier, p.StallNoWarp}
-}
-
-// EmitMetrics folds the profile into a registry under the repo's labeled-
-// metric convention. The {partition} label space is bounded by the scheduler
-// count (≤ Config.Schedulers, itself well under the registry's per-family
-// label cap), and {kernel,scheme} follow the sm instrument families, so
-// /metrics and /timeseries scrapes line up with the sm.* series.
-func (lp *LaunchProf) EmitMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	kv := []string{"kernel", lp.Kernel, "scheme", lp.Scheme}
-	add := func(name string, v int64, extra ...string) {
-		if v != 0 {
-			reg.Counter(obs.Name(name, append(append([]string{}, kv...), extra...)...)).Add(v)
-		}
-	}
-	add("simprof.rounds", lp.Rounds)
-	add("simprof.idle_rounds", lp.IdleRounds)
-	add("simprof.skipped_cycles", lp.SkippedCycles)
-	reg.Gauge(obs.Name("simprof.load_imbalance_pct", kv...)).Set(int64(lp.LoadImbalance() * 100))
-	peakLog := reg.Histogram(obs.Name("simprof.partition_deferred_peak", kv...), obs.ExpBounds(1, 12)...)
-	for i := range lp.Partitions {
-		p := &lp.Partitions[i]
-		part := fmt.Sprintf("p%d", p.Index)
-		add("simprof.partition_issued", p.Issued, "partition", part)
-		add("simprof.partition_warps", p.WarpsAssigned, "partition", part)
-		add("simprof.partition_parked", p.Parked, "partition", part)
-		for r, v := range p.stallByReason() {
-			add("simprof.partition_stall_rounds", v, "partition", part, "reason", stallLabels[r])
-		}
-		add("simprof.partition_deferred_entries", p.WlogTotal, "partition", part, "log", "wlog")
-		add("simprof.partition_deferred_entries", p.SlogTotal, "partition", part, "log", "slog")
-		add("simprof.partition_deferred_entries", p.EventsTotal, "partition", part, "log", "events")
-		peakLog.Observe(int64(p.PeakWlog))
-		peakLog.Observe(int64(p.PeakSlog))
-		peakLog.Observe(int64(p.PeakEvents))
-	}
 }

@@ -2,11 +2,10 @@ package simprof
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-
-	"swapcodes/internal/obs"
 )
 
 func TestRingWrap(t *testing.T) {
@@ -101,6 +100,65 @@ func TestReadBundleTruncated(t *testing.T) {
 	}
 }
 
+// TestRingLost: a ring reports how many decisions it overwrote, so a reader
+// that needs every decision can tell a short stream from a whole one.
+func TestRingLost(t *testing.T) {
+	r := newRing(4)
+	for i := int64(1); i <= 4; i++ {
+		r.Add(Decision{Cycle: i})
+	}
+	if r.Lost() != 0 {
+		t.Fatalf("full ring lost %d decisions, want 0", r.Lost())
+	}
+	r.Add(Decision{Cycle: 5})
+	r.Add(Decision{Cycle: 6})
+	if r.Lost() != 2 {
+		t.Fatalf("ring lost %d decisions, want 2", r.Lost())
+	}
+}
+
+// TestRingGrows: a ring past DefaultRingCapacity grows as it fills, keeps
+// every decision in order until its capacity, then wraps like any ring.
+func TestRingGrows(t *testing.T) {
+	const c = 4 * DefaultRingCapacity
+	r := newRing(c)
+	if len(r.buf) != DefaultRingCapacity {
+		t.Fatalf("fresh ring holds %d slots, want %d", len(r.buf), DefaultRingCapacity)
+	}
+	for i := int64(0); i < c+3; i++ {
+		r.Add(Decision{Cycle: i})
+	}
+	got := r.Snapshot()
+	if len(got) != c || r.Lost() != 3 {
+		t.Fatalf("ring holds %d decisions and lost %d, want %d and 3", len(got), r.Lost(), c)
+	}
+	for i, d := range got {
+		if d.Cycle != int64(i+3) {
+			t.Fatalf("entry %d has cycle %d, want %d", i, d.Cycle, i+3)
+		}
+	}
+}
+
+// TestReadBundleBoundsPartitions: a line naming a partition past
+// MaxBundlePartitions is refused rather than allocated for.
+func TestReadBundleBoundsPartitions(t *testing.T) {
+	if _, err := ReadBundle(strings.NewReader(hugePartitionBundle)); err == nil {
+		t.Fatal("bundle naming partition 100000 accepted")
+	}
+	ok := strings.Replace(hugePartitionBundle, "100000", fmt.Sprint(MaxBundlePartitions-1), 1)
+	b, err := ReadBundle(strings.NewReader(ok))
+	if err != nil || len(b.Partitions) != MaxBundlePartitions {
+		t.Fatalf("bundle naming the last partition: %v, %d partitions", err, len(b.Partitions))
+	}
+}
+
+// hugePartitionBundle is a three-line bundle whose one decision names
+// partition 100000.
+const hugePartitionBundle = `{"type":"meta","meta":{"kernel":"k","scheme":"s","cycle":0,"reason":"r"}}
+{"type":"decision","part":100000,"c":1,"k":1}
+{"type":"end","count":1}
+`
+
 func TestLaunchProfDerived(t *testing.T) {
 	var lp LaunchProf
 	lp.Reset(2)
@@ -132,55 +190,11 @@ func TestLaunchProfDerived(t *testing.T) {
 	}
 }
 
-func TestEmitMetrics(t *testing.T) {
-	var lp LaunchProf
-	lp.Reset(2)
-	lp.Kernel, lp.Scheme = "mm", "Swap-ECC"
-	lp.Rounds, lp.IdleRounds, lp.SkippedCycles = 100, 40, 350
-	lp.Partitions[0].Issued = 60
-	lp.Partitions[0].WarpsAssigned = 8
-	lp.Partitions[0].StallDeps = 10
-	lp.Partitions[0].Parked = 2
-	lp.Partitions[1].Issued = 40
-	lp.ObserveLogs(1, 3, 0, 1)
-
-	reg := obs.NewRegistry()
-	lp.EmitMetrics(reg)
-	want := map[string]int64{
-		`simprof.rounds{kernel="mm",scheme="Swap-ECC"}`:                                                 100,
-		`simprof.idle_rounds{kernel="mm",scheme="Swap-ECC"}`:                                            40,
-		`simprof.skipped_cycles{kernel="mm",scheme="Swap-ECC"}`:                                         350,
-		`simprof.partition_issued{kernel="mm",partition="p0",scheme="Swap-ECC"}`:                        60,
-		`simprof.partition_issued{kernel="mm",partition="p1",scheme="Swap-ECC"}`:                        40,
-		`simprof.partition_warps{kernel="mm",partition="p0",scheme="Swap-ECC"}`:                         8,
-		`simprof.partition_parked{kernel="mm",partition="p0",scheme="Swap-ECC"}`:                        2,
-		`simprof.partition_stall_rounds{kernel="mm",partition="p0",reason="deps",scheme="Swap-ECC"}`:    10,
-		`simprof.partition_deferred_entries{kernel="mm",log="wlog",partition="p1",scheme="Swap-ECC"}`:   3,
-		`simprof.partition_deferred_entries{kernel="mm",log="events",partition="p1",scheme="Swap-ECC"}`: 1,
-	}
-	got := map[string]int64{}
-	for _, m := range reg.Snapshot() {
-		got[m.Name] = m.Value
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %d, want %d", name, got[name], v)
-		}
-	}
-	// imbalance = max 60 / mean 50 = 1.2 → 120 in integer percent.
-	if g := reg.Gauge(`simprof.load_imbalance_pct{kernel="mm",scheme="Swap-ECC"}`).Value(); g != 120 {
-		t.Errorf("imbalance gauge = %d, want 120", g)
-	}
-	h := reg.Histogram(`simprof.partition_deferred_peak{kernel="mm",scheme="Swap-ECC"}`)
-	if h.Count() != 6 { // 2 partitions x 3 logs
-		t.Errorf("deferred-peak histogram count = %d, want 6", h.Count())
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindIssue: "issue", KindStall: "stall", KindPark: "park",
 		KindSkip: "skip", KindMerge: "merge", KindViolate: "violate",
+		KindResident: "resident", KindDue: "due", KindTrap: "trap",
 		Kind(0): "kind(0)",
 	} {
 		if got := k.String(); got != want {

@@ -111,8 +111,9 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 	case isa.BPT:
 		if mask != 0 {
 			p.trapped = true
-			if m.obsm != nil {
-				m.obsm.rec.Instant(m.obsm.pid, 0, "BPT trap", "due", m.cycle, nil)
+			if p.fr != nil {
+				p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid),
+					PC: w.top().pc, Kind: simprof.KindTrap})
 			}
 			p.execExit(w, w.top().mask)
 			return nil
@@ -564,8 +565,7 @@ func (m *machine) special(w *warpState, sr isa.SpecialReg, lane int) uint32 {
 func (m *machine) writeback(w *warpState, in *isa.Instr, mask uint32, res, resHi *[isa.WarpSize]uint32, wide bool, injectNow bool) {
 	if in.Dst == isa.RZ {
 		if injectNow {
-			m.g.Fault.Applied = true // fault landed in a discarded result
-			m.faultCycle = m.cycle
+			m.g.Fault.Applied, m.g.Fault.Cycle = true, m.cycle // fault landed in a discarded result
 		}
 		return
 	}
@@ -579,8 +579,7 @@ func (m *machine) writeback(w *warpState, in *isa.Instr, mask uint32, res, resHi
 		if injectNow && lane == fp.Lane {
 			lo ^= fp.BitMask
 			hi ^= fp.BitMaskHi
-			fp.Applied = true
-			m.faultCycle = m.cycle
+			fp.Applied, fp.Cycle = true, m.cycle
 		}
 		if wide && w.rf != nil && in.Flags&isa.FlagPredicted != 0 {
 			// Compute both halves' predicted check bits BEFORE either write
@@ -896,8 +895,9 @@ func (m *machine) eccCheckSources(w *warpState, in *isa.Instr, mask uint32) erro
 				w.regs[int(r)*isa.WarpSize+lane] = v
 			case core.ReadDUEPipeline:
 				m.stats.PipelineDUEs++
-				if m.obsm != nil {
-					m.obsm.due(m, r, lane)
+				if fr := m.parts[w.sched].fr; fr != nil {
+					fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid), PC: w.top().pc,
+						Kind: simprof.KindDue, Aux: int64(r)<<8 | int64(lane)})
 				}
 				if m.cfg.HaltOnDUE {
 					return &DUEError{Kernel: m.k.Name, Reg: r, Lane: lane}

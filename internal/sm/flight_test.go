@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/harness"
 	"swapcodes/internal/obs/simprof"
 	"swapcodes/internal/sm"
 	"swapcodes/internal/workloads"
@@ -121,41 +122,71 @@ func TestFlightBundleNotStampedOnSuccess(t *testing.T) {
 }
 
 // TestParallelSMDifferentialTelemetry re-runs a slice of the differential
-// sweep with BOTH simprof surfaces armed (LaunchProf and FlightRecorder) and
-// requires Stats and final memory to stay bit-identical to the bare run —
-// the telemetry must observe the loop, never perturb it — and two armed
-// launches to record the same profile and decision streams.
+// sweep with BOTH simprof surfaces armed (LaunchProf and a whole-launch
+// FlightRecorder) and requires Stats and final memory to stay bit-identical
+// to the bare run — the telemetry must observe the loop, never perturb it —
+// and two armed launches to record the same profile and decision streams.
+// The two faulted launches arm every decision kind the observation path
+// reads: one resident decision per warp, one retiring issue per warp, one
+// due per pipeline DUE (five, under Swap-ECC) and the SW-Dup BPT trap.
 func TestParallelSMDifferentialTelemetry(t *testing.T) {
-	for _, name := range []string{"lavaMD", "hspot", "mm"} {
-		w, err := workloads.ByName(name)
+	for _, c := range []struct {
+		workload string
+		scheme   compiler.Scheme
+		fault    *sm.FaultPlan
+	}{
+		{"lavaMD", compiler.SwapECC, nil},
+		{"hspot", compiler.SwapECC, nil},
+		{"mm", compiler.SwapECC, nil},
+		{"bprop", compiler.SwapECC, &sm.FaultPlan{TargetDynInstr: 49, Lane: 3, BitMask: 1 << 21}},
+		{"mm", compiler.SWDup, &sm.FaultPlan{TargetDynInstr: 120, Lane: 3, BitMask: 1 << 9}},
+	} {
+		name := c.workload + "/" + c.scheme.String()
+		w, err := workloads.ByName(c.workload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := compiler.MustApply(w.Kernel, compiler.SwapECC)
-		refSt, refMem := launchWith(t, w, k, compiler.SwapECC, sm.DefaultConfig())
+		k := compiler.MustApply(w.Kernel, c.scheme)
+		launch := func(armed bool) (*sm.GPU, *sm.Stats) {
+			cfg := sm.DefaultConfig()
+			cfg.ECC = c.fault != nil
+			g := w.NewGPU(cfg)
+			if c.fault != nil {
+				fp := *c.fault
+				g.Fault = &fp
+			}
+			if armed {
+				g.Prof = &simprof.LaunchProf{}
+				g.Flight = simprof.NewFlightRecorder(harness.LaunchRings)
+			}
+			st, err := g.Launch(k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if c.fault == nil {
+				if err := w.Verify(g); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			return g, st
+		}
+		ref, refSt := launch(false)
 
 		var refProf *simprof.LaunchProf
 		var refParts [][]simprof.Decision
 		var refMerge []simprof.Decision
 		for run := 0; run < 2; run++ {
-			g := w.NewGPU(sm.DefaultConfig())
-			prof := &simprof.LaunchProf{}
-			fr := simprof.NewFlightRecorder(0)
-			g.Prof = prof
-			g.Flight = fr
-			st, err := g.Launch(k)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", name, run, err)
-			}
-			if err := w.Verify(g); err != nil {
-				t.Fatalf("%s run %d: %v", name, run, err)
-			}
+			g, st := launch(true)
 			if !reflect.DeepEqual(st, refSt) {
 				t.Errorf("%s run %d: Stats diverge with telemetry armed", name, run)
 			}
-			if !reflect.DeepEqual(g.Mem, refMem) {
+			if !reflect.DeepEqual(g.Mem, ref.Mem) {
 				t.Errorf("%s run %d: memory diverges with telemetry armed", name, run)
 			}
+			if c.fault != nil && *g.Fault != *ref.Fault {
+				t.Errorf("%s run %d: fault plan %+v, bare run %+v", name, run, *g.Fault, *ref.Fault)
+			}
+			prof := g.Prof
 			if prof.Cycles != refSt.Cycles || prof.Rounds == 0 {
 				t.Errorf("%s run %d: prof cycles=%d rounds=%d, stats cycles=%d",
 					name, run, prof.Cycles, prof.Rounds, refSt.Cycles)
@@ -164,9 +195,33 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 				t.Errorf("%s run %d: prof has %d partitions, config has %d",
 					name, run, len(prof.Partitions), got)
 			}
-			parts, merge, err := streams(fr)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", name, run, err)
+			// The rings are read directly: a whole launch is too many
+			// decisions to round-trip through a JSON bundle ten times.
+			parts := make([][]simprof.Decision, len(prof.Partitions))
+			for i := range parts {
+				parts[i] = g.Flight.Partition(i).Snapshot()
+			}
+			merge := g.Flight.MergeRing().Snapshot()
+			kinds := map[simprof.Kind]int64{}
+			var retiring int64
+			for _, ds := range parts {
+				for _, d := range ds {
+					kinds[d.Kind]++
+					if d.Kind == simprof.KindIssue && d.Aux == 1 {
+						retiring++
+					}
+				}
+			}
+			warps := int64(k.GridCTAs * ((k.CTAThreads + 31) / 32))
+			if kinds[simprof.KindResident] != warps || retiring != warps {
+				t.Errorf("%s run %d: %d resident and %d retiring decisions, want one per warp (%d)",
+					name, run, kinds[simprof.KindResident], retiring, warps)
+			}
+			if kinds[simprof.KindIssue] != st.DynWarpInstrs || kinds[simprof.KindDue] != st.PipelineDUEs ||
+				(kinds[simprof.KindTrap] > 0) != st.Trapped {
+				t.Errorf("%s run %d: %d issue, %d due, %d trap decisions; stats %d instrs, %d DUEs, trapped=%v",
+					name, run, kinds[simprof.KindIssue], kinds[simprof.KindDue], kinds[simprof.KindTrap],
+					st.DynWarpInstrs, st.PipelineDUEs, st.Trapped)
 			}
 			if run == 0 {
 				refProf, refParts, refMerge = prof, parts, merge
@@ -179,6 +234,9 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 			if !reflect.DeepEqual(parts, refParts) || !reflect.DeepEqual(merge, refMerge) {
 				t.Errorf("%s: decision streams differ between identical launches", name)
 			}
+		}
+		if c.fault != nil && refSt.PipelineDUEs == 0 && !refSt.Trapped {
+			t.Errorf("%s: the fault was neither detected nor trapped", name)
 		}
 	}
 }

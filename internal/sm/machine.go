@@ -43,17 +43,16 @@ type simtEntry struct {
 }
 
 type warpState struct {
-	cta        *ctaState
-	idInCTA    int
-	gid        int   // global warp id (unique across the launch)
-	startCycle int64 // cycle the warp became resident
-	sched      int   // owning scheduler partition
-	slot       int   // index in the owning partition's warps and sched
-	stack      []simtEntry
-	regs       []uint32 // reg*32 + lane
-	preds      [8]uint32
-	regReady   []int64
-	predReady  [8]int64
+	cta       *ctaState
+	idInCTA   int
+	gid       int // global warp id (unique across the launch)
+	sched     int // owning scheduler partition
+	slot      int // index in the owning partition's warps and sched
+	stack     []simtEntry
+	regs      []uint32 // reg*32 + lane
+	preds     [8]uint32
+	regReady  []int64
+	predReady [8]int64
 	// regClass/predClass remember the pipe class of the last producer of
 	// each register/predicate, so dependence stalls can be attributed to
 	// the pipe whose latency is being waited out (the CPI-stack per-class
@@ -132,12 +131,6 @@ type machine struct {
 	// injection: partitions issue in index order, so the numbering is the
 	// launch's issue order.
 	dyn int64
-	// faultCycle is the cycle the armed FaultPlan fired at (-1 before),
-	// the reference point for detection-latency measurement.
-	faultCycle int64
-	// obsm is non-nil only when GPU.Obs carries a recorder; the cycle loop
-	// guards every observation behind this one nil check.
-	obsm *smObs
 	// prof mirrors GPU.Prof: per-partition scheduling telemetry. Every
 	// hot-path observation hides behind this nil check (plus frMerge's for
 	// the flight recorder), which is what keeps the disabled path inside the
@@ -163,14 +156,11 @@ type machine struct {
 }
 
 func newMachine(g *GPU, k *isa.Kernel) *machine {
-	m := &machine{g: g, cfg: &g.Cfg, k: k, faultCycle: -1,
+	m := &machine{g: g, cfg: &g.Cfg, k: k,
 		stats: &Stats{PerClass: make(map[isa.Class]int64), PerCat: make(map[isa.Category]int64),
 			DepCyclesPerClass:      make(map[isa.Class]int64),
 			ThrottleCyclesPerClass: make(map[isa.Class]int64)}}
 	m.warpsPerCTA = (k.CTAThreads + isa.WarpSize - 1) / isa.WarpSize
-	if g.Obs != nil {
-		m.obsm = newSMObs(g.Obs, k)
-	}
 	m.prof = g.Prof
 	m.flight = g.Flight
 	return m
@@ -270,7 +260,6 @@ func (m *machine) launchCTA() {
 		w.cta = cta
 		w.idInCTA = wi
 		w.gid = cta.id*m.warpsPerCTA + wi
-		w.startCycle = m.cycle
 		w.sched = p.idx
 		w.slot = len(p.warps)
 		w.stack = append(w.stack[:0], simtEntry{pc: 0, mask: m.warpMask(wi), reconv: -1})
@@ -283,6 +272,10 @@ func (m *machine) launchCTA() {
 		p.sched = append(p.sched, schedSlot{})
 		if m.prof != nil {
 			m.prof.Partitions[p.idx].WarpsAssigned++
+		}
+		if p.fr != nil {
+			p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid), PC: -1,
+				Kind: simprof.KindResident})
 		}
 	}
 	cta.liveWarps = len(cta.warps)
@@ -530,9 +523,6 @@ func (m *machine) mergeRound() (bool, error) {
 	for _, p := range m.parts {
 		p.refill(delta)
 	}
-	if m.obsm != nil {
-		m.obsm.round(m, issued, delta, reason)
-	}
 	return m.liveWarps == 0 && m.nextCTA >= m.k.GridCTAs, nil
 }
 
@@ -572,9 +562,9 @@ func (m *machine) applyCTAEvents() {
 	m.ctaScratch = touched[:0]
 }
 
-// finalize stamps the cycle count, folds the per-partition statistic deltas
-// into the public Stats maps, and flushes pending observability state; every
-// run() exit path (completion and cancellation) goes through it.
+// finalize stamps the cycle count and folds the per-partition statistic
+// deltas into the public Stats maps and the launch profile; every run()
+// exit path (completion and cancellation) goes through it.
 func (m *machine) finalize() {
 	m.stats.Cycles = m.cycle
 	m.stats.UnknownClassOps = m.unknownClass
@@ -613,9 +603,6 @@ func (m *machine) finalize() {
 			m.stats.ThrottleCyclesPerClass[isa.Class(cl)] += v
 		}
 	}
-	if m.obsm != nil {
-		m.obsm.finish(m)
-	}
 	if m.prof != nil {
 		m.finalizeProf()
 	}
@@ -641,12 +628,6 @@ func (m *machine) finalizeProf() {
 		pp.StallNoWarp = p.stallNoWarp
 		pp.Parked = p.parks
 	}
-	// Surface the profile on the live registry when a recorder is armed:
-	// /metrics and /timeseries then carry the simprof.* families next to
-	// the sm.* ones.
-	if m.obsm != nil {
-		lp.EmitMetrics(m.obsm.rec.Registry())
-	}
 }
 
 // retire removes finished warps from their partitions, compacting the
@@ -665,9 +646,6 @@ func (m *machine) retire() {
 		p.clearSets()
 		for j, w := range p.warps {
 			if w.done {
-				if m.obsm != nil {
-					m.obsm.warpDone(m, w)
-				}
 				if m.cfg.Verify {
 					m.checkWarpRetired(w)
 				}

@@ -1,4 +1,4 @@
-package sm
+package sm_test
 
 import (
 	"bytes"
@@ -6,19 +6,40 @@ import (
 	"testing"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/harness"
+	"swapcodes/internal/isa"
 	"swapcodes/internal/obs"
+	"swapcodes/internal/obs/simprof"
+	"swapcodes/internal/sm"
 )
 
-// TestObsTraceSchema is the acceptance gate for -trace: a traced launch
+// The SM's metrics and timeline are derived after each launch from its
+// whole-launch flight recorder (harness.ObserveLaunch); these tests hold
+// that path to what the trace viewer, the registry and the containment
+// study need.
+
+// observedLaunch arms a whole-launch flight recorder on g, runs k and
+// writes the launch's observation into rec.
+func observedLaunch(t testing.TB, rec *obs.Recorder, g *sm.GPU, k *isa.Kernel) (*sm.Stats, error) {
+	t.Helper()
+	g.Flight = simprof.NewFlightRecorder(harness.LaunchRings)
+	st, err := g.Launch(k)
+	if st != nil {
+		if oerr := harness.ObserveLaunch(rec, g, k, st); oerr != nil {
+			t.Fatal(oerr)
+		}
+	}
+	return st, err
+}
+
+// TestObsTraceSchema is the acceptance gate for -trace: an observed launch
 // must produce a Chrome trace-event JSON document that validates (and so
 // loads in Perfetto / chrome://tracing).
 func TestObsTraceSchema(t *testing.T) {
 	const n = 200
-	k := vecAddKernel(n, 4, 64)
+	k := sm.VecAddKernel(n, 4, 64)
 	rec := obs.NewRecorder()
-	g := NewGPU(DefaultConfig(), 3*n+64)
-	g.Obs = rec
-	st, err := g.Launch(k)
+	st, err := observedLaunch(t, rec, sm.NewGPU(sm.DefaultConfig(), 3*n+64), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +79,13 @@ func TestObsTraceSchema(t *testing.T) {
 }
 
 // TestObsRegistryCounters checks the registry side: cycle and instruction
-// counters must reconcile exactly with the launch Stats (the window flush
-// on finalize must not lose the partial tail window).
+// counters must reconcile exactly with the launch Stats (the trailing
+// partial window must not be lost).
 func TestObsRegistryCounters(t *testing.T) {
 	const n = 200
-	k := vecAddKernel(n, 4, 64)
+	k := sm.VecAddKernel(n, 4, 64)
 	rec := obs.NewRecorder()
-	g := NewGPU(DefaultConfig(), 3*n+64)
-	g.Obs = rec
-	st, err := g.Launch(k)
+	st, err := observedLaunch(t, rec, sm.NewGPU(sm.DefaultConfig(), 3*n+64), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +128,8 @@ func TestObsRegistryCounters(t *testing.T) {
 // most of its idle time to the scoreboard.
 func TestObsStallCycleAccounting(t *testing.T) {
 	const n = 64
-	k := vecAddKernel(n, 1, 64)
-	g := NewGPU(DefaultConfig(), 3*n+64)
+	k := sm.VecAddKernel(n, 1, 64)
+	g := sm.NewGPU(sm.DefaultConfig(), 3*n+64)
 	st, err := g.Launch(k)
 	if err != nil {
 		t.Fatal(err)
@@ -127,15 +146,14 @@ func TestObsStallCycleAccounting(t *testing.T) {
 // Swap-ECC decoder must land one observation in the detection-latency
 // histogram and one DUE instant in the trace.
 func TestObsDetectionLatency(t *testing.T) {
-	base := containmentKernel()
+	base := sm.ContainmentKernel()
 	k := compiler.MustApply(base, compiler.SwapECC)
-	cfg := DefaultConfig()
+	cfg := sm.DefaultConfig()
 	cfg.ECC = true
 	rec := obs.NewRecorder()
-	g := NewGPU(cfg, 64)
-	g.Obs = rec
-	g.Fault = &FaultPlan{TargetDynInstr: 1, Lane: 2, BitMask: 4}
-	st, err := g.Launch(k)
+	g := sm.NewGPU(cfg, 64)
+	g.Fault = &sm.FaultPlan{TargetDynInstr: 1, Lane: 2, BitMask: 4}
+	st, err := observedLaunch(t, rec, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,35 +179,14 @@ func TestObsDetectionLatency(t *testing.T) {
 	}
 }
 
-// TestObsDisabledIdentical: the recorder must be purely observational —
-// cycle counts and stats with and without it attached must be identical.
-func TestObsDisabledIdentical(t *testing.T) {
-	const n = 200
-	run := func(rec *obs.Recorder) *Stats {
-		g := NewGPU(DefaultConfig(), 3*n+64)
-		g.Obs = rec
-		st, err := g.Launch(vecAddKernel(n, 4, 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	plain, observed := run(nil), run(obs.NewRecorder())
-	if plain.Cycles != observed.Cycles || plain.DynWarpInstrs != observed.DynWarpInstrs ||
-		plain.StallCyclesDeps != observed.StallCyclesDeps {
-		t.Errorf("observation perturbed the simulation: %+v vs %+v", plain, observed)
-	}
-}
-
 // TestObsUniqueProcesses: two launches of the same kernel on one recorder
 // must land on distinct trace processes so their timelines do not overlap.
 func TestObsUniqueProcesses(t *testing.T) {
 	const n = 64
 	rec := obs.NewRecorder()
 	for i := 0; i < 2; i++ {
-		g := NewGPU(DefaultConfig(), 3*n+64)
-		g.Obs = rec
-		if _, err := g.Launch(vecAddKernel(n, 1, 64)); err != nil {
+		g := sm.NewGPU(sm.DefaultConfig(), 3*n+64)
+		if _, err := observedLaunch(t, rec, g, sm.VecAddKernel(n, 1, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,5 +204,21 @@ func TestObsUniqueProcesses(t *testing.T) {
 	}
 	if want != 2 {
 		t.Errorf("launches share a trace process: %v", names)
+	}
+}
+
+// BenchmarkSMObserved measures the observed launch: the plain launch of
+// BenchmarkSMObsDisabled with whole-launch flight rings armed, plus
+// harness.ObserveLaunch deriving the metrics and timeline afterwards.
+func BenchmarkSMObserved(b *testing.B) {
+	const n = 2048
+	k := sm.VecAddKernel(n, 16, 128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st, err := observedLaunch(b, obs.NewRecorder(), sm.NewGPU(sm.DefaultConfig(), 3*n+64), k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(st.Cycles), "cycles")
 	}
 }

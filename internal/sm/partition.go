@@ -560,19 +560,24 @@ func (p *partition) scan(w *warpState) schedSlot {
 func (p *partition) issue(j int) error {
 	m := p.m
 	w := p.warps[j]
-	in := &m.k.Code[w.top().pc]
+	pc := w.top().pc
+	in := &m.k.Code[pc]
 	cl := in.Op.Class()
 	p.take(cl)
 	p.instrs++
 	p.perClass[cl]++
 	p.perCat[in.Cat]++
 	m.dyn++
-	if p.fr != nil {
-		p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid),
-			PC: w.top().pc, Kind: simprof.KindIssue})
-	}
 
-	if err := p.exec(w, in); err != nil {
+	err := p.exec(w, in)
+	if p.fr != nil {
+		d := simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid), PC: pc, Kind: simprof.KindIssue}
+		if w.done {
+			d.Aux = 1
+		}
+		p.fr.Add(d)
+	}
+	if err != nil {
 		return err
 	}
 	p.invalidate(j)
@@ -782,14 +787,12 @@ func (m *machine) replayAtom(op *atomOp) {
 			value := old
 			if op.inject && lane == fp.Lane {
 				value ^= fp.BitMask
-				fp.Applied = true
-				m.faultCycle = m.cycle
+				fp.Applied, fp.Cycle = true, m.cycle
 			}
 			m.writeLane(w, in, int(in.Dst), lane, value, old)
 		}
 	}
 	if op.inject && in.Dst == isa.RZ {
-		fp.Applied = true // fault landed in a discarded result
-		m.faultCycle = m.cycle
+		fp.Applied, fp.Cycle = true, m.cycle // fault landed in a discarded result
 	}
 }

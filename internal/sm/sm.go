@@ -20,7 +20,6 @@ import (
 	"swapcodes/internal/core"
 	"swapcodes/internal/isa"
 	"swapcodes/internal/memmodel"
-	"swapcodes/internal/obs"
 	"swapcodes/internal/obs/cpistack"
 	"swapcodes/internal/obs/simprof"
 )
@@ -226,8 +225,10 @@ type FaultPlan struct {
 	Lane           int
 	BitMask        uint32
 	BitMaskHi      uint32
-	// Applied reports whether the fault fired.
+	// Applied reports whether the fault fired, and Cycle the cycle it fired
+	// at.
 	Applied bool
+	Cycle   int64
 }
 
 // Stats aggregates one launch.
@@ -374,13 +375,6 @@ type GPU struct {
 	// see TraceFunc). Only those opcodes leave the fused fast path for the
 	// generic one, and an armed tracer changes no simulated number.
 	Trace TraceFunc
-	// Obs, when non-nil, records scheduling observability for every launch:
-	// windowed occupancy/issue/stall counter samples, per-warp lifetime
-	// spans, and scoreboard-wait and detection-latency histograms, emitted
-	// as Chrome trace events with one simulated cycle per trace
-	// microsecond. A nil Obs costs the cycle loop one branch per round
-	// (see BenchmarkSMObsDisabled).
-	Obs *obs.Recorder
 	// Prof, when non-nil, collects per-partition scheduling telemetry for
 	// every launch (DESIGN.md §14): per-partition issue/stall/deferred-log
 	// profiles and round and idle-skip counts. Every value it records is a
@@ -392,6 +386,8 @@ type GPU struct {
 	// failure (invariant violation, deadlock, cycle-budget trip, panic)
 	// stamps the recorder with enough identity (config, kernel, scheme,
 	// cycle) to re-run the launch deterministically from the dumped bundle.
+	// Rings that hold a whole launch are also its observation record
+	// (harness.ObserveLaunch).
 	Flight *simprof.FlightRecorder
 	// RetireHook, when non-nil, observes every retiring warp's final
 	// architectural state: regs is laid out reg*WarpSize+lane and preds
