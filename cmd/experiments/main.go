@@ -112,9 +112,8 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		}
 	}()
 	if serve != "" {
-		srv, serr := obs.StartServer(serve, rec.Registry(), func() any {
-			return pool.Tracker().Snapshot()
-		})
+		srv, serr := obs.StartConfigured(obs.ServerConfig{Addr: serve, Registry: rec.Registry(),
+			Runs: func() any { return pool.Tracker().Snapshot() }})
 		if serr != nil {
 			return serr
 		}

@@ -325,11 +325,12 @@ func runScheme(ctx context.Context, scheme compiler.Scheme, o runOpts) (string, 
 			fmt.Fprintf(&b, "output      CRASHED: %v\n\n", err)
 			return b.String(), nil
 		}
-		if st == nil || ctx.Err() == nil {
+		if st == nil {
 			return "", err
 		}
-		// Cancelled mid-launch: the partial stats are still coherent, so
-		// report what ran before returning the error.
+		// Stopped by the context mid-launch (LaunchContext returns stats
+		// with an error only then): the partial stats are still coherent,
+		// so report what ran before returning the error.
 		fmt.Fprintf(&b, "workload    %s under %v  [PARTIAL: %v]\n", k.Name, scheme, err)
 		fmt.Fprintf(&b, "cycles      %d (so far)\n", st.Cycles)
 		fmt.Fprintf(&b, "warp instrs %d (IPC %.2f)\n", st.DynWarpInstrs, st.IPC())

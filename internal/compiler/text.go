@@ -388,6 +388,9 @@ func parseInstr(a *Asm, line string) error {
 	if !ok {
 		return fmt.Errorf("unknown opcode %q", opName)
 	}
+	if wide && op != isa.IMAD {
+		return fmt.Errorf("%v has no .wide form", op)
+	}
 	if err := emitParsed(a, op, mods, wide, ops); err != nil {
 		return err
 	}
@@ -577,7 +580,11 @@ func emitParsed(a *Asm, op isa.Opcode, mods []string, wide bool, ops []string) e
 		if err != nil {
 			return err
 		}
-		if len(ops) != 3 && !(m == isa.OpCAS && len(ops) == 4) {
+		want := 3
+		if m == isa.OpCAS {
+			want = 4
+		}
+		if len(ops) != want {
 			return fmt.Errorf("atom expects dst, [mem], val (+cmp for cas)")
 		}
 		d, err := parseReg(ops[0])

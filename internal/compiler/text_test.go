@@ -94,6 +94,32 @@ func TestRoundTripFuzzKernels(t *testing.T) {
 	}
 }
 
+// FuzzParse feeds the .sasm assembler arbitrary text, as swapsim -file
+// does: no input may panic Parse, and any kernel it accepts must survive
+// Format and Parse again unchanged. The seeds are saxpySrc and the
+// formatted kernels TestRoundTripFuzzKernels round-trips.
+func FuzzParse(f *testing.F) {
+	f.Add(saxpySrc)
+	for trial := 0; trial < 12; trial++ {
+		k, _ := generateKernelForText(int64(9000 + trial))
+		for _, s := range []Scheme{Baseline, SWDup, SwapECC, SwapPredictMAD} {
+			f.Add(Format(MustApply(k, s)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		k, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := Format(k)
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("formatted kernel does not parse: %v\n%s", err, text)
+		}
+		structurallyEqual(t, k, again)
+	})
+}
+
 // generateKernelForText builds a small random kernel without importing the
 // sm-dependent fuzz generator (avoiding an import cycle in-package).
 func generateKernelForText(seed int64) (*isa.Kernel, int) {

@@ -38,8 +38,17 @@ func Fig15Schemes() []compiler.Scheme {
 type Options struct {
 	// FlightRecord arms a simprof flight recorder on every launch. On a
 	// launch or verification failure the run's error is wrapped in a
-	// *FlightError carrying the JSONL black-box bundle. Near-zero cost
-	// while nothing fails (fixed rings, no I/O), so servers leave it on.
+	// *FlightError carrying the JSONL black-box bundle. While nothing
+	// fails it costs one ring store per scheduler decision and a fixed
+	// cost per launch, the allocation of its rings (657 KB on the default
+	// four-scheduler SM). Measured at commit 3436a8a on 2026-10-19 on a
+	// 2-vCPU Xeon VM: on real launches, swapbench's
+	// simprof.flight_overhead_frac (swap-ecc, armed against disarmed) read
+	// +1.2% on lavaMD, +6.1% on bfs and +8.9% on needle; on the 511-cycle
+	// vecadd of BenchmarkSMFlightArmed, where the fixed cost dominates, a
+	// launch took 1.95x the time of BenchmarkSMObsDisabled's (497 against
+	// 252 us, medians of six alternated 2-s runs of one test binary) and
+	// 14x its bytes (706 KB against 49 KB).
 	FlightRecord bool
 	// MemModel is passed to sm.Config.MemModel for every launch: "" or
 	// "off" keeps the seed flat-latency timing, "sectored" arms the

@@ -24,7 +24,8 @@ func TestRunsGoldenShape(t *testing.T) {
 	reg := obs.NewRegistry()
 	snap := engine.Progress{Queued: 2, Running: 1, Done: 7, Items: 4096,
 		Elapsed: 1500 * time.Millisecond}
-	s, err := obs.StartServer("127.0.0.1:0", reg, func() any { return snap })
+	s, err := obs.StartConfigured(obs.ServerConfig{Addr: "127.0.0.1:0", Registry: reg,
+		Runs: func() any { return snap }})
 	if err != nil {
 		t.Fatal(err)
 	}

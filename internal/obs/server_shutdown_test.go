@@ -26,7 +26,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		<-release
 		return map[string]string{"slow": "payload"}
 	}
-	s, err := StartServer("127.0.0.1:0", reg, runs)
+	s, err := StartConfigured(ServerConfig{Addr: "127.0.0.1:0", Registry: reg, Runs: runs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(Name("sm.cycles", "kernel", "mm", "scheme", "none")).Add(42)
 	runs := func() any { return map[string]int{"done": 3} }
-	s, err := StartServer("127.0.0.1:0", reg, runs)
+	s, err := StartConfigured(ServerConfig{Addr: "127.0.0.1:0", Registry: reg, Runs: runs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestServerLiveUpdates(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("ticks")
-	s, err := StartServer("127.0.0.1:0", reg, nil)
+	s, err := StartConfigured(ServerConfig{Addr: "127.0.0.1:0", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestServerLiveUpdates(t *testing.T) {
 // not a panic or a silent success.
 func TestServerAddrInUse(t *testing.T) {
 	reg := NewRegistry()
-	s, err := StartServer("127.0.0.1:0", reg, nil)
+	s, err := StartConfigured(ServerConfig{Addr: "127.0.0.1:0", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	if _, err := StartServer(s.Addr(), reg, nil); err == nil {
+	if _, err := StartConfigured(ServerConfig{Addr: s.Addr(), Registry: reg}); err == nil {
 		t.Error("second server on the same port did not fail")
 	}
 }

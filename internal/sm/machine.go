@@ -338,7 +338,7 @@ func (m *machine) run(ctx context.Context) error {
 		}()
 	}
 	err = m.loop(ctx)
-	if err != nil && ctx.Err() == nil && m.flight != nil {
+	if err != nil && !stoppedByContext(err) && m.flight != nil {
 		// Any non-cancellation launch failure — invariant violations,
 		// deadlock, cycle-budget trip, partition errors — stamps the flight
 		// recorder so the caller can dump a replayable bundle.

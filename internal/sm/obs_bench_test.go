@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkSMObsDisabled measures the plain launch: no flight recorder, no
-// profile, no tracer. It keeps its name because the committed BENCH_*.json
-// records and the benchdiff gates compare it by name; the armed benchmarks
-// here and BenchmarkSMObserved are read against it.
+// profile, no tracer. It is the baseline the armed benchmarks here and
+// BenchmarkSMObserved are read against, alternated with them in one binary.
+// CI runs these benchmarks at -benchtime 1x so that they keep running.
 func BenchmarkSMObsDisabled(b *testing.B) {
 	const n = 2048
 	k := vecAddKernel(n, 16, 128)
@@ -27,9 +27,9 @@ func BenchmarkSMObsDisabled(b *testing.B) {
 // BenchmarkSMCPIStack measures the always-on CPI-stack accounting: a launch
 // plus building the attribution stack from its Stats. The per-round cost
 // (per-class idle charges, issue-cycle partition) is included in every
-// launch benchmark already; this pins the end-to-end number the benchdiff
-// trajectory tracks so a future accounting change that bloats the cycle
-// loop shows up as a regression here.
+// launch benchmark already; this one adds building the stack and checks
+// that it sums to the launch's cycles, so an accounting change can be
+// timed against BenchmarkSMObsDisabled in one binary.
 func BenchmarkSMCPIStack(b *testing.B) {
 	const n = 2048
 	k := vecAddKernel(n, 16, 128)
@@ -69,8 +69,11 @@ func BenchmarkSMProfArmed(b *testing.B) {
 }
 
 // BenchmarkSMFlightArmed measures a launch with the flight recorder armed:
-// one fixed-ring store per scheduler decision, no allocation, no I/O. This
-// is the number that justifies leaving the black box on in servers.
+// one ring store per scheduler decision, no I/O. On this 511-cycle vecadd
+// the recorder's fixed per-launch cost (allocating and filling its rings)
+// dominates, so the ratio to BenchmarkSMObsDisabled is what arming costs a
+// tiny kernel; swapbench's simprof.flight_overhead_frac is what it costs a
+// real launch (harness.Options.FlightRecord quotes both).
 func BenchmarkSMFlightArmed(b *testing.B) {
 	const n = 2048
 	k := vecAddKernel(n, 16, 128)

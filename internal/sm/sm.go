@@ -13,6 +13,7 @@ package sm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -451,7 +452,8 @@ func (g *GPU) Launch(k *isa.Kernel) (*Stats, error) {
 // the simulation stops at the next scheduler round and returns the stats
 // accumulated so far (cycles, instruction counts, stall attribution)
 // together with an error wrapping the context's — partial results for
-// early-stopped experiments.
+// early-stopped experiments. A launch that fails returns nil stats and its
+// own error, even if its context ended meanwhile.
 func (g *GPU) LaunchContext(ctx context.Context, k *isa.Kernel) (*Stats, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -461,12 +463,21 @@ func (g *GPU) LaunchContext(ctx context.Context, k *isa.Kernel) (*Stats, error) 
 	}
 	m := newMachine(g, k)
 	if err := m.run(ctx); err != nil {
-		if ctx.Err() != nil {
+		if stoppedByContext(err) {
 			return m.stats, err
 		}
 		return nil, err
 	}
 	return m.stats, nil
+}
+
+// stoppedByContext reports whether err is the round loop's stop on a
+// cancelled or expired context, whose stats are finalized, rather than a
+// launch failure, whose stats are not. It reads the loop's own error: a
+// second ctx.Err() read would also see a context that ended after the
+// launch had already failed.
+func stoppedByContext(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // RunScheme compiles the kernel under a scheme and launches it, a
