@@ -177,3 +177,57 @@ func TestFlightWrap(t *testing.T) {
 		t.Fatal("FlightError does not unwrap to the launch error")
 	}
 }
+
+// TestResetRecorderLogsLikeFreshOnes: two armed launches on one recorder,
+// reset between them as launchCell resets a recorder it reuses, log the
+// decision streams and write the bundle bytes of the same two launches on
+// fresh recorders. The first launch overruns every ring and the second
+// fills none, so a ring the reset missed would show in the second.
+func TestResetRecorderLogsLikeFreshOnes(t *testing.T) {
+	type logged struct {
+		streams [][]simprof.Decision
+		bundle  []byte
+	}
+	launch := func(fr *simprof.FlightRecorder, name string, s compiler.Scheme) logged {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := compiler.Apply(w.Kernel, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sm.DefaultConfig()
+		g := w.NewGPU(cfg)
+		fr.Annotate(name, 0)
+		g.Flight = fr
+		if _, err := g.Launch(k); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var l logged
+		for i := 0; i < cfg.Schedulers; i++ {
+			l.streams = append(l.streams, fr.Partition(i).Snapshot())
+		}
+		l.streams = append(l.streams, fr.MergeRing().Snapshot())
+		l.bundle = fr.Bundle()
+		return l
+	}
+	runs := []struct {
+		name string
+		s    compiler.Scheme
+	}{{"lavaMD", compiler.SwapECC}, {"bfs", compiler.Baseline}}
+	reused := simprof.NewFlightRecorder(0)
+	for i, r := range runs {
+		if i > 0 {
+			reused.Reset()
+		}
+		got := launch(reused, r.name, r.s)
+		want := launch(simprof.NewFlightRecorder(0), r.name, r.s)
+		if !reflect.DeepEqual(got.streams, want.streams) {
+			t.Errorf("launch %d (%s): reset recorder's decision streams differ from a fresh one's", i, r.name)
+		}
+		if !bytes.Equal(got.bundle, want.bundle) {
+			t.Errorf("launch %d (%s): reset recorder's bundle differs from a fresh one's", i, r.name)
+		}
+	}
+}

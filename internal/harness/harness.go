@@ -39,16 +39,16 @@ type Options struct {
 	// FlightRecord arms a simprof flight recorder on every launch. On a
 	// launch or verification failure the run's error is wrapped in a
 	// *FlightError carrying the JSONL black-box bundle. While nothing
-	// fails it costs one ring store per scheduler decision and a fixed
-	// cost per launch, the allocation of its rings (657 KB on the default
-	// four-scheduler SM). Measured at commit 3436a8a on 2026-10-19 on a
-	// 2-vCPU Xeon VM: on real launches, swapbench's
+	// fails it costs one ring store per scheduler decision, and the rings
+	// (657 KB on the default four-scheduler SM) are allocated once per
+	// sweep row: the row's launches share one recorder, reset before each.
+	// Measured on 2026-10-19 on a 2-vCPU Xeon VM (Go 1.24.0), one Figure 12
+	// sweep (15 rows, 75 launches, unverified) allocated 31.2 MB armed
+	// against 20.1 MB disarmed, 149 KB more per armed launch, where a
+	// recorder per launch had cost 682 KB more (71.2 MB a sweep). With a
+	// recorder per launch, at commit 3436a8a, swapbench's
 	// simprof.flight_overhead_frac (swap-ecc, armed against disarmed) read
-	// +1.2% on lavaMD, +6.1% on bfs and +8.9% on needle; on the 511-cycle
-	// vecadd of BenchmarkSMFlightArmed, where the fixed cost dominates, a
-	// launch took 1.95x the time of BenchmarkSMObsDisabled's (497 against
-	// 252 us, medians of six alternated 2-s runs of one test binary) and
-	// 14x its bytes (706 KB against 49 KB).
+	// +1.2% on lavaMD, +6.1% on bfs and +8.9% on needle.
 	FlightRecord bool
 	// MemModel is passed to sm.Config.MemModel for every launch: "" or
 	// "off" keeps the seed flat-latency timing, "sectored" arms the
@@ -99,9 +99,18 @@ func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.
 		Errs:  make(map[compiler.Scheme]string)}
 	cfg := opt.smConfig()
 	launched := 0
+	// The row's launches share one flight recorder, made by the first. A
+	// failed launch ends the row, so its recorder, whose bundle the error
+	// carries, is never reused.
+	var fr *simprof.FlightRecorder
 	for _, s := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
 		out, ran, err := opt.Cells.resolve(ctx, CellKey(w.Name, s, cfg, verify),
-			func(ctx context.Context) (cellOutcome, error) { return launchCell(ctx, w, s, verify, opt) })
+			func(ctx context.Context) (cellOutcome, error) {
+				if opt.FlightRecord && fr == nil {
+					fr = simprof.NewFlightRecorder(0)
+				}
+				return launchCell(ctx, w, s, verify, opt, fr)
+			})
 		if ran {
 			launched++
 		}
@@ -121,15 +130,15 @@ func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.
 
 // launchCell computes one cell: compile the scheme, launch it on a freshly
 // set-up GPU and, when asked, check the output against the host reference.
-func launchCell(ctx context.Context, w *workloads.Workload, s compiler.Scheme, verify bool, opt Options) (cellOutcome, error) {
+// A non-nil fr is reset and armed on the launch.
+func launchCell(ctx context.Context, w *workloads.Workload, s compiler.Scheme, verify bool, opt Options, fr *simprof.FlightRecorder) (cellOutcome, error) {
 	k, err := compiler.Apply(w.Kernel, s)
 	if err != nil {
 		return cellOutcome{Refused: err.Error()}, nil
 	}
 	g := w.NewGPU(opt.smConfig())
-	var fr *simprof.FlightRecorder
-	if opt.FlightRecord {
-		fr = simprof.NewFlightRecorder(0)
+	if fr != nil {
+		fr.Reset()
 		fr.Annotate(w.Name, 0)
 		g.Flight = fr
 	}

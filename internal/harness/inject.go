@@ -46,13 +46,16 @@ func (u *UnitInjection) SDCRisk(code ecc.Code) (frac, lo, hi float64) {
 type InjectionResult struct {
 	Units  []*UnitInjection
 	Tuples int
-	// CampaignSeconds is the wall time of the sharded injection phase
-	// (excluding operand tracing), the denominator of TuplesPerSec.
+	// CampaignSeconds is the wall time of the campaign's executor
+	// (InjectionPlan.Stream), the denominator of TuplesPerSec. Shards
+	// start while the operand trace is still being collected, so for
+	// RunInjectionCtx it runs from the start of collection to the end of
+	// the last shard.
 	CampaignSeconds float64
 }
 
 // TuplesPerSec is the campaign throughput: operand tuples injected across
-// all units per second of injection wall time (0 if not measured).
+// all units per second of campaign wall time (0 if not measured).
 func (r *InjectionResult) TuplesPerSec() float64 {
 	if r.CampaignSeconds <= 0 {
 		return 0
@@ -102,21 +105,38 @@ func (r *InjectionResult) RenderFig11() string {
 		fmt.Fprintf(&b, " %14.14s", c.Name())
 	}
 	b.WriteString("\n")
+	cell := func(c faultsim.Counts) {
+		f, hi := sdcRisk(c)
+		fmt.Fprintf(&b, "  %5.2f%%(%5.2f)", 100*f, 100*hi)
+	}
+	// Each (unit, code) pair is counted once: the ALL row merges the row
+	// counts, which PooledSDC would count again.
+	pooled := make([]faultsim.Counts, len(codes))
 	for _, u := range r.Units {
 		fmt.Fprintf(&b, "%-10s", u.Unit.Name)
-		for _, c := range codes {
-			f, _, hi := u.SDCRisk(c)
-			fmt.Fprintf(&b, "  %5.2f%%(%5.2f)", 100*f, 100*hi)
+		for k, code := range codes {
+			c := faultsim.SDCCounts(u.Injections, code, u.Unit.OutputWidth)
+			pooled[k] = pooled[k].Merge(c)
+			cell(c)
 		}
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "%-10s", "ALL")
-	for _, c := range codes {
-		f, hi := r.PooledSDC(c)
-		fmt.Fprintf(&b, "  %5.2f%%(%5.2f)", 100*f, 100*hi)
+	for _, c := range pooled {
+		cell(c)
 	}
 	b.WriteString("\n")
 	return b.String()
+}
+
+// sdcRisk is an SDC tally's fraction and Wilson 95% upper bound; no
+// injections read 0 with the vacuous bound 1.
+func sdcRisk(c faultsim.Counts) (frac, hi float64) {
+	if c.N == 0 {
+		return 0, 1
+	}
+	_, hi = c.Wilson(1.96)
+	return c.Frac(), hi
 }
 
 // RenderConeStats prints the incremental-evaluator accounting: the
@@ -144,7 +164,7 @@ func (r *InjectionResult) RenderConeStats() string {
 // belongs on stderr with the experiment timers, never in figure output.
 func (r *InjectionResult) RenderThroughput() string {
 	if tps := r.TuplesPerSec(); tps > 0 {
-		return fmt.Sprintf("campaign throughput: %.0f tuples/s over %.2fs of injection",
+		return fmt.Sprintf("campaign throughput: %.0f tuples/s over %.2fs of campaign",
 			tps, r.CampaignSeconds)
 	}
 	return ""
@@ -159,11 +179,7 @@ func (r *InjectionResult) PooledSDC(code ecc.Code) (frac, hi float64) {
 	for _, u := range r.Units {
 		pooled = pooled.Merge(faultsim.SDCCounts(u.Injections, code, u.Unit.OutputWidth))
 	}
-	if pooled.N == 0 {
-		return 0, 1
-	}
-	_, hi = pooled.Wilson(1.96)
-	return pooled.Frac(), hi
+	return sdcRisk(pooled)
 }
 
 // DetectionCoverage is 1 - pooled SDC risk: the paper's ">99.3% of pipeline

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"sync"
+	"time"
 
 	"swapcodes/internal/arith"
 	"swapcodes/internal/compiler"
@@ -23,24 +24,28 @@ var units = sync.OnceValue(arith.Units)
 func Units() []*arith.Unit { return units() }
 
 // CollectOperandsCtx runs un-duplicated workloads under the value tracer
-// and returns the operand trace. The paper traces the Rodinia 2.3
-// programs, targets the lowest-numbered threads, and bounds the trace size
-// (Section IV-A); we additionally trace SNAP because it is the workload
-// with substantial double-precision arithmetic — without it the FP64 units
-// would be injected with synthetic operands instead of real ones.
-//
-// The workloads are traced one after another, in workload order, into one
-// trace, and every workload whose code can feed only units that are
-// already full is skipped
-// (trace.OperandTrace.CanGrow). The result is, byte for byte, the trace
-// that per-workload traces concatenated in workload order and cut at the
-// limit would give: a skipped workload could add no tuple, and a launched
-// one appends its tuples in execution order until its units fill. At
-// 2,000 tuples 4 of the 14 workloads launch. The pool supplies only the
-// recorder, which gets one "trace:<workload>" span per launch. On
-// cancellation the trace as far as it got is returned with the error.
+// and returns the operand trace (FillOperands into a fresh trace of limit
+// tuples per unit). The paper traces the Rodinia 2.3 programs, targets the
+// lowest-numbered threads, and bounds the trace size (Section IV-A); we
+// additionally trace SNAP because it is the workload with substantial
+// double-precision arithmetic — without it the FP64 units would be
+// injected with synthetic operands instead of real ones. On cancellation
+// the trace as far as it got is returned with the error.
 func CollectOperandsCtx(ctx context.Context, pool *engine.Pool, limit int) (*trace.OperandTrace, error) {
 	tr := trace.NewOperandTrace(limit)
+	return tr, FillOperands(ctx, pool, tr)
+}
+
+// FillOperands traces the injection sources into tr, on the calling
+// goroutine. The workloads are traced one after another, in workload order,
+// and every workload whose code can feed only units that are already full
+// is skipped (trace.OperandTrace.CanGrow). The result is, byte for byte,
+// the trace that per-workload traces concatenated in workload order and cut
+// at the limit would give: a skipped workload could add no tuple, and a
+// launched one appends its tuples in execution order until its units fill.
+// At 2,000 tuples 4 of the 14 workloads launch. The pool supplies only the
+// recorder, which gets one "trace:<workload>" span per launch.
+func FillOperands(ctx context.Context, pool *engine.Pool, tr *trace.OperandTrace) error {
 	feed := tr.Func(8) // lowest 8 lanes per warp ≈ lowest threads
 	rec := pool.Recorder()
 	for _, w := range injectionSources() {
@@ -51,14 +56,14 @@ func CollectOperandsCtx(ctx context.Context, pool *engine.Pool, limit int) (*tra
 		g := w.NewGPU(sm.DefaultConfig())
 		g.Trace = feed
 		if _, err := g.LaunchContext(ctx, w.Kernel); err != nil {
-			return tr, err
+			return err
 		}
 		if rec != nil {
 			rec.Span(rec.Process("harness"), rec.NextTID(), "trace:"+w.Name, "driver",
 				start, rec.Now()-start, map[string]any{"operands": operandCount(tr) - before})
 		}
 	}
-	return tr, nil
+	return nil
 }
 
 // injectionSources lists the workloads operands are traced from, in
@@ -80,57 +85,22 @@ func operandCount(tr *trace.OperandTrace) int {
 	return n
 }
 
-// PlanCampaign plans a Figure 10/11 campaign over the process's unit set
-// (Units). Two pool jobs run side by side: collect, which supplies the
-// operand trace, and the unit set's cone tables (gates.Circuit's fan-out
-// CSR and cone sizes), which the first shard of each unit would otherwise
-// build while the other workers wait on it (Fp-MAD64's take about 100 ms
-// on a 2-vCPU Xeon VM). Only the process's first campaign builds the units
-// and their tables; every later one finds them built. On error the plan is
-// nil.
-func PlanCampaign(ctx context.Context, pool *engine.Pool, tuples int, seed int64,
-	collect func(context.Context) (*trace.OperandTrace, error)) (*InjectionPlan, error) {
-	var tr *trace.OperandTrace
-	err := pool.Run(ctx, []engine.Job{
-		{Name: "trace", Run: func(ctx context.Context) (err error) {
-			tr, err = collect(ctx)
-			return err
-		}},
-		{Name: "cones", Run: func(ctx context.Context) error {
-			for _, u := range Units() {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				u.ConeStats() // builds the circuit's cone tables once
-			}
-			return nil
-		}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return PlanInjection(Units(), tr, tuples, seed), nil
-}
-
-// RunInjectionCtx is the parallel Figure 10/11 campaign driver. It plans
-// the campaign (PlanCampaign, collecting the trace with CollectOperandsCtx)
-// and then executes every unit's seed-derived shards
-// (faultsim.ShardedCampaign) for all six units as one flat job list on the
-// pool. For a given master seed the result is bit-identical at any worker
-// count. On cancellation it returns the partial result (whole shards only,
-// concatenated in order) with the error — always a valid, non-nil
-// InjectionResult whose counts remain usable as Wilson-interval inputs,
-// even when no shard completed.
+// RunInjectionCtx is the Figure 10/11 campaign driver: a campaign over the
+// process's unit set (NewCampaign) streamed while FillOperands collects its
+// trace, so each unit's shards start as soon as the tracer fills the unit.
+// For a given master seed the result is bit-identical at any worker count.
+// Its CampaignSeconds is the wall time of the whole stream, trace
+// collection included, since the two overlap. On cancellation it returns
+// the partial result (whole shards only, concatenated in order) with the
+// error — always a valid, non-nil InjectionResult whose counts remain
+// usable as Wilson-interval inputs, even when no shard completed.
 func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64) (*InjectionResult, error) {
-	plan, err := PlanCampaign(ctx, pool, tuples, seed, func(ctx context.Context) (*trace.OperandTrace, error) {
-		return CollectOperandsCtx(ctx, pool, tuples)
-	})
-	if err != nil {
-		// Partial-result contract: a cancelled plan yields an empty but
-		// valid campaign result (zero injections per unit), not nil.
-		return (&InjectionPlan{Units: Units(), Tuples: tuples}).Assemble(nil, 0), err
-	}
-	return plan.Run(ctx, pool)
+	plan := NewCampaign(tuples, seed)
+	start := time.Now()
+	shards, err := plan.Stream(ctx, pool, Stream{Fill: func(ctx context.Context, tr *trace.OperandTrace) error {
+		return FillOperands(ctx, pool, tr)
+	}})
+	return plan.Assemble(shards, time.Since(start).Seconds()), err
 }
 
 // RunPerfCtxOpts executes the workload×scheme sweep with workloads in

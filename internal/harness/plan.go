@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"time"
 
 	"swapcodes/internal/arith"
 	"swapcodes/internal/engine"
@@ -13,20 +12,21 @@ import (
 
 // InjectionPlan is the shard-level decomposition of a Figure 10/11 campaign:
 // every (unit, shard) pair as an independently runnable, independently
-// seeded unit of work. Run executes a plan's shards in one flat Map; the
-// job server's campaign jobs execute the same shards through
-// engine.MapIndices, skipping the ones whose results it already holds from
-// a previous, interrupted run. Because shard i of unit u depends only on
-// (Seed, u, i) and the operand trace — never on other shards — the two
-// execution styles produce bit-identical injection streams.
+// seeded unit of work. Stream runs a plan's shards as its operand trace
+// fills, skipping the ones whose results the caller already holds (the job
+// server's checkpoints). Because shard i of unit u depends only on
+// (Seed, u, i) and unit u's operand tuples — never on other shards or
+// units — every execution order gives bit-identical injection streams.
 type InjectionPlan struct {
 	Units  []*arith.Unit
 	Tuples int
 	Seed   int64
 
+	tr        *trace.OperandTrace
 	samples   [][][]uint64
 	campaigns []*faultsim.ShardedCampaign
 	shards    []ShardRef
+	byUnit    [][]int // each unit's indices into shards, in shard order
 }
 
 // ShardRef names one shard of one unit's campaign within a plan.
@@ -41,23 +41,46 @@ type ShardResult struct {
 	Stats      faultsim.EvalStats
 }
 
-// PlanInjection seeds a campaign plan over the given units from an operand
-// trace (which may be empty: Sample then synthesizes tuples
-// deterministically). The per-unit sample and campaign seeds match
-// RunInjectionCtx exactly, so planned and monolithic runs are
-// interchangeable.
-func PlanInjection(units []*arith.Unit, tr *trace.OperandTrace, tuples int, seed int64) *InjectionPlan {
-	p := &InjectionPlan{Units: units, Tuples: tuples, Seed: seed}
+// newPlan lays out the shards of a campaign over units whose tuples come
+// from tr. Every unit samples exactly tuples tuples, so the layout is known
+// before tr holds any.
+func newPlan(units []*arith.Unit, tr *trace.OperandTrace, tuples int, seed int64) *InjectionPlan {
+	p := &InjectionPlan{Units: units, Tuples: tuples, Seed: seed, tr: tr}
 	p.samples = make([][][]uint64, len(units))
 	p.campaigns = make([]*faultsim.ShardedCampaign, len(units))
+	p.byUnit = make([][]int, len(units))
 	for i, u := range units {
-		p.samples[i] = tr.Sample(u.Name, tuples, seed+int64(i))
 		p.campaigns[i] = &faultsim.ShardedCampaign{Unit: u, MasterSeed: seed + 100 + int64(i)}
-		for s := 0; s < p.campaigns[i].NumShards(len(p.samples[i])); s++ {
+		for s := 0; s < p.campaigns[i].NumShards(tuples); s++ {
+			p.byUnit[i] = append(p.byUnit[i], len(p.shards))
 			p.shards = append(p.shards, ShardRef{Unit: i, Shard: s})
 		}
 	}
 	return p
+}
+
+// sample draws unit i's tuples from the trace, whose tuples for that unit
+// must be final.
+func (p *InjectionPlan) sample(i int) {
+	p.samples[i] = p.tr.Sample(p.Units[i].Name, p.Tuples, p.Seed+int64(i))
+}
+
+// PlanInjection seeds a campaign plan over the given units from a finished
+// operand trace (which may be empty: Sample then synthesizes tuples
+// deterministically). The per-unit sample and campaign seeds are the ones
+// NewCampaign's plans use, so the two run the same shards.
+func PlanInjection(units []*arith.Unit, tr *trace.OperandTrace, tuples int, seed int64) *InjectionPlan {
+	p := newPlan(units, tr, tuples, seed)
+	for i := range units {
+		p.sample(i)
+	}
+	return p
+}
+
+// NewCampaign plans a campaign over the process's unit set (Units) and an
+// empty operand trace of tuples tuples per unit, for Stream to fill and run.
+func NewCampaign(tuples int, seed int64) *InjectionPlan {
+	return newPlan(Units(), trace.NewOperandTrace(tuples), tuples, seed)
 }
 
 // Shards lists every (unit, shard) pair of the plan in canonical order —
@@ -65,8 +88,9 @@ func PlanInjection(units []*arith.Unit, tr *trace.OperandTrace, tuples int, seed
 func (p *InjectionPlan) Shards() []ShardRef { return p.shards }
 
 // RunShard executes shard j of the plan (an index into Shards), recording
-// per-shard observability on the pool exactly as the monolithic driver
-// does. The result is a pure function of the plan's trace, seed, and j.
+// per-shard observability on the pool. The result is a pure function of
+// the plan's seed, its unit's tuples and j. The unit's tuples must have been
+// sampled (PlanInjection, or Stream's release of the unit).
 func (p *InjectionPlan) RunShard(ctx context.Context, pool *engine.Pool, j int) (ShardResult, error) {
 	ref := p.shards[j]
 	u, sh := ref.Unit, ref.Shard
@@ -79,19 +103,6 @@ func (p *InjectionPlan) RunShard(ctx context.Context, pool *engine.Pool, j int) 
 		faultsim.RecordShard(pool.Recorder(), obs.FromContext(ctx), p.Units[u].Name, sh, start, n, inj, st)
 	}
 	return ShardResult{Injections: inj, Stats: st}, err
-}
-
-// Run executes every shard of the plan and assembles the result. The
-// (unit, shard) pairs run as one flat job list rather than one Map per
-// unit, so a six-unit campaign saturates the pool even when single units
-// have few shards. On cancellation the result holds the whole shards that
-// finished, with the error.
-func (p *InjectionPlan) Run(ctx context.Context, pool *engine.Pool) (*InjectionResult, error) {
-	start := time.Now()
-	shards, err := engine.Map(ctx, pool, len(p.shards), func(ctx context.Context, j int) (ShardResult, error) {
-		return p.RunShard(ctx, pool, j)
-	})
-	return p.Assemble(shards, time.Since(start).Seconds()), err
 }
 
 // Assemble merges per-shard results — positionally aligned with Shards,

@@ -147,3 +147,40 @@ func TestHeadlineReadsCampaignTrace(t *testing.T) {
 		t.Errorf("the headline job recorded %d trace:* spans, want none", got-spans)
 	}
 }
+
+// TestStreamedCampaignJobMatchesCASJob: a campaign job on a fresh state
+// directory collects its trace and runs each unit's shards as the tracer
+// fills the unit; the same spec on a service whose CAS already holds the
+// trace (from a job of another seed) releases every unit at once. The two
+// payloads are the same bytes.
+func TestStreamedCampaignJobMatchesCASJob(t *testing.T) {
+	spec := Spec{Kind: KindCampaign, Tuples: resumeTuples, Seed: 1}
+
+	fresh := newService(t, Options{StateDir: t.TempDir(), Workers: 2})
+	streamed := runSpec(t, fresh, spec)
+	// Collected and streamed: some unit was released before the last
+	// traced launch ended (its span is written after the launch).
+	firstRelease, lastTrace := -1, -1
+	for i, e := range fresh.rec.Events() {
+		switch {
+		case strings.HasPrefix(e.Name, "release:") && firstRelease < 0:
+			firstRelease = i
+		case strings.HasPrefix(e.Name, "trace:"):
+			lastTrace = i
+		}
+	}
+	if firstRelease < 0 || firstRelease > lastTrace {
+		t.Fatalf("no unit released during collection (first release event %d, last trace span %d)", firstRelease, lastTrace)
+	}
+
+	warm := newService(t, Options{StateDir: t.TempDir(), Workers: 2})
+	runSpec(t, warm, Spec{Kind: KindCampaign, Tuples: resumeTuples, Seed: 2})
+	hits := warm.rec.Registry().Counter(obs.Name("jobs.cache_hits", "item", "trace")).Value()
+	fromCAS := runSpec(t, warm, spec)
+	if got := warm.rec.Registry().Counter(obs.Name("jobs.cache_hits", "item", "trace")).Value(); got != hits+1 {
+		t.Fatalf("the second job read the CAS trace %d times, want 1", got-hits)
+	}
+	if !bytes.Equal(streamed, fromCAS) {
+		t.Fatal("a streamed campaign's payload differs from the same spec's over the CAS trace")
+	}
+}

@@ -17,26 +17,27 @@ import (
 // units.
 const resumeTuples = 600
 
-// runShards executes the given plan indices on a pool, returning summaries
-// placed by plan index (nil where not run).
+// runShards runs the given plan indices on the campaign executor,
+// returning summaries placed by plan index (nil where not run).
 func runShards(t *testing.T, pool *engine.Pool, plan *harness.InjectionPlan, idx []int) []*ShardSummary {
 	t.Helper()
 	refs := plan.Shards()
 	units := plan.Units
+	want := make(map[int]bool, len(idx))
+	for _, j := range idx {
+		want[j] = true
+	}
 	out := make([]*ShardSummary, len(refs))
-	got, err := engine.MapIndices(context.Background(), pool, idx, func(ctx context.Context, j int) (*ShardSummary, error) {
-		res, err := plan.RunShard(ctx, pool, j)
-		if err != nil {
-			return nil, err
-		}
-		ref := refs[j]
-		return summarizeShard(j, ref, units[ref.Unit].Name, units[ref.Unit].OutputWidth, res), nil
+	_, err := plan.Stream(context.Background(), pool, harness.Stream{
+		Skip: func(j int) bool { return !want[j] },
+		Done: func(j int, res harness.ShardResult) error {
+			ref := refs[j]
+			out[j] = summarizeShard(j, ref, units[ref.Unit].Name, units[ref.Unit].OutputWidth, res)
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatalf("run shards: %v", err)
-	}
-	for k, j := range idx {
-		out[j] = got[k]
 	}
 	return out
 }
@@ -87,7 +88,13 @@ func TestCampaignResumeDeterminism(t *testing.T) {
 		}
 		// "Restarted": a fresh plan resumes only the missing shards.
 		resumed := harness.PlanInjection(units, tr, resumeTuples, spec.Seed)
-		rest := runShards(t, pool, resumed, engine.Missing(n, done))
+		var missing []int
+		for i := 0; i < n; i++ {
+			if !done[i] {
+				missing = append(missing, i)
+			}
+		}
+		rest := runShards(t, pool, resumed, missing)
 		for i := cut; i < n; i++ {
 			sums[i] = rest[i]
 		}
@@ -138,16 +145,13 @@ func TestCampaignCancelKeepsWholeShards(t *testing.T) {
 		<-first
 		cancel() // cancel as soon as the first shard completes
 	}()
-	got, err := engine.MapIndices(ctx, pool, allIndices(len(refs)), func(ctx context.Context, j int) (*ShardSummary, error) {
-		res, err := plan.RunShard(ctx, pool, j)
-		if err != nil {
-			return nil, err
-		}
+	got := make([]*ShardSummary, len(refs))
+	_, err := plan.Stream(ctx, pool, harness.Stream{Done: func(j int, res harness.ShardResult) error {
 		ref := refs[j]
-		sum := summarizeShard(j, ref, units[ref.Unit].Name, units[ref.Unit].OutputWidth, res)
+		got[j] = summarizeShard(j, ref, units[ref.Unit].Name, units[ref.Unit].OutputWidth, res)
 		once.Do(func() { close(first) })
-		return sum, nil
-	})
+		return nil
+	}})
 	if err == nil {
 		// Fast machine finished everything before cancel landed — still a
 		// valid (if weaker) pass; check everything instead.
@@ -168,12 +172,4 @@ func TestCampaignCancelKeepsWholeShards(t *testing.T) {
 			t.Fatalf("shard %d: partial result does not match a clean run", j)
 		}
 	}
-}
-
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

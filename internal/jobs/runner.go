@@ -153,15 +153,11 @@ type CampaignResult struct {
 
 func (r *runner) runCampaign(ctx context.Context, j *Job, replayed map[int]*ShardSummary) (*CampaignResult, error) {
 	spec := j.Spec
-	plan, err := r.planCampaign(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
+	plan := harness.NewCampaign(spec.Tuples, spec.Seed)
 	units, refs := plan.Units, plan.Shards()
 	j.setShardTotal(len(refs))
 
 	sums := make([]*ShardSummary, len(refs))
-	done := make(map[int]bool, len(replayed))
 	for idx, sum := range replayed {
 		// Validate before trusting a checkpoint: a WAL written against a
 		// different plan (changed spec, changed unit set) must not leak
@@ -174,36 +170,32 @@ func (r *runner) runCampaign(ctx context.Context, j *Job, replayed map[int]*Shar
 			continue
 		}
 		sums[idx] = sum
-		done[idx] = true
 		j.shardDone(sum.UnitName, sum.Shard, sum.Injections, true)
 	}
 
-	missing := engine.Missing(len(refs), done)
-	ran, err := engine.MapIndices(ctx, r.pool, missing, func(ctx context.Context, idx int) (*ShardSummary, error) {
-		out, err := plan.RunShard(ctx, r.pool, idx)
-		if err != nil {
-			return nil, err
-		}
-		ref := refs[idx]
-		sum := summarizeShard(idx, ref, units[ref.Unit].Name, units[ref.Unit].OutputWidth, out)
-		if r.store != nil {
-			// Checkpoint before announcing: a shard the client saw complete
-			// must survive a SIGKILL that follows immediately.
-			if err := r.store.AppendShard(j.ID, sum); err != nil {
-				return nil, err
+	_, err := plan.Stream(ctx, r.pool, harness.Stream{
+		Fill: r.traceFill(spec.Tuples),
+		Skip: func(idx int) bool { return sums[idx] != nil },
+		Done: func(idx int, out harness.ShardResult) error {
+			ref := refs[idx]
+			sum := summarizeShard(idx, ref, units[ref.Unit].Name, units[ref.Unit].OutputWidth, out)
+			if r.store != nil {
+				// Checkpoint before announcing: a shard the client saw
+				// complete must survive a SIGKILL that follows immediately.
+				if err := r.store.AppendShard(j.ID, sum); err != nil {
+					return err
+				}
 			}
-		}
-		j.shardDone(sum.UnitName, sum.Shard, sum.Injections, false)
-		return sum, nil
+			sums[idx] = sum
+			j.shardDone(sum.UnitName, sum.Shard, sum.Injections, false)
+			return nil
+		},
 	})
 	if err != nil {
 		// Cancelled or failed mid-campaign: completed shards are already in
 		// the WAL; a restart (or re-submission against the same state dir)
 		// resumes from them.
 		return nil, err
-	}
-	for k, idx := range missing {
-		sums[idx] = ran[k]
 	}
 	return assembleCampaign(spec, plan, sums), nil
 }
@@ -315,38 +307,31 @@ func assembleCampaign(spec Spec, plan *harness.InjectionPlan, sums []*ShardSumma
 	return res
 }
 
-// planCampaign plans spec's campaign over the operand trace of the
-// content-addressed cache (operandTrace), as campaign and headline jobs both
-// do.
-func (r *runner) planCampaign(ctx context.Context, spec Spec) (*harness.InjectionPlan, error) {
-	return harness.PlanCampaign(ctx, r.pool, spec.Tuples, spec.Seed, func(ctx context.Context) (*trace.OperandTrace, error) {
-		return r.operandTrace(ctx, spec.Tuples)
-	})
-}
-
-// operandTrace loads the workload operand trace from the content-addressed
-// cache or collects it (a full workload replay) and stores it. The trace is
-// the service's most expensive reusable intermediate: every campaign and
-// headline job at the same tuple limit shares one collection.
-func (r *runner) operandTrace(ctx context.Context, limit int) (*trace.OperandTrace, error) {
+// traceFill is the Fill of a campaign at limit tuples per unit: it loads
+// the operand trace from the content-addressed cache, or collects it (a
+// full workload replay, which releases each unit's shards as the unit
+// fills) and stores it. The trace is the service's most expensive reusable
+// intermediate: every campaign and headline job at the same tuple limit
+// shares one collection.
+func (r *runner) traceFill(limit int) func(context.Context, *trace.OperandTrace) error {
 	key := CacheKey("trace", "v1", fmt.Sprintf("limit=%d", limit))
-	if b, ok := r.cache.Get("trace", key); ok {
-		tr := trace.NewOperandTrace(limit)
-		if err := tr.UnmarshalBinary(b); err == nil {
-			return tr, nil
+	return func(ctx context.Context, tr *trace.OperandTrace) error {
+		if b, ok := r.cache.Get("trace", key); ok {
+			if err := tr.UnmarshalBinary(b); err == nil {
+				return nil
+			}
+			// Corrupt cache entry (tr is unchanged): recollect.
 		}
-		// Corrupt cache entry: fall through and recollect.
-	}
-	tr, err := harness.CollectOperandsCtx(ctx, r.pool, limit)
-	if err != nil {
-		return nil, err
-	}
-	if b, err := tr.MarshalBinary(); err == nil {
-		if err := r.cache.Put("trace", key, b); err != nil {
-			return nil, err
+		if err := harness.FillOperands(ctx, r.pool, tr); err != nil {
+			return err
 		}
+		if b, err := tr.MarshalBinary(); err == nil {
+			if err := r.cache.Put("trace", key, b); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return tr, nil
 }
 
 // PerfUnitRow is one workload row of a perf payload.
@@ -410,11 +395,12 @@ type HeadlineResult struct {
 
 func (r *runner) runHeadline(ctx context.Context, spec Spec) (*HeadlineResult, error) {
 	campaign := func(ctx context.Context) (*harness.InjectionResult, error) {
-		plan, err := r.planCampaign(ctx, spec)
+		plan := harness.NewCampaign(spec.Tuples, spec.Seed)
+		shards, err := plan.Stream(ctx, r.pool, harness.Stream{Fill: r.traceFill(spec.Tuples)})
 		if err != nil {
 			return nil, err
 		}
-		return plan.Run(ctx, r.pool)
+		return plan.Assemble(shards, 0), nil
 	}
 	rows, err := harness.HeadlineCtx(ctx, r.pool, campaign, harness.Options{Cells: r.cells})
 	if err != nil {

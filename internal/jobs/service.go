@@ -139,6 +139,16 @@ func New(opts Options) (*Service, error) {
 		if rj.State.Terminal() {
 			continue
 		}
+		// The log may hold a spec this server no longer accepts (one
+		// written before a bound existed); running it could take the
+		// server down on every restart.
+		spec := rj.Spec // a copy: the job keeps the spec and key it was logged with
+		if err := spec.Normalize(); err != nil {
+			j.setState(StateFailed, "resume: "+err.Error())
+			s.logState(j)
+			log.Warn("job not resumed", s.jobAttrs(j, slog.String("err", err.Error()))...)
+			continue
+		}
 		j.state = StateQueued
 		j.setEnqueuedUS(rec.Now())
 		if len(rj.Shards) > 0 {

@@ -72,6 +72,13 @@ type Spec struct {
 	MemModel string `json:"mem_model,omitempty"`
 }
 
+// MaxTuples bounds a campaign or headline job's tuples per unit: the
+// paper's trace bound (trace.NewOperandTrace) and ten times the default
+// campaign. A campaign sizes its samples, trace and injection streams from
+// the count before any shard runs, so an unbounded count is a request for
+// unbounded memory.
+const MaxTuples = 100_000
+
 // Normalize validates the spec and fills defaults in place. Specs are
 // normalized before hashing, so "campaign with default tuples" and
 // "campaign with tuples: 10000" share one cache identity.
@@ -83,6 +90,9 @@ func (s *Spec) Normalize() error {
 		}
 		if s.Tuples < 0 {
 			return fmt.Errorf("jobs: tuples must be positive, got %d", s.Tuples)
+		}
+		if s.Tuples > MaxTuples {
+			return fmt.Errorf("jobs: tuples must be at most %d, got %d", MaxTuples, s.Tuples)
 		}
 		if s.Seed == 0 {
 			s.Seed = 1

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -192,5 +194,31 @@ func TestSubmitIgnoresRetiredSMWorkers(t *testing.T) {
 	}
 	if !strings.HasSuffix(out.ID, perfKeyHex[:8]) {
 		t.Errorf("job id %q does not carry the key prefix %s", out.ID, perfKeyHex[:8])
+	}
+}
+
+// TestSubmitRefusesTuplesAboveBound: a campaign or headline spec with more
+// than MaxTuples tuples is a 400 naming the bound, refused before anything
+// is sized from it; MaxTuples itself is accepted.
+func TestSubmitRefusesTuplesAboveBound(t *testing.T) {
+	for _, kind := range []string{KindCampaign, KindHeadline} {
+		at := Spec{Kind: kind, Tuples: MaxTuples}
+		if err := at.Normalize(); err != nil {
+			t.Errorf("%s at the bound: %v", kind, err)
+		}
+	}
+	svc, c := testServer(t)
+	body := fmt.Sprintf(`{"kind":"campaign","tuples":%d}`, MaxTuples+1)
+	resp, err := c.HTTPClient.Post(c.Base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), fmt.Sprint(MaxTuples)) {
+		t.Fatalf("POST tuples=%d: HTTP %d %s; want 400 naming %d", MaxTuples+1, resp.StatusCode, msg, MaxTuples)
+	}
+	if n := len(svc.List()); n != 0 {
+		t.Fatalf("refused spec left %d jobs", n)
 	}
 }

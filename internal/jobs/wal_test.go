@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -217,5 +218,56 @@ func TestWALTornTail(t *testing.T) {
 	if rep2.Truncated != 1 || rep2.Jobs[0].State != StateDone {
 		t.Fatalf("post-recovery replay = truncated %d, state %v; want 1, done",
 			rep2.Truncated, rep2.Jobs[0].State)
+	}
+}
+
+// TestResumeFailsOversizedJob: an unfinished WAL job record whose spec no
+// longer validates (here tuples past MaxTuples, written as no submit could
+// write it now) fails at resume as "resume: <error>" and is never queued,
+// so it is never run; the failure is logged, and a second restart replays
+// it as failed.
+func TestResumeFailsOversizedJob(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: KindCampaign, Tuples: MaxTuples + 1, Seed: 1}
+	if err := st.AppendJob("j1", spec, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		svc, err := New(Options{StateDir: dir, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ok := svc.Get("j1")
+		if !ok {
+			t.Fatalf("restart %d: job not replayed", restart)
+		}
+		got := j.Status()
+		want := fmt.Sprintf("resume: jobs: tuples must be at most %d, got %d", MaxTuples, MaxTuples+1)
+		if got.State != StateFailed || got.Error != want {
+			t.Errorf("restart %d: job = %s %q, want failed %q", restart, got.State, got.Error, want)
+		}
+		if d := svc.queue.depth(); d != 0 {
+			t.Errorf("restart %d: queue depth %d, want 0", restart, d)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, rep, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rj := rep.Jobs[0]; rj.State != StateFailed || rj.Err != want {
+			t.Errorf("restart %d: the log holds the job as %s %q, want failed %q", restart, rj.State, rj.Err, want)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

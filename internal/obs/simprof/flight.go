@@ -154,6 +154,20 @@ func NewFlightRecorder(perPartition int) *FlightRecorder {
 	return &FlightRecorder{perPart: perPartition, merge: newRing(perPartition)}
 }
 
+// Reset empties the recorder for another launch: every ring keeps its
+// buffer (no allocation, no zeroing; a ring reads only what it logged
+// since), and the annotation and any failure are cleared.
+func (f *FlightRecorder) Reset() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, r := range f.parts {
+		r.n = 0
+	}
+	f.merge.n = 0
+	f.meta = Meta{}
+	f.failed = false
+}
+
 // Partition returns partition i's ring, growing the set as needed. Called
 // once per launch per partition (the machine caches the pointer); safe for
 // concurrent setup.

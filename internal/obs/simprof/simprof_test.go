@@ -202,3 +202,19 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestResetClearsFailure: a reset recorder reports no failure and no
+// identity, and its next failure is recorded as the first.
+func TestResetClearsFailure(t *testing.T) {
+	f := NewFlightRecorder(8)
+	f.Annotate("w", 3)
+	f.Fail("k", "s", 10, nil, "first")
+	f.Reset()
+	if f.Failed() || !reflect.DeepEqual(f.Meta(), Meta{}) {
+		t.Fatalf("after Reset: failed %v, meta %+v", f.Failed(), f.Meta())
+	}
+	f.Fail("k2", "s2", 20, nil, "second")
+	if m := f.Meta(); m.Reason != "second" || m.Cycle != 20 {
+		t.Fatalf("failure after Reset recorded as %+v", m)
+	}
+}

@@ -17,11 +17,13 @@ import (
 const traceMagic = "SWTR1\n"
 
 // MarshalBinary encodes the trace. Equal traces (same tuples per unit, same
-// limit) produce identical bytes regardless of map iteration order.
+// limit) produce identical bytes; a unit without tuples is left out.
 func (t *OperandTrace) MarshalBinary() ([]byte, error) {
-	units := make([]string, 0, len(t.perUnit))
-	for u := range t.perUnit {
-		units = append(units, u)
+	var units []string
+	for u, tuples := range t.units {
+		if len(tuples) > 0 {
+			units = append(units, unitNames[u])
+		}
 	}
 	sort.Strings(units)
 
@@ -32,7 +34,7 @@ func (t *OperandTrace) MarshalBinary() ([]byte, error) {
 	for _, u := range units {
 		out = binary.AppendUvarint(out, uint64(len(u)))
 		out = append(out, u...)
-		tuples := t.perUnit[u]
+		tuples := t.Tuples(u)
 		out = binary.AppendUvarint(out, uint64(len(tuples)))
 		for _, tup := range tuples {
 			out = binary.AppendUvarint(out, uint64(len(tup)))
@@ -45,10 +47,11 @@ func (t *OperandTrace) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a trace encoded by MarshalBinary, replacing the
-// receiver's contents. Corrupt input returns an error, never a panic: a
-// unit, tuple or operand count is checked against the bytes left before
-// anything is sized from it (every unit takes at least two bytes, every
-// tuple at least one, every operand eight).
+// receiver's tuples and limit; on error the receiver is unchanged. Corrupt
+// input returns an error, never a panic: a unit, tuple or operand count is
+// checked against the bytes left before anything is sized from it (every
+// unit takes at least two bytes, every tuple at least one, every operand
+// eight), and a unit name no traced unit has is refused.
 func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
 		return fmt.Errorf("trace: bad magic")
@@ -73,8 +76,7 @@ func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 	if nUnits > uint64(len(data))/2 {
 		return fmt.Errorf("trace: %d units in %d bytes", nUnits, len(data))
 	}
-	t.limit = int(limit)
-	t.perUnit = make(map[string][][]uint64, nUnits)
+	var units [len(unitNames)][][]uint64
 	for u := uint64(0); u < nUnits; u++ {
 		nameLen, err := uvarint()
 		if err != nil {
@@ -85,6 +87,10 @@ func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 		}
 		name := string(data[:nameLen])
 		data = data[nameLen:]
+		idx := unitIndex(name)
+		if idx < 0 {
+			return fmt.Errorf("trace: unknown unit %q", name)
+		}
 		nTuples, err := uvarint()
 		if err != nil {
 			return err
@@ -92,7 +98,10 @@ func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 		if nTuples > uint64(len(data)) {
 			return fmt.Errorf("trace: unit %q: %d tuples in %d bytes", name, nTuples, len(data))
 		}
-		tuples := make([][]uint64, 0, nTuples)
+		var tuples [][]uint64
+		if nTuples > 0 {
+			tuples = make([][]uint64, 0, nTuples)
+		}
 		for i := uint64(0); i < nTuples; i++ {
 			width, err := uvarint()
 			if err != nil {
@@ -108,10 +117,11 @@ func (t *OperandTrace) UnmarshalBinary(data []byte) error {
 			}
 			tuples = append(tuples, tup)
 		}
-		t.perUnit[name] = tuples
+		units[idx] = tuples
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("trace: %d trailing bytes", len(data))
 	}
+	t.units, t.limit = units, int(limit)
 	return nil
 }

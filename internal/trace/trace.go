@@ -29,17 +29,40 @@ var unitNames = [...]string{UnitFxPAdd32, UnitFxPMAD32, UnitFpAdd32, UnitFpMAD32
 // UnitNames lists the traced units in Figure 10 order.
 func UnitNames() []string { return append([]string(nil), unitNames[:]...) }
 
-// OperandTrace accumulates operand tuples per arithmetic unit.
+// unitIndex returns the index in unitNames of a unit name, and -1 for a
+// name no traced unit has.
+func unitIndex(name string) int {
+	for i, n := range unitNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// OperandTrace accumulates operand tuples per arithmetic unit. Each unit's
+// tuples sit in their own slot of a fixed array, so once a unit is full a
+// goroutine may read it (Tuples, Sample) while the collecting goroutine
+// still appends to the others; the caller supplies the happens-before edge
+// from the fill (see OnFill).
 type OperandTrace struct {
-	perUnit map[string][][]uint64
-	limit   int
+	units  [len(unitNames)][][]uint64
+	limit  int
+	onFill func(unit string)
 }
 
 // NewOperandTrace collects at most limit tuples per unit (the paper bounds
 // its traces at 100,000 instructions; the tuple cap plays the same role).
 func NewOperandTrace(limit int) *OperandTrace {
-	return &OperandTrace{perUnit: make(map[string][][]uint64), limit: limit}
+	return &OperandTrace{limit: limit}
 }
+
+// OnFill registers f to be called with a unit's name when the tracer
+// appends that unit's limit-th tuple: from then on the unit's tuples are
+// final. f runs on the goroutine that runs the traced launch, inside the
+// tracer, once per unit; a unit that never fills is never reported.
+// Call before the first launch.
+func (t *OperandTrace) OnFill(f func(unit string)) { t.onFill = f }
 
 // Func returns the sm.TraceFunc that feeds this trace. Only the lowest
 // maxLane lanes are observed, mirroring the paper's 2048-lowest-threads
@@ -51,14 +74,13 @@ func (t *OperandTrace) Func(maxLane int) sm.TraceFunc {
 			return
 		}
 		u := unitOf(op)
-		if u < 0 {
+		if u < 0 || len(t.units[u]) >= t.limit {
 			return
 		}
-		have := t.perUnit[unitNames[u]]
-		if len(have) >= t.limit {
-			return
+		t.units[u] = append(t.units[u], operands(op, wide, a, b, c))
+		if len(t.units[u]) == t.limit && t.onFill != nil {
+			t.onFill(unitNames[u])
 		}
-		t.perUnit[unitNames[u]] = append(have, operands(op, wide, a, b, c))
 	}
 }
 
@@ -67,7 +89,7 @@ func (t *OperandTrace) Func(maxLane int) sm.TraceFunc {
 // kernel it rejects can be skipped without changing the trace.
 func (t *OperandTrace) CanGrow(k *isa.Kernel) bool {
 	for i := range k.Code {
-		if u := unitOf(k.Code[i].Op); u >= 0 && len(t.perUnit[unitNames[u]]) < t.limit {
+		if u := unitOf(k.Code[i].Op); u >= 0 && len(t.units[u]) < t.limit {
 			return true
 		}
 	}
@@ -136,14 +158,19 @@ func operands(op isa.Opcode, wide bool, a, b, c uint64) []uint64 {
 }
 
 // Tuples returns the collected tuples for a unit.
-func (t *OperandTrace) Tuples(unit string) [][]uint64 { return t.perUnit[unit] }
+func (t *OperandTrace) Tuples(unit string) [][]uint64 {
+	if u := unitIndex(unit); u >= 0 {
+		return t.units[u]
+	}
+	return nil
+}
 
 // Sample draws n tuples (with replacement) for a unit using the given seed;
 // it synthesizes filler tuples deterministically if the trace is empty for
 // that unit (never the case for the shipped workloads).
 func (t *OperandTrace) Sample(unit string, n int, seed int64) [][]uint64 {
 	rng := rand.New(rand.NewSource(seed))
-	src := t.perUnit[unit]
+	src := t.Tuples(unit)
 	out := make([][]uint64, n)
 	for i := range out {
 		if len(src) == 0 {
@@ -155,11 +182,14 @@ func (t *OperandTrace) Sample(unit string, n int, seed int64) [][]uint64 {
 	return out
 }
 
-// Counts summarizes how many tuples each unit holds.
+// Counts summarizes how many tuples each unit holds; a unit with none is
+// absent.
 func (t *OperandTrace) Counts() map[string]int {
-	m := make(map[string]int, len(t.perUnit))
-	for k, v := range t.perUnit {
-		m[k] = len(v)
+	m := make(map[string]int, len(t.units))
+	for u, v := range t.units {
+		if len(v) > 0 {
+			m[unitNames[u]] = len(v)
+		}
 	}
 	return m
 }
@@ -222,7 +252,7 @@ func (t *OperandTrace) Profile(unit string, expBits int) OperandProfile {
 	if expBits == 11 {
 		manBits = 52
 	}
-	for _, tup := range t.perUnit[unit] {
+	for _, tup := range t.Tuples(unit) {
 		p.Tuples++
 		for _, v := range tup {
 			slots++

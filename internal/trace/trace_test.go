@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"swapcodes/internal/compiler"
@@ -217,5 +218,29 @@ func TestCanGrow(t *testing.T) {
 		if got := tr.CanGrow(c.k); got != c.want {
 			t.Errorf("CanGrow(%v) = %v, want %v", c.k.Code, got, c.want)
 		}
+	}
+}
+
+// TestOnFillReportsEachUnitOnce: the tracer reports a unit when it appends
+// the unit's limit-th tuple, once, and never a unit below its limit.
+func TestOnFillReportsEachUnitOnce(t *testing.T) {
+	tr := NewOperandTrace(3)
+	var filled []string
+	tr.OnFill(func(unit string) {
+		if got := len(tr.Tuples(unit)); got != 3 {
+			t.Errorf("%s reported full at %d tuples", unit, got)
+		}
+		filled = append(filled, unit)
+	})
+	f := tr.Func(8)
+	for i := 0; i < 5; i++ {
+		f(isa.DFMA, false, 0, 1, 2, 3, 0)
+		f(isa.IADD, false, 0, 1, 2, 0, 0)
+		if i < 2 {
+			f(isa.FADD, false, 0, 1, 2, 0, 0)
+		}
+	}
+	if want := []string{UnitFpMAD64, UnitFxPAdd32}; !reflect.DeepEqual(filled, want) {
+		t.Errorf("filled %v, want %v", filled, want)
 	}
 }
