@@ -23,10 +23,11 @@
 // is not part of "all" since it replays the whole workload suite 68 times.)
 //
 // Experiments run concurrently as jobs on one engine pool (-workers, default
-// all cores); simulation and injection results are bit-identical at any
-// worker count, and output is printed in the canonical experiment order
-// regardless of completion order. Ctrl-C (or -timeout) cancels the run and
-// reports what finished.
+// all cores), after the one injection campaign that fig10, fig11 and the
+// headline share, which runs first on the whole pool; simulation and
+// injection results are bit-identical at any worker count, and output is
+// printed in the canonical experiment order regardless of completion order.
+// Ctrl-C (or -timeout) cancels the run and reports what finished.
 //
 // With -submit the server-backed experiments (headline, fig10, fig11,
 // fig12, cpistack, fig15, fig16, verify) run as jobs on a swapserve
@@ -174,18 +175,9 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		fmt.Fprintln(os.Stderr, "wrote", path)
 	}
 
-	// fig10, fig11 and the headline share the injection campaign; whichever
-	// experiment job gets there first computes it once and the others reuse
-	// it.
-	var injOnce sync.Once
-	var injRes *harness.InjectionResult
-	var injErr error
-	getInj := func(ctx context.Context) (*harness.InjectionResult, error) {
-		injOnce.Do(func() {
-			injRes, injErr = harness.RunInjectionCtx(ctx, pool, tuples, seed)
-		})
-		return injRes, injErr
-	}
+	// fig10, fig11 and the headline read one injection campaign, which
+	// runs before the experiment jobs start (see below).
+	var inj *harness.InjectionResult
 	// Every perf sweep of the run (fig12, fig13, cpistack, memcpi, fig15,
 	// fig16 and the headline's three) and both Figure 14 power estimates
 	// resolve their cells through one store, so each distinct (workload,
@@ -205,7 +197,8 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	experiments := []experiment{
 		{"headline", func(ctx context.Context) (string, error) {
 			// The headline is a flat-memory table whatever -mem-model says.
-			rows, err := harness.HeadlineCtx(ctx, pool, getInj, harness.Options{Cells: cells})
+			campaign := func(context.Context) (*harness.InjectionResult, error) { return inj, nil }
+			rows, err := harness.HeadlineCtx(ctx, pool, campaign, harness.Options{Cells: cells})
 			if err != nil {
 				return "", err
 			}
@@ -219,22 +212,14 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			writeCSV("table4.csv", harness.Table4CSV(rows))
 			return harness.RenderTable4(rows), nil
 		}},
-		{"fig10", func(ctx context.Context) (string, error) {
-			inj, err := getInj(ctx)
-			if err != nil {
-				return "", err
-			}
+		{"fig10", func(context.Context) (string, error) {
 			writeCSV("fig10_fig11.csv", inj.CSV())
 			if tl := inj.RenderThroughput(); tl != "" {
 				fmt.Fprintf(os.Stderr, "experiments: %s\n", tl)
 			}
 			return inj.RenderFig10() + "\n" + inj.RenderConeStats(), nil
 		}},
-		{"fig11", func(ctx context.Context) (string, error) {
-			inj, err := getInj(ctx)
-			if err != nil {
-				return "", err
-			}
+		{"fig11", func(context.Context) (string, error) {
 			out := inj.RenderFig11()
 			out += fmt.Sprintf("pooled detection coverage: SEC-DED %.2f%%, Mod-127 %.2f%% (paper: >98.8%% / >99.3%%)\n",
 				100*inj.DetectionCoverage(codeByName("SEC-DED-DP")),
@@ -345,6 +330,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	all := want["all"]
 	var selected []experiment
 	known := map[string]bool{"all": true}
+	needInj := false
 	for _, e := range experiments {
 		known[e.name] = true
 		// "verify" replays the whole workload suite across 68 combos, and
@@ -352,12 +338,25 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 		// both are opt-in only and not part of "all".
 		if want[e.name] || (all && e.name != "verify" && e.name != "smprof") {
 			selected = append(selected, e)
+			needInj = needInj || e.name == "headline" || e.name == "fig10" || e.name == "fig11"
 		}
 	}
 	for name := range want {
 		if !known[name] {
 			return fmt.Errorf("unknown experiment %q", name)
 		}
+	}
+
+	// The campaign runs first, from this goroutine, so its engine.Map can
+	// recruit every pool worker. Run inside an experiment job, it would
+	// hold that job's pool token, and a job waiting for it would hold
+	// another.
+	start := time.Now()
+	var injTime time.Duration
+	var runErr error
+	if needInj {
+		inj, runErr = harness.RunInjectionCtx(ctx, pool, tuples, seed)
+		injTime = time.Since(start)
 	}
 
 	// All selected experiments run concurrently as engine jobs; the harness
@@ -377,8 +376,9 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return err
 		}}
 	}
-	start := time.Now()
-	runErr := pool.Run(ctx, jobs)
+	if runErr == nil {
+		runErr = pool.Run(ctx, jobs)
+	}
 	stopProgress()
 	for i, e := range selected {
 		if outputs[i] == "" {
@@ -386,6 +386,9 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			continue
 		}
 		fmt.Println(outputs[i])
+	}
+	if injTime > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: %-8s %8.2fs\n", "campaign", injTime.Seconds())
 	}
 	for i, e := range selected {
 		if times[i] > 0 {

@@ -101,8 +101,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // workLedger is the work an -exp all run did, read from its -metrics and
 // -trace files: every faultsim.* counter per unit, the cells the perf
-// sweeps launched (the sum of "launched" over the perf:* spans) and the
-// traced launches (the trace:* spans). Each is a total, and the same at
+// sweeps launched (the sum of "launched" over the perf:* spans), the
+// traced launches (the trace:* spans) and the lanes those launches handed
+// the tracer (the sum of "observed" over them). Each is a total, and the same at
 // every worker count; which sweep launched a shared cell is not, so the
 // ledger does not say.
 func workLedger(t *testing.T, metricsPath, tracePath string) []byte {
@@ -130,7 +131,7 @@ func workLedger(t *testing.T, metricsPath, tracePath string) []byte {
 			fmt.Fprintf(&b, "%s %d\n", m.Name, m.Value)
 		}
 	}
-	launched, traced := 0, 0
+	launched, traced, observed := 0, 0, 0
 	for _, e := range events {
 		switch {
 		case strings.HasPrefix(e.Name, "perf:"):
@@ -138,9 +139,11 @@ func workLedger(t *testing.T, metricsPath, tracePath string) []byte {
 			launched += int(n)
 		case strings.HasPrefix(e.Name, "trace:"):
 			traced++
+			n, _ := e.Args["observed"].(float64)
+			observed += int(n)
 		}
 	}
-	fmt.Fprintf(&b, "perf:* launched %d\ntrace:* spans %d\n", launched, traced)
+	fmt.Fprintf(&b, "perf:* launched %d\ntrace:* spans %d\ntrace:* observed %d\n", launched, traced, observed)
 	return b.Bytes()
 }
 

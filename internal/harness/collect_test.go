@@ -136,28 +136,31 @@ func TestCollectOperandsMatchesReference(t *testing.T) {
 
 // TestTracedLaunchMatchesUntraced: an armed tracer changes nothing the
 // simulator computes. Traced opcodes leave the fused fast path for the
-// generic one, so a traced launch of every injection source must give the
-// untraced launch's Stats and final memory.
+// generic one until the tracer declines them, so a traced launch of every
+// injection source must give the untraced launch's Stats and final memory,
+// at limits where units fill mid-launch (100, 2,000) and where none does.
 func TestTracedLaunchMatchesUntraced(t *testing.T) {
 	for _, w := range injectionSources() {
-		run := func(traced bool) (*sm.Stats, []uint32) {
+		run := func(limit int) (*sm.Stats, []uint32) {
 			g := w.NewGPU(sm.DefaultConfig())
-			if traced {
-				g.Trace = trace.NewOperandTrace(fullLimit).Func(8)
+			if limit > 0 {
+				g.Trace = trace.NewOperandTrace(limit).Func(8)
 			}
 			st, err := g.Launch(w.Kernel)
 			if err != nil {
-				t.Fatalf("%s (traced %v): %v", w.Name, traced, err)
+				t.Fatalf("%s (limit %d): %v", w.Name, limit, err)
 			}
 			return st, g.Mem
 		}
-		st, mem := run(false)
-		tst, tmem := run(true)
-		if !reflect.DeepEqual(st, tst) {
-			t.Errorf("%s: traced Stats differ from untraced", w.Name)
-		}
-		if !reflect.DeepEqual(mem, tmem) {
-			t.Errorf("%s: traced final memory differs from untraced", w.Name)
+		st, mem := run(0)
+		for _, limit := range []int{100, 2000, fullLimit} {
+			tst, tmem := run(limit)
+			if !reflect.DeepEqual(st, tst) {
+				t.Errorf("%s: Stats traced at %d tuples differ from untraced", w.Name, limit)
+			}
+			if !reflect.DeepEqual(mem, tmem) {
+				t.Errorf("%s: final memory traced at %d tuples differs from untraced", w.Name, limit)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"swapcodes/internal/arith"
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/engine"
+	"swapcodes/internal/isa"
 	"swapcodes/internal/sm"
 	"swapcodes/internal/trace"
 	"swapcodes/internal/workloads"
@@ -44,23 +45,30 @@ func CollectOperandsCtx(ctx context.Context, pool *engine.Pool, limit int) (*tra
 // at the limit would give: a skipped workload could add no tuple, and a
 // launched one appends its tuples in execution order until its units fill.
 // At 2,000 tuples 4 of the 14 workloads launch. The pool supplies only the
-// recorder, which gets one "trace:<workload>" span per launch.
+// recorder, which gets one "trace:<workload>" span per launch, with the
+// tuples the launch added ("operands") and the lanes the SM handed the
+// tracer ("observed").
 func FillOperands(ctx context.Context, pool *engine.Pool, tr *trace.OperandTrace) error {
 	feed := tr.Func(8) // lowest 8 lanes per warp ≈ lowest threads
 	rec := pool.Recorder()
+	observed := 0
+	count := func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64) bool {
+		observed++
+		return feed(op, wide, lane, a, b, c, result)
+	}
 	for _, w := range injectionSources() {
 		if !tr.CanGrow(w.Kernel) {
 			continue
 		}
-		start, before := rec.Now(), operandCount(tr)
+		start, before, seen := rec.Now(), operandCount(tr), observed
 		g := w.NewGPU(sm.DefaultConfig())
-		g.Trace = feed
+		g.Trace = count
 		if _, err := g.LaunchContext(ctx, w.Kernel); err != nil {
 			return err
 		}
 		if rec != nil {
 			rec.Span(rec.Process("harness"), rec.NextTID(), "trace:"+w.Name, "driver",
-				start, rec.Now()-start, map[string]any{"operands": operandCount(tr) - before})
+				start, rec.Now()-start, map[string]any{"operands": operandCount(tr) - before, "observed": observed - seen})
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -42,9 +43,17 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec decodes a POST /jobs body: one JSON object, whose fields the
+// Spec does not name are ignored.
+func decodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	err := json.NewDecoder(r).Decode(&spec)
+	return spec, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 		return
 	}

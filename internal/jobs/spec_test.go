@@ -1,11 +1,13 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -221,4 +223,63 @@ func TestSubmitRefusesTuplesAboveBound(t *testing.T) {
 	if n := len(svc.List()); n != 0 {
 		t.Fatalf("refused spec left %d jobs", n)
 	}
+}
+
+// FuzzSpecNormalize feeds arbitrary bytes to the POST /jobs decoder and
+// normalizes whatever decodes: no input panics either, normalizing an
+// accepted spec again changes nothing and keeps its Key, and an accepted
+// campaign or headline spec asks for 1 to MaxTuples tuples. The seeds are
+// this file's specs, the retired sm_workers body, a campaign with an empty
+// scheme list and a campaign one tuple above the bound.
+func FuzzSpecNormalize(f *testing.F) {
+	for _, s := range []Spec{
+		{Kind: KindCampaign},
+		{Kind: KindCampaign, Tuples: 10000, Seed: 1},
+		{Kind: KindCampaign, Tuples: 10000, Seed: 2, Tenant: "t"},
+		{Kind: KindPerf},
+		{Kind: KindCPIStack},
+		{Kind: KindCPIStack, MemModel: "off"},
+		{Kind: KindCPIStack, MemModel: "sectored", Schemes: []string{"swap-ecc"}},
+		{Kind: KindCampaign, MemModel: "sectored"},
+		{Kind: KindHeadline, Tuples: MaxTuples},
+		{},
+		{Kind: "nope"},
+		{Kind: KindCampaign, Tuples: -1},
+		{Kind: KindCampaign, Schemes: []string{"sw-dup"}},
+		{Kind: KindPerf, Schemes: []string{"not-a-scheme"}},
+		{Kind: KindVerify, Tuples: 5},
+		{Kind: KindCampaign, Tuples: MaxTuples + 1},
+	} {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"kind":"perf","sm_workers":4}`))
+	f.Add([]byte(`{"kind":"campaign","schemes":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decodeSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := s.Normalize(); err != nil {
+			return
+		}
+		key := s.Key()
+		again := s
+		again.Schemes = slices.Clone(s.Schemes)
+		if err := again.Normalize(); err != nil {
+			t.Fatalf("normalized spec %+v refused on a second Normalize: %v", s, err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("second Normalize changed %+v to %+v", s, again)
+		}
+		if again.Key() != key {
+			t.Fatalf("second Normalize moved the key of %+v", s)
+		}
+		if (s.Kind == KindCampaign || s.Kind == KindHeadline) && (s.Tuples < 1 || s.Tuples > MaxTuples) {
+			t.Fatalf("accepted %s spec with %d tuples, want 1 to %d", s.Kind, s.Tuples, MaxTuples)
+		}
+	})
 }

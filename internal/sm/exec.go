@@ -145,9 +145,9 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 
 	// Register-writing instructions: the common cases take the fused
 	// per-opcode lane loops; everything else goes through the generic
-	// compute/writeback pair, and so do the opcodes an armed tracer
+	// compute/writeback pair, and so do the opcodes an armed tracer still
 	// observes, which it reads lane by lane before the write.
-	traced := m.g.Trace != nil && in.Op.Traced()
+	traced := m.traced&(1<<in.Op) != 0
 	if w.rf == nil && !injectNow && !traced {
 		if done, err := p.execFast(w, in, mask); done || err != nil {
 			if err != nil {
@@ -169,8 +169,9 @@ func (p *partition) exec(w *warpState, in *isa.Instr) error {
 		}
 		res[lane] = lo
 		resHi[lane] = hi
-		if traced {
-			m.traceLane(w, in, lane, uint64(lo)|uint64(hi)<<32)
+		if traced && !m.traceLane(w, in, lane, uint64(lo)|uint64(hi)<<32) {
+			traced = false
+			m.traced &^= 1 << in.Op
 		}
 	}
 	m.writeback(w, in, mask, &res, &resHi, wide, injectNow)
@@ -515,8 +516,9 @@ func (p *partition) execAtom(w *warpState, in *isa.Instr, mask uint32, injectNow
 }
 
 // traceLane forwards one executed lane of a traced opcode
-// (isa.Opcode.Traced) to the value tracer.
-func (m *machine) traceLane(w *warpState, in *isa.Instr, lane int, result uint64) {
+// (isa.Opcode.Traced) to the value tracer and reports whether the tracer
+// wants more of the opcode.
+func (m *machine) traceLane(w *warpState, in *isa.Instr, lane int, result uint64) bool {
 	var a, b, c uint64
 	switch in.Op {
 	case isa.DADD, isa.DSUB, isa.DMUL:
@@ -539,7 +541,7 @@ func (m *machine) traceLane(w *warpState, in *isa.Instr, lane int, result uint64
 			c = uint64(w.readR(in.Src[2], lane))
 		}
 	}
-	m.g.Trace(in.Op, in.Wide, lane, a, b, c, result)
+	return m.g.Trace(in.Op, in.Wide, lane, a, b, c, result)
 }
 
 func (m *machine) special(w *warpState, sr isa.SpecialReg, lane int) uint32 {

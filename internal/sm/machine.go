@@ -144,6 +144,10 @@ type machine struct {
 	// violations accumulates dynamic invariant failures when Config.Verify
 	// is set (see invariants.go).
 	violations []string
+	// traced is the launch's set of opcodes still handed to GPU.Trace (bit
+	// op): every isa.Opcode.Traced opcode under an armed tracer, less each
+	// one the tracer has declined (TraceFunc).
+	traced uint64
 
 	// Machine-wide statistic accumulators kept as arrays on the hot path;
 	// finalize() converts them to the public Stats maps.
@@ -163,8 +167,22 @@ func newMachine(g *GPU, k *isa.Kernel) *machine {
 	m.warpsPerCTA = (k.CTAThreads + isa.WarpSize - 1) / isa.WarpSize
 	m.prof = g.Prof
 	m.flight = g.Flight
+	if g.Trace != nil {
+		m.traced = tracedOps
+	}
 	return m
 }
+
+// tracedOps is the set of isa.Opcode.Traced opcodes, bit op for opcode op.
+var tracedOps = func() uint64 {
+	var set uint64
+	for op := 0; op < 64; op++ {
+		if isa.Opcode(op).Traced() {
+			set |= 1 << op
+		}
+	}
+	return set
+}()
 
 // occupancy computes the resident CTA limit from warp slots, register file
 // capacity, and shared memory — the mechanism through which duplication's

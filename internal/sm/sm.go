@@ -362,7 +362,13 @@ func (s *Stats) IPC() float64 {
 // result, in the launch's instruction order. No other opcode reaches it,
 // ATOM included. FP64 operands arrive as full 64-bit values, and so does
 // a wide IMAD's addend; everything else in the low 32 bits.
-type TraceFunc func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64)
+//
+// The return value says whether the tracer wants more of op. Returning
+// false declines op for the rest of the launch: it gets no further call
+// for op, not even for the instruction's remaining lanes, and op's later
+// instances run on the fused fast path. Other opcodes keep arriving, and
+// the next launch starts with every traced opcode observed again.
+type TraceFunc func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64) bool
 
 // GPU owns global memory and runs kernels.
 type GPU struct {
@@ -374,7 +380,8 @@ type GPU struct {
 	// Trace, when non-nil, receives per-lane operand/result values of the
 	// traced arithmetic opcodes (the binary-instrumentation value tracer;
 	// see TraceFunc). Only those opcodes leave the fused fast path for the
-	// generic one, and an armed tracer changes no simulated number.
+	// generic one, and only until the tracer declines them; an armed
+	// tracer changes no simulated number.
 	Trace TraceFunc
 	// Prof, when non-nil, collects per-partition scheduling telemetry for
 	// every launch (DESIGN.md §14): per-partition issue/stall/deferred-log

@@ -66,21 +66,25 @@ func (t *OperandTrace) OnFill(f func(unit string)) { t.onFill = f }
 
 // Func returns the sm.TraceFunc that feeds this trace. Only the lowest
 // maxLane lanes are observed, mirroring the paper's 2048-lowest-threads
-// bound. The opcode picks the unit before anything else is done, so a
-// call for a unit that is already full returns without allocating.
+// bound. The opcode picks the unit before anything else is done: a call
+// for a unit that is already full returns false without allocating, which
+// declines the opcode for the rest of the launch (the unit can take no
+// more tuples, so the trace is the same), and every other call returns
+// true, a lane past maxLane included.
 func (t *OperandTrace) Func(maxLane int) sm.TraceFunc {
-	return func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64) {
-		if lane >= maxLane {
-			return
-		}
+	return func(op isa.Opcode, wide bool, lane int, a, b, c, result uint64) bool {
 		u := unitOf(op)
 		if u < 0 || len(t.units[u]) >= t.limit {
-			return
+			return false
+		}
+		if lane >= maxLane {
+			return true
 		}
 		t.units[u] = append(t.units[u], operands(op, wide, a, b, c))
 		if len(t.units[u]) == t.limit && t.onFill != nil {
 			t.onFill(unitNames[u])
 		}
+		return true
 	}
 }
 

@@ -124,14 +124,26 @@ func TestOperandTraceCollectsFromKernel(t *testing.T) {
 	}
 }
 
+// TestOperandTraceLimitAndLaneBound: the tracer keeps the lowest maxLane
+// lanes up to the limit, and declines an opcode (returns false) exactly
+// when its unit is full, whatever the lane.
 func TestOperandTraceLimitAndLaneBound(t *testing.T) {
 	tr := NewOperandTrace(3)
 	f := tr.Func(4)
 	for lane := 0; lane < 32; lane++ {
-		f(isa.IADD, false, lane, 1, 2, 0, 3)
+		want := lane < 3 // lane 2's tuple fills the unit
+		if got := f(isa.IADD, false, lane, 1, 2, 0, 3); got != want {
+			t.Errorf("lane %d: IADD call returned %v, want %v", lane, got, want)
+		}
 	}
 	if got := tr.Counts()[UnitFxPAdd32]; got != 3 {
 		t.Errorf("limit not enforced: %d", got)
+	}
+	if !f(isa.FADD, false, 4, 1, 2, 0, 3) {
+		t.Error("FADD call past the lane bound declined though Fp-Add32 has room")
+	}
+	if f(isa.ISUB, false, 0, 1, 2, 0, 3) {
+		t.Error("ISUB call accepted though FxP-Add32 is full")
 	}
 }
 
