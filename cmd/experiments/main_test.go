@@ -101,11 +101,12 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // workLedger is the work an -exp all run did, read from its -metrics and
 // -trace files: every faultsim.* counter per unit, the cells the perf
-// sweeps launched (the sum of "launched" over the perf:* spans), the
-// traced launches (the trace:* spans) and the lanes those launches handed
-// the tracer (the sum of "observed" over them). Each is a total, and the same at
-// every worker count; which sweep launched a shared cell is not, so the
-// ledger does not say.
+// sweeps launched and the scheduler rounds those launches ran (the sums of
+// "launched" and "rounds" over the perf:* spans), the traced launches (the
+// trace:* spans) and the lanes those launches handed the tracer (the sum of
+// "observed" over them). Each is a total, and the same at every worker
+// count; which sweep launched a shared cell is not, so the ledger does not
+// say.
 func workLedger(t *testing.T, metricsPath, tracePath string) []byte {
 	t.Helper()
 	f, err := os.Open(metricsPath)
@@ -131,19 +132,22 @@ func workLedger(t *testing.T, metricsPath, tracePath string) []byte {
 			fmt.Fprintf(&b, "%s %d\n", m.Name, m.Value)
 		}
 	}
-	launched, traced, observed := 0, 0, 0
+	launched, rounds, traced, observed := 0, 0, 0, 0
 	for _, e := range events {
 		switch {
 		case strings.HasPrefix(e.Name, "perf:"):
 			n, _ := e.Args["launched"].(float64)
 			launched += int(n)
+			r, _ := e.Args["rounds"].(float64)
+			rounds += int(r)
 		case strings.HasPrefix(e.Name, "trace:"):
 			traced++
 			n, _ := e.Args["observed"].(float64)
 			observed += int(n)
 		}
 	}
-	fmt.Fprintf(&b, "perf:* launched %d\ntrace:* spans %d\ntrace:* observed %d\n", launched, traced, observed)
+	fmt.Fprintf(&b, "perf:* launched %d\nperf:* rounds %d\ntrace:* spans %d\ntrace:* observed %d\n",
+		launched, rounds, traced, observed)
 	return b.Bytes()
 }
 

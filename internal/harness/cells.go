@@ -23,7 +23,7 @@ import (
 
 // cellFormat versions the cell key and the encoding of its outcome. Bump it
 // when either changes.
-const cellFormat = "cell/v1"
+const cellFormat = "cell/v2"
 
 // CellKey is the content address of a sweep cell: the hex SHA-256 over
 // every input that changes its outcome. The whole sm.Config goes in, so a

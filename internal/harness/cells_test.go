@@ -185,7 +185,7 @@ func TestCellKeyCoversInputs(t *testing.T) {
 		"workload": CellKey("bfs", compiler.SwapECC, cfg, true),
 		"scheme":   CellKey("lavaMD", compiler.SWDup, cfg, true),
 		"verify":   CellKey("lavaMD", compiler.SwapECC, cfg, false),
-		"format":   cellKey("cell/v0", "lavaMD", compiler.SwapECC, cfg, true),
+		"format":   cellKey("cell/v1", "lavaMD", compiler.SwapECC, cfg, true),
 	} {
 		if key == base {
 			t.Errorf("changing the %s keeps the key", name)
@@ -248,9 +248,9 @@ func TestFailedCellsStoreNothing(t *testing.T) {
 
 	key := CellKey(w.Name, compiler.Baseline, sm.DefaultConfig(), false)
 	tier.m[key] = []byte(`{"stats":`)
-	row, launched, err := runWorkload(ctx, w, nil, false, Options{Cells: cells})
-	if err != nil || launched != 1 || row.Baseline == nil {
-		t.Fatalf("undecodable cell: launched %d, err %v", launched, err)
+	row, work, err := runWorkload(ctx, w, nil, false, Options{Cells: cells})
+	if err != nil || work.launched != 1 || row.Baseline == nil {
+		t.Fatalf("undecodable cell: launched %d, err %v", work.launched, err)
 	}
 	if _, err := decodeCell(tier.m[key]); err != nil || tier.puts[key] != 1 {
 		t.Fatalf("undecodable cell not overwritten: %v (%d puts)", err, tier.puts[key])

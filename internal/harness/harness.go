@@ -91,14 +91,21 @@ type PerfResult struct {
 	Rows    []*PerfRow
 }
 
+// rowWork is what resolving a sweep row computed: the cells it launched,
+// and the scheduler rounds those launches ran (IssueCycles + IdleRounds).
+type rowWork struct {
+	launched int
+	rounds   int64
+}
+
 // runWorkload resolves one workload's row, baseline first, through
-// opt.Cells. It reports how many of the row's cells it launched.
-func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, int, error) {
+// opt.Cells, and reports the work it did.
+func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, rowWork, error) {
 	row := &PerfRow{Workload: w.Name,
 		Stats: make(map[compiler.Scheme]*sm.Stats),
 		Errs:  make(map[compiler.Scheme]string)}
 	cfg := opt.smConfig()
-	launched := 0
+	var work rowWork
 	// The row's launches share one flight recorder, made by the first. A
 	// failed launch ends the row, so its recorder, whose bundle the error
 	// carries, is never reused.
@@ -112,11 +119,14 @@ func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.
 				return launchCell(ctx, w, s, verify, opt, fr)
 			})
 		if ran {
-			launched++
+			work.launched++
+			if out.Stats != nil {
+				work.rounds += out.Stats.IssueCycles + out.Stats.IdleRounds
+			}
 		}
 		switch {
 		case err != nil:
-			return nil, launched, err
+			return nil, work, err
 		case out.Refused != "":
 			row.Errs[s] = out.Refused
 		case s == compiler.Baseline:
@@ -125,7 +135,7 @@ func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.
 			row.Stats[s] = out.Stats
 		}
 	}
-	return row, launched, nil
+	return row, work, nil
 }
 
 // launchCell computes one cell: compile the scheme, launch it on a freshly

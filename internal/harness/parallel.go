@@ -124,16 +124,17 @@ func RunPerfCtxOpts(ctx context.Context, pool *engine.Pool, schemes []compiler.S
 
 // runRows is RunPerfCtxOpts over the given workloads: one row each, in
 // order, with one "perf:<workload>" span per row that counts the cells the
-// row launched.
+// row launched and the rounds they ran.
 func runRows(ctx context.Context, pool *engine.Pool, ws []*workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
 	rows, err := engine.Map(ctx, pool, len(ws), func(ctx context.Context, i int) (*PerfRow, error) {
 		rec := pool.Recorder()
 		start := rec.Now()
-		row, launched, rerr := runWorkload(ctx, ws[i], schemes, verify, opt)
+		row, work, rerr := runWorkload(ctx, ws[i], schemes, verify, opt)
 		if rerr == nil {
 			pool.Tracker().AddItems(int64(len(schemes) + 1))
 			rec.Span(rec.Process("harness"), rec.NextTID(), "perf:"+ws[i].Name, "driver",
-				start, rec.Now()-start, map[string]any{"schemes": len(schemes), "launched": launched})
+				start, rec.Now()-start, map[string]any{"schemes": len(schemes),
+					"launched": work.launched, "rounds": work.rounds})
 		}
 		return row, rerr
 	})

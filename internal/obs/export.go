@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -251,22 +250,4 @@ func ValidateTrace(data []byte) ([]Event, error) {
 		}
 	}
 	return f.TraceEvents, nil
-}
-
-// SortEventsForTest orders events deterministically (by pid, tid, ts, name)
-// for tests that assert on event streams produced by concurrent writers.
-func SortEventsForTest(events []Event) {
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.Name < b.Name
-	})
 }

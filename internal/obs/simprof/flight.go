@@ -1,3 +1,12 @@
+// Package simprof is the SM's flight recorder (DESIGN.md §14): every
+// scheduler partition and the merge barrier log their recent decisions into
+// rings, so that a failing launch (invariant trip, differential mismatch,
+// deadlock, panic) can be replayed deterministically from a JSONL "black
+// box" bundle. Rings that hold a whole launch are also its observation
+// record.
+//
+// The package deliberately does not import internal/sm (sm imports it); the
+// machine feeds FlightRecorder rings through narrow value types defined here.
 package simprof
 
 import (
@@ -292,15 +301,6 @@ type Bundle struct {
 	Meta       Meta
 	Partitions [][]Decision
 	Merge      []Decision
-}
-
-// Decisions returns the total retained decision count.
-func (b *Bundle) Decisions() int {
-	n := len(b.Merge)
-	for _, p := range b.Partitions {
-		n += len(p)
-	}
-	return n
 }
 
 // MaxBundlePartitions bounds the partition index a bundle line may name. A

@@ -159,37 +159,6 @@ const hugePartitionBundle = `{"type":"meta","meta":{"kernel":"k","scheme":"s","c
 {"type":"end","count":1}
 `
 
-func TestLaunchProfDerived(t *testing.T) {
-	var lp LaunchProf
-	lp.Reset(2)
-	if got := lp.LoadImbalance(); got != 1 {
-		t.Fatalf("empty imbalance = %v, want 1", got)
-	}
-	lp.Partitions[0].Issued = 300
-	lp.Partitions[1].Issued = 100
-	if got := lp.LoadImbalance(); got != 1.5 {
-		t.Fatalf("imbalance = %v, want 1.5 (max 300 / mean 200)", got)
-	}
-	lp.ObserveLogs(0, 5, 2, 1)
-	lp.ObserveLogs(0, 3, 4, 0)
-	p := &lp.Partitions[0]
-	if p.PeakWlog != 5 || p.PeakSlog != 4 || p.PeakEvents != 1 {
-		t.Fatalf("peaks = %d/%d/%d, want 5/4/1", p.PeakWlog, p.PeakSlog, p.PeakEvents)
-	}
-	if p.WlogTotal != 8 || p.SlogTotal != 6 || p.EventsTotal != 1 {
-		t.Fatalf("totals = %d/%d/%d, want 8/6/1", p.WlogTotal, p.SlogTotal, p.EventsTotal)
-	}
-
-	// Reset must wipe partition state for reuse.
-	lp.Reset(2)
-	if lp.Partitions[0].Issued != 0 || lp.Partitions[0].PeakWlog != 0 {
-		t.Fatal("Reset left partition state behind")
-	}
-	if !reflect.DeepEqual(lp.Partitions[1], PartitionProf{Index: 1}) {
-		t.Fatalf("Reset left state in partition 1: %+v", lp.Partitions[1])
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindIssue: "issue", KindStall: "stall", KindPark: "park",

@@ -506,7 +506,6 @@ func (p *partition) execAtom(w *warpState, in *isa.Instr, mask uint32, injectNow
 	}
 	p.wlog = append(p.wlog, memEvent{atom: op})
 	w.atomHold = true
-	p.parks++
 	if p.fr != nil {
 		p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid),
 			PC: w.top().pc, Kind: simprof.KindPark})

@@ -122,13 +122,15 @@ func TestFlightBundleNotStampedOnSuccess(t *testing.T) {
 }
 
 // TestParallelSMDifferentialTelemetry re-runs a slice of the differential
-// sweep with BOTH simprof surfaces armed (LaunchProf and a whole-launch
-// FlightRecorder) and requires Stats and final memory to stay bit-identical
-// to the bare run — the telemetry must observe the loop, never perturb it —
-// and two armed launches to record the same profile and decision streams.
-// The two faulted launches arm every decision kind the observation path
-// reads: one resident decision per warp, one retiring issue per warp, one
-// due per pipeline DUE (five, under Swap-ECC) and the SW-Dup BPT trap.
+// sweep with a whole-launch FlightRecorder armed and requires Stats and
+// final memory to stay bit-identical to the bare run — the telemetry must
+// observe the loop, never perturb it — and two armed launches to record the
+// same decision streams. The streams must also agree with the round counts
+// in Stats: one merge decision per issue cycle, one skip per idle round and
+// one issue decision per instruction a partition issued. The two faulted
+// launches arm every decision kind the observation path reads: one resident
+// decision per warp, one retiring issue per warp, one due per pipeline DUE
+// (five, under Swap-ECC) and the SW-Dup BPT trap.
 func TestParallelSMDifferentialTelemetry(t *testing.T) {
 	for _, c := range []struct {
 		workload string
@@ -156,7 +158,6 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 				g.Fault = &fp
 			}
 			if armed {
-				g.Prof = &simprof.LaunchProf{}
 				g.Flight = simprof.NewFlightRecorder(harness.LaunchRings)
 			}
 			st, err := g.Launch(k)
@@ -172,7 +173,6 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 		}
 		ref, refSt := launch(false)
 
-		var refProf *simprof.LaunchProf
 		var refParts [][]simprof.Decision
 		var refMerge []simprof.Decision
 		for run := 0; run < 2; run++ {
@@ -186,31 +186,47 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 			if c.fault != nil && *g.Fault != *ref.Fault {
 				t.Errorf("%s run %d: fault plan %+v, bare run %+v", name, run, *g.Fault, *ref.Fault)
 			}
-			prof := g.Prof
-			if prof.Cycles != refSt.Cycles || prof.Rounds == 0 {
-				t.Errorf("%s run %d: prof cycles=%d rounds=%d, stats cycles=%d",
-					name, run, prof.Cycles, prof.Rounds, refSt.Cycles)
-			}
-			if got := sm.DefaultConfig().Schedulers; len(prof.Partitions) != got {
-				t.Errorf("%s run %d: prof has %d partitions, config has %d",
-					name, run, len(prof.Partitions), got)
+			if got := sm.DefaultConfig().Schedulers; len(st.PartitionInstrs) != got {
+				t.Fatalf("%s run %d: stats have %d partitions, config has %d",
+					name, run, len(st.PartitionInstrs), got)
 			}
 			// The rings are read directly: a whole launch is too many
 			// decisions to round-trip through a JSON bundle ten times.
-			parts := make([][]simprof.Decision, len(prof.Partitions))
+			parts := make([][]simprof.Decision, len(st.PartitionInstrs))
 			for i := range parts {
 				parts[i] = g.Flight.Partition(i).Snapshot()
 			}
 			merge := g.Flight.MergeRing().Snapshot()
 			kinds := map[simprof.Kind]int64{}
 			var retiring int64
-			for _, ds := range parts {
+			for i, ds := range parts {
+				var issued int64
 				for _, d := range ds {
 					kinds[d.Kind]++
-					if d.Kind == simprof.KindIssue && d.Aux == 1 {
-						retiring++
+					if d.Kind == simprof.KindIssue {
+						issued++
+						if d.Aux == 1 {
+							retiring++
+						}
 					}
 				}
+				if issued != st.PartitionInstrs[i] {
+					t.Errorf("%s run %d: partition %d has %d issue decisions, stats say it issued %d",
+						name, run, i, issued, st.PartitionInstrs[i])
+				}
+			}
+			var merges, skips int64
+			for _, d := range merge {
+				switch d.Kind {
+				case simprof.KindMerge:
+					merges++
+				case simprof.KindSkip:
+					skips++
+				}
+			}
+			if merges != st.IssueCycles || skips != st.IdleRounds || st.IdleRounds == 0 {
+				t.Errorf("%s run %d: %d merge and %d skip decisions; stats %d issue cycles, %d idle rounds",
+					name, run, merges, skips, st.IssueCycles, st.IdleRounds)
 			}
 			warps := int64(k.GridCTAs * ((k.CTAThreads + 31) / 32))
 			if kinds[simprof.KindResident] != warps || retiring != warps {
@@ -224,12 +240,8 @@ func TestParallelSMDifferentialTelemetry(t *testing.T) {
 					st.DynWarpInstrs, st.PipelineDUEs, st.Trapped)
 			}
 			if run == 0 {
-				refProf, refParts, refMerge = prof, parts, merge
+				refParts, refMerge = parts, merge
 				continue
-			}
-			if !reflect.DeepEqual(prof, refProf) {
-				t.Errorf("%s: launch profile differs between identical launches\n got %+v\nwant %+v",
-					name, prof, refProf)
 			}
 			if !reflect.DeepEqual(parts, refParts) || !reflect.DeepEqual(merge, refMerge) {
 				t.Errorf("%s: decision streams differ between identical launches", name)

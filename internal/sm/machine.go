@@ -131,12 +131,6 @@ type machine struct {
 	// injection: partitions issue in index order, so the numbering is the
 	// launch's issue order.
 	dyn int64
-	// prof mirrors GPU.Prof: per-partition scheduling telemetry. Every
-	// hot-path observation hides behind this nil check (plus frMerge's for
-	// the flight recorder), which is what keeps the disabled path inside the
-	// BenchmarkSMObsDisabled budget. Nothing prof records feeds back into
-	// simulated state.
-	prof *simprof.LaunchProf
 	// flight/frMerge mirror GPU.Flight: frMerge is the barrier's decision
 	// ring (partitions hold their own ring pointers).
 	flight  *simprof.FlightRecorder
@@ -155,7 +149,8 @@ type machine struct {
 	thrCyc [10]int64
 	// idleRounds counts fully-idle rounds by proximate stall reason (before
 	// any occupancy re-attribution) — the Verify-mode reconciliation between
-	// the CPI cycle partition and the per-slot stall counters.
+	// the CPI cycle partition and the per-slot stall counters. finalize
+	// sums it into Stats.IdleRounds.
 	idleRounds [5]int64
 }
 
@@ -165,7 +160,6 @@ func newMachine(g *GPU, k *isa.Kernel) *machine {
 			DepCyclesPerClass:      make(map[isa.Class]int64),
 			ThrottleCyclesPerClass: make(map[isa.Class]int64)}}
 	m.warpsPerCTA = (k.CTAThreads + isa.WarpSize - 1) / isa.WarpSize
-	m.prof = g.Prof
 	m.flight = g.Flight
 	if g.Trace != nil {
 		m.traced = tracedOps
@@ -247,9 +241,6 @@ func (m *machine) initPartitions() {
 		}
 		m.parts[i] = p
 	}
-	if m.prof != nil {
-		m.prof.Reset(n)
-	}
 	if m.flight != nil {
 		m.frMerge = m.flight.MergeRing()
 		for i, p := range m.parts {
@@ -288,9 +279,6 @@ func (m *machine) launchCTA() {
 		p.stale |= 1 << uint(len(p.warps))
 		p.warps = append(p.warps, w)
 		p.sched = append(p.sched, schedSlot{})
-		if m.prof != nil {
-			m.prof.Partitions[p.idx].WarpsAssigned++
-		}
 		if p.fr != nil {
 			p.fr.Add(simprof.Decision{Cycle: m.cycle, Warp: int32(w.gid), PC: -1,
 				Kind: simprof.KindResident})
@@ -450,14 +438,6 @@ func (m *machine) mergeRound() (bool, error) {
 			return false, p.err
 		}
 	}
-	// Deferred-log telemetry reads the lengths before the commits below
-	// drain them; parked warps and stall profiles accumulate on the
-	// partitions and fold at finalize.
-	if m.prof != nil {
-		for i, p := range m.parts {
-			m.prof.ObserveLogs(i, len(p.wlog), len(p.slog), len(p.events))
-		}
-	}
 	// 2. Commit deferred global- and shared-memory writes and replay
 	// atomics in partition order, preserving each partition's program order.
 	for _, p := range m.parts {
@@ -520,13 +500,6 @@ func (m *machine) mergeRound() (bool, error) {
 	} else {
 		m.stats.IssueCycles += delta
 	}
-	if m.prof != nil {
-		m.prof.Rounds++
-		if issued == 0 {
-			m.prof.IdleRounds++
-			m.prof.SkippedCycles += delta - 1
-		}
-	}
 	if m.frMerge != nil {
 		if issued == 0 {
 			m.frMerge.Add(simprof.Decision{Cycle: m.cycle, Warp: -1, PC: -1,
@@ -581,16 +554,21 @@ func (m *machine) applyCTAEvents() {
 }
 
 // finalize stamps the cycle count and folds the per-partition statistic
-// deltas into the public Stats maps and the launch profile; every run()
-// exit path (completion and cancellation) goes through it.
+// deltas into the public Stats; every run() exit path (completion and
+// cancellation) goes through it.
 func (m *machine) finalize() {
 	m.stats.Cycles = m.cycle
 	m.stats.UnknownClassOps = m.unknownClass
+	for _, n := range m.idleRounds {
+		m.stats.IdleRounds += n
+	}
+	m.stats.PartitionInstrs = make([]int64, len(m.parts))
 	if m.mh != nil {
 		mst := m.mh.Stats()
 		m.stats.Mem = &mst
 	}
-	for _, p := range m.parts {
+	for i, p := range m.parts {
+		m.stats.PartitionInstrs[i] = p.instrs
 		m.stats.DynWarpInstrs += p.instrs
 		m.stats.StallDeps += p.stallDeps
 		m.stats.StallThrottle += p.stallThrottle
@@ -620,31 +598,6 @@ func (m *machine) finalize() {
 		if v != 0 {
 			m.stats.ThrottleCyclesPerClass[isa.Class(cl)] += v
 		}
-	}
-	if m.prof != nil {
-		m.finalizeProf()
-	}
-}
-
-// finalizeProf folds the per-partition counters into the launch profile and
-// stamps identity; like finalize itself it runs on every exit path, so a
-// cancelled or failed launch still reports a coherent partial profile.
-func (m *machine) finalizeProf() {
-	lp := m.prof
-	lp.Kernel = m.k.Name
-	lp.Scheme = m.k.Scheme
-	if lp.Scheme == "" {
-		lp.Scheme = "none"
-	}
-	lp.Cycles = m.cycle
-	for i, p := range m.parts {
-		pp := &lp.Partitions[i]
-		pp.Issued = p.instrs
-		pp.StallDeps = p.stallDeps
-		pp.StallThrottle = p.stallThrottle
-		pp.StallBarrier = p.stallBarrier
-		pp.StallNoWarp = p.stallNoWarp
-		pp.Parked = p.parks
 	}
 }
 

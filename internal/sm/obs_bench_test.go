@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkSMObsDisabled measures the plain launch: no flight recorder, no
-// profile, no tracer. It is the baseline the armed benchmarks here and
+// tracer. It is the baseline the armed benchmarks here and
 // BenchmarkSMObserved are read against, alternated with them in one binary.
 // CI runs these benchmarks at -benchtime 1x so that they keep running.
 func BenchmarkSMObsDisabled(b *testing.B) {
@@ -43,27 +43,6 @@ func BenchmarkSMCPIStack(b *testing.B) {
 		stack := st.CPIStack(k.Name, k.Scheme)
 		if stack.Sum() != st.Cycles {
 			b.Fatalf("stack sums to %d, want %d", stack.Sum(), st.Cycles)
-		}
-	}
-}
-
-// BenchmarkSMProfArmed measures a launch with the partition profiler
-// (simprof.LaunchProf) armed: per-round counter folds and deferred-log
-// peeks at the merge barrier. Compare against
-// BenchmarkSMObsDisabled for the armed-profiler premium.
-func BenchmarkSMProfArmed(b *testing.B) {
-	const n = 2048
-	k := vecAddKernel(n, 16, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g := NewGPU(DefaultConfig(), 3*n+64)
-		g.Prof = &simprof.LaunchProf{}
-		st, err := g.Launch(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if g.Prof.Cycles != st.Cycles {
-			b.Fatalf("prof cycles %d, stats %d", g.Prof.Cycles, st.Cycles)
 		}
 	}
 }

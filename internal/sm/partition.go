@@ -149,10 +149,6 @@ type partition struct {
 
 	stallDeps, stallThrottle, stallBarrier, stallNoWarp int64
 
-	// parks counts ATOM parkings (folded into LaunchProf when armed; the
-	// unconditional increment on the rare ATOM path is cheaper than a branch).
-	parks int64
-
 	// unknownClass counts timing lookups that hit the unknown-class fallback
 	// (see Config.latency); finalize folds it into Stats.UnknownClassOps.
 	unknownClass int64

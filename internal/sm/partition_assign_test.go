@@ -10,8 +10,8 @@ import (
 // warp goes to the currently least-loaded partition (ties to the lowest
 // index), so within a single residency wave the per-partition warp counts
 // never spread by more than one and every warp lands somewhere. Observed
-// through simprof.LaunchProf.WarpsAssigned, which counts exactly these
-// placements.
+// through each partition's flight-recorder ring, which logs one resident
+// decision per placement.
 func TestPartitionAssignmentBalance(t *testing.T) {
 	const n = 1 << 12
 	cases := []struct {
@@ -31,26 +31,34 @@ func TestPartitionAssignmentBalance(t *testing.T) {
 
 		cfg := DefaultConfig()
 		cfg.Schedulers = tc.scheds
-		prof := &simprof.LaunchProf{}
 		g := NewGPU(cfg, 3*n+64)
-		g.Prof = prof
-		if _, err := g.Launch(k); err != nil {
+		g.Flight = simprof.NewFlightRecorder(1 << 16)
+		st, err := g.Launch(k)
+		if err != nil {
 			t.Fatalf("scheds=%d grid=%d cta=%d: %v", tc.scheds, tc.grid, tc.cta, err)
 		}
-		if len(prof.Partitions) != tc.scheds {
-			t.Fatalf("scheds=%d: prof has %d partitions", tc.scheds, len(prof.Partitions))
+		if len(st.PartitionInstrs) != tc.scheds {
+			t.Fatalf("scheds=%d: stats have %d partitions", tc.scheds, len(st.PartitionInstrs))
 		}
 		var sum, min, max int64
 		min = int64(total) + 1
 		counts := make([]int64, tc.scheds)
-		for i, p := range prof.Partitions {
-			counts[i] = p.WarpsAssigned
-			sum += p.WarpsAssigned
-			if p.WarpsAssigned < min {
-				min = p.WarpsAssigned
+		for i := range counts {
+			ring := g.Flight.Partition(i)
+			if ring.Lost() > 0 {
+				t.Fatalf("scheds=%d: partition %d's ring lost %d decisions", tc.scheds, i, ring.Lost())
 			}
-			if p.WarpsAssigned > max {
-				max = p.WarpsAssigned
+			for _, d := range ring.Snapshot() {
+				if d.Kind == simprof.KindResident {
+					counts[i]++
+				}
+			}
+			sum += counts[i]
+			if counts[i] < min {
+				min = counts[i]
+			}
+			if counts[i] > max {
+				max = counts[i]
 			}
 		}
 		if sum != int64(total) {

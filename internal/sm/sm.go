@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 
-	"swapcodes/internal/compiler"
 	"swapcodes/internal/core"
 	"swapcodes/internal/isa"
 	"swapcodes/internal/memmodel"
@@ -285,6 +284,15 @@ type Stats struct {
 	Mem *memmodel.Stats
 	// IssueCycles counts cycles in which at least one scheduler slot issued.
 	IssueCycles int64
+	// IdleRounds counts the rounds in which no scheduler slot issued, each
+	// of which the idle-skip ended by jumping to the earliest wake. A
+	// launch runs one round per issue cycle and per idle round, so it ran
+	// IssueCycles + IdleRounds rounds and never simulated the other
+	// Cycles - IssueCycles - IdleRounds cycles round by round.
+	IdleRounds int64
+	// PartitionInstrs is each scheduler partition's share of
+	// DynWarpInstrs, in partition order.
+	PartitionInstrs []int64
 	// ResidentWarpLimit is the occupancy cap the launch ran under, in warps
 	// (MaxResidentWarps can run below it on small grids).
 	ResidentWarpLimit int
@@ -383,12 +391,6 @@ type GPU struct {
 	// generic one, and only until the tracer declines them; an armed
 	// tracer changes no simulated number.
 	Trace TraceFunc
-	// Prof, when non-nil, collects per-partition scheduling telemetry for
-	// every launch (DESIGN.md §14): per-partition issue/stall/deferred-log
-	// profiles and round and idle-skip counts. Every value it records is a
-	// deterministic function of the launch, and none feeds back into
-	// simulated results, so Stats are bit-identical with Prof on or off.
-	Prof *simprof.LaunchProf
 	// Flight, when non-nil, arms the flight recorder: each partition logs
 	// its recent scheduler decisions into a fixed-size ring, and any launch
 	// failure (invariant violation, deadlock, cycle-budget trip, panic)
@@ -485,23 +487,4 @@ func (g *GPU) LaunchContext(ctx context.Context, k *isa.Kernel) (*Stats, error) 
 // launch had already failed.
 func stoppedByContext(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// RunScheme compiles the kernel under a scheme and launches it, a
-// convenience for the experiment harness.
-func (g *GPU) RunScheme(k *isa.Kernel, s compiler.Scheme) (*Stats, error) {
-	t, err := compiler.Apply(k, s)
-	if err != nil {
-		return nil, err
-	}
-	return g.Launch(t)
-}
-
-// TrapError is returned when HaltOnDUE is unset but a BPT trap fires and
-// execution cannot meaningfully continue.
-type TrapError struct{ Kernel string }
-
-// Error implements error.
-func (e *TrapError) Error() string {
-	return fmt.Sprintf("sm: kernel %s: BPT trap (software error detection fired)", e.Kernel)
 }

@@ -357,7 +357,7 @@ func TestTimingSchemesOrdering(t *testing.T) {
 	cycles := map[compiler.Scheme]int64{}
 	g := NewGPU(DefaultConfig(), 2048)
 	for _, s := range []compiler.Scheme{compiler.Baseline, compiler.SWDup, compiler.SwapECC, compiler.SwapPredictMAD} {
-		st, err := g.RunScheme(base, s)
+		st, err := g.Launch(compiler.MustApply(base, s))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
