@@ -1,13 +1,16 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"swapcodes/internal/engine"
+	"swapcodes/internal/faultsim"
 	"swapcodes/internal/harness"
 	"swapcodes/internal/trace"
 )
@@ -171,5 +174,67 @@ func TestCampaignCancelKeepsWholeShards(t *testing.T) {
 		if sum.Digest != want.Digest || sum.Injections != want.Injections {
 			t.Fatalf("shard %d: partial result does not match a clean run", j)
 		}
+	}
+}
+
+// TestResumeRerunsMismatchedShards: a replayed shard checkpoint is trusted
+// only when its Unit, Shard and UnitName match the plan's shard at its
+// index. A log whose three checkpoints each get one of them wrong, with
+// counts no real shard has, resumes to the bytes of an uninterrupted run.
+// The control, the same counts under the right identity, is trusted and
+// changes the payload, so the comparison does see a trusted checkpoint.
+func TestResumeRerunsMismatchedShards(t *testing.T) {
+	spec := Spec{Kind: KindCampaign, Tuples: resumeTuples, Seed: 1}
+	want := runSpec(t, newService(t, Options{Workers: 2}), spec)
+
+	plan := harness.NewCampaign(spec.Tuples, spec.Seed)
+	refs := plan.Shards()
+	bogus := func(idx int, wrong func(*ShardSummary)) *ShardSummary {
+		ref := refs[idx]
+		sum := &ShardSummary{Index: idx, Unit: ref.Unit, Shard: ref.Shard,
+			UnitName: plan.Units[ref.Unit].Name, Injections: 1, Digest: "bogus",
+			SDC: map[string]faultsim.Counts{}}
+		sum.Severity[0] = faultsim.Counts{K: 1, N: 1}
+		wrong(sum)
+		return sum
+	}
+	resume := func(sums ...*ShardSummary) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		st, _, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendJob("j1", spec, ""); err != nil {
+			t.Fatal(err)
+		}
+		for _, sum := range sums {
+			if err := st.AppendShard("j1", sum); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, ok := newService(t, Options{StateDir: dir, Workers: 2}).Get("j1")
+		if !ok {
+			t.Fatal("job not replayed")
+		}
+		if st := waitTerminal(t, j, 2*time.Minute); st.State != StateDone {
+			t.Fatalf("resumed job = %s: %s", st.State, st.Error)
+		}
+		return j.Result()
+	}
+
+	got := resume(
+		bogus(0, func(s *ShardSummary) { s.Unit++ }),
+		bogus(1, func(s *ShardSummary) { s.Shard++ }),
+		bogus(2, func(s *ShardSummary) { s.UnitName += "-other" }),
+	)
+	if !bytes.Equal(got, want) {
+		t.Errorf("resuming from mismatched checkpoints gave %d bytes that differ from an uninterrupted run's %d", len(got), len(want))
+	}
+	if bytes.Equal(resume(bogus(0, func(*ShardSummary) {})), want) {
+		t.Error("a checkpoint with the right identity and bogus counts left the payload unchanged")
 	}
 }

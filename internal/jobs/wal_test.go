@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -270,4 +271,91 @@ func TestResumeFailsOversizedJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// FuzzWALReplay writes arbitrary bytes as a state directory's wal.jsonl and
+// opens it: replay must not panic, must count at most one record or one
+// truncation per non-empty line, and must leave a log that takes appends:
+// a job appended after OpenStore (which seals a torn tail) is replayed, as
+// one more record, by the next OpenStore. The seeds are TestWALRoundTrip's
+// log whole, with a torn tail, with its shard record twice, with its shard
+// record before its job, and with one bit flipped in its first line.
+func FuzzWALReplay(f *testing.F) {
+	dir := f.TempDir()
+	st, _, err := OpenStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sum := &ShardSummary{Index: 3, Unit: 1, Shard: 2, UnitName: "imul", Injections: 512,
+		SDC: map[string]faultsim.Counts{"parity": {K: 4, N: 512}}, Digest: "abc"}
+	sum.Severity[0] = faultsim.Counts{K: 100, N: 512}
+	sum.Stats = faultsim.EvalStats{NetNodes: 322, Tuples: 512, EvalCounters: gates.EvalCounters{
+		BaselineNodes: 2576, ConeNodes: 25000, SiteEvals: 520, EvalNodes: 2100}}
+	for _, err := range []error{
+		st.AppendJob("j1", Spec{Kind: KindCampaign, Tuples: 100, Seed: 7}, "0af7651916cd43dd8448eb211c80319c"),
+		st.AppendState("j1", StateRunning, ""),
+		st.AppendShard("j1", sum),
+		st.AppendJob("j2", Spec{Kind: KindVerify}, ""),
+		st.AppendState("j2", StateDone, ""),
+		st.AppendResult("j2", json.RawMessage(`{"kind":"verify"}`)),
+		st.Close(),
+	} {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	job, shard := lines[0], lines[2]
+	flipped := []byte(string(raw))
+	flipped[len(job)/2] ^= 0x04
+	f.Add(raw)
+	f.Add([]byte(string(raw) + `{"t":"state","id":"j1","sta`))
+	f.Add([]byte(job + lines[1] + shard + shard + strings.Join(lines[3:], "")))
+	f.Add([]byte(shard + job + lines[1] + strings.Join(lines[3:], "")))
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, rep, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		lines := 0
+		for _, l := range bytes.Split(raw, []byte("\n")) {
+			if len(l) > 0 {
+				lines++
+			}
+		}
+		if rep.Records+rep.Truncated > lines || len(rep.Jobs) > rep.Records {
+			t.Fatalf("%d records, %d truncated and %d jobs from %d non-empty lines",
+				rep.Records, rep.Truncated, len(rep.Jobs), lines)
+		}
+		spec := Spec{Kind: KindVerify}
+		err = st.AppendJob("fuzz-probe", spec, "")
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, again, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		st.Close()
+		if again.Records != rep.Records+1 || again.Truncated != rep.Truncated {
+			t.Fatalf("after one append: %d records, %d truncated; want %d, %d",
+				again.Records, again.Truncated, rep.Records+1, rep.Truncated)
+		}
+		if last := again.Jobs[len(again.Jobs)-1]; last.ID != "fuzz-probe" || !reflect.DeepEqual(last.Spec, spec) {
+			t.Fatalf("appended job replays as %+v", last)
+		}
+	})
 }
