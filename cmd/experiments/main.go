@@ -28,7 +28,7 @@
 // headline share, which runs first on the whole pool; simulation and
 // injection results are bit-identical at any worker count, and output is
 // printed in the canonical experiment order regardless of completion order.
-// Ctrl-C (or -timeout) cancels the run and reports what finished.
+// Ctrl-C, SIGTERM or -timeout cancels the run and reports what finished.
 //
 // With -submit the server-backed experiments (headline, fig10, fig11,
 // fig12, cpistack, fig15, fig16, verify) run as jobs on a swapserve
@@ -47,6 +47,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"swapcodes/internal/compiler"
@@ -54,6 +55,7 @@ import (
 	"swapcodes/internal/harness"
 	"swapcodes/internal/jobs"
 	"swapcodes/internal/obs"
+	"swapcodes/internal/sm"
 	"swapcodes/internal/verify"
 )
 
@@ -74,9 +76,11 @@ func main() {
 	submit := flag.String("submit", "", "submit the experiments to a running swapserve at this base URL (e.g. http://127.0.0.1:9090) instead of running locally")
 	tenant := flag.String("tenant", "", "tenant fairness key for -submit (empty = default tenant)")
 	flag.Parse()
+	mem, err := sm.ParseMemModel(*memModel)
+	fail(err)
 
 	if *submit != "" {
-		fail(runSubmit(*submit, *tenant, *exp, *tuples, *seed, *memModel))
+		fail(runSubmit(*submit, *tenant, *exp, *tuples, *seed, mem))
 		return
 	}
 
@@ -84,20 +88,20 @@ func main() {
 	if *metricsOut != "" || *traceOut != "" || *metricsInterval > 0 || *serve != "" {
 		rec = obs.NewRecorder()
 	}
-	fail(run(rec, *exp, *tuples, *seed, *workers, *memModel, *timeout, *serve, *csvDir,
+	fail(run(rec, *exp, *tuples, *seed, *workers, mem, *timeout, *serve, *csvDir,
 		*chart, *verilogDir, *metricsOut, *traceOut, *metricsInterval))
 }
 
 // run owns the experiment lifecycle so its defers fire on every exit path:
 // the metrics/trace flush and the -serve shutdown happen on success, on
-// cancellation (Ctrl-C, -timeout), on experiment failure, and during a
+// cancellation (a signal, -timeout), on experiment failure, and during a
 // panic unwind — a crashed run still leaves its partial observations.
 func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	memModel string, timeout time.Duration, serve, csvDir string, chart bool, verilogDir,
 	metricsOut, traceOut string, metricsInterval time.Duration) (err error) {
 	pool := engine.New(workers)
 	pool.SetObs(rec)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -198,8 +202,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	experiments := []experiment{
 		{"headline", func(ctx context.Context) (string, error) {
 			// The headline is a flat-memory table whatever -mem-model says.
-			campaign := func(context.Context) (*harness.InjectionResult, error) { return inj, nil }
-			rows, err := harness.HeadlineCtx(ctx, pool, campaign, harness.Options{Cells: cells})
+			rows, err := harness.HeadlineCtx(ctx, pool, inj.PooledSDC, harness.Options{Cells: cells})
 			if err != nil {
 				return "", err
 			}
@@ -403,8 +406,8 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	fmt.Fprintf(os.Stderr, "experiments: total %.2fs; engine: %s\n",
 		time.Since(start).Seconds(), pr.String())
 	// The deferred flushObs writes metrics/trace after this return, so a
-	// cancelled run (Ctrl-C, -timeout) still leaves its partial observations
-	// on disk.
+	// cancelled run (Ctrl-C, SIGTERM, -timeout) still leaves its partial
+	// observations on disk.
 	if runErr != nil && rec != nil {
 		fmt.Fprintln(os.Stderr, "experiments: cancelled; writing partial metrics")
 	}
@@ -419,7 +422,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 // and returns the payload. Only the service-backed experiments map; the
 // local-only ones (static tables, fig13/fig14 post-processing) say so.
 func runSubmit(base, tenant, exp string, tuples int, seed int64, memModel string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	names := func(schemes []compiler.Scheme) []string {

@@ -45,6 +45,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"swapcodes/internal/compiler"
@@ -149,9 +150,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	mem, err := sm.ParseMemModel(*memModel)
+	fail(err)
 	fail(checkFaultSite(*lane, *bit))
 	opts := runOpts{name: *name, file: *file, memWords: *memWords,
-		fault: *fault, lane: *lane, bit: *bit, memModel: *memModel,
+		fault: *fault, lane: *lane, bit: *bit, memModel: mem,
 		disas: *disas, optimize: *optimize, log: log}
 	if *flight != "" {
 		opts.flight = &flightSink{path: *flight, log: log}
@@ -179,12 +182,12 @@ func main() {
 
 // run owns the whole simulation lifecycle so its defers fire on every exit:
 // the metrics/trace flush and the -serve shutdown happen on success, on
-// cancellation (Ctrl-C, -timeout), on a failed scheme, and during a panic
+// cancellation (a signal, -timeout), on a failed scheme, and during a panic
 // unwind — a crashed run still leaves its partial observations on disk.
 func run(schemes []compiler.Scheme, opts runOpts, workers int, seed int64,
 	timeout time.Duration, serve string, metricsInterval time.Duration,
 	metricsOut, traceOut string) (err error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -400,7 +403,7 @@ func runScheme(ctx context.Context, scheme compiler.Scheme, o runOpts) (string, 
 // traceParent, when set, pins the submission's trace ID so the server-side
 // execution correlates with whatever minted it.
 func submitPerf(log *slog.Logger, base, tenant, traceParent string, schemes []string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	for i := range schemes {
 		schemes[i] = strings.TrimSpace(schemes[i])

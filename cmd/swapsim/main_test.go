@@ -1,14 +1,19 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/harness"
@@ -120,6 +125,68 @@ func TestRingOverflowSaysSo(t *testing.T) {
 	}
 	if !said || spans != 0 {
 		t.Errorf("trace: overflow instant %v, %d warp spans; want the instant and no short timeline", said, spans)
+	}
+}
+
+// TestSIGTERMFlushes stops a launch with SIGTERM, as kill and timeout(1)
+// do: like Ctrl-C, it reports the partial run, exits 1 rather than dying
+// of the signal, and the deferred flush writes the -metrics file and a
+// -trace file that validates.
+func TestSIGTERMFlushes(t *testing.T) {
+	a := compiler.NewAsm("spin")
+	a.S2R(0, isa.SRLane)
+	a.IMulI(0, 0, 0)
+	a.Label("loop")
+	a.IAddI(0, 0, 1)
+	a.ISetpI(isa.CmpLT, 0, 0, 1<<30) // minutes of simulation: the signal ends it
+	a.BraP(0, false, "loop", "done")
+	a.Label("done")
+	a.Exit()
+	dir := t.TempDir()
+	src := filepath.Join(dir, "spin.sasm")
+	metrics, trace := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	if err := os.WriteFile(src, []byte(compiler.Format(a.MustBuild(1, 32, 0))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(buildSwapsim(t), "-file", src, "-scheme", "baseline",
+		"-metrics", metrics, "-trace", trace, "-metrics-interval", "20ms")
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer time.AfterFunc(time.Minute, func() { cmd.Process.Kill() }).Stop()
+	// The first progress line comes after the signal handler is set up,
+	// while the launch runs.
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() && !strings.HasPrefix(sc.Text(), "swapsim: ") {
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(stderr)
+	err = cmd.Wait()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stdout.String(), "PARTIAL") {
+		t.Fatalf("after SIGTERM: exit code %d (%v), stdout:\n%s\nstderr:\n%s\nwant exit 1 and a partial report",
+			code, err, stdout.String(), rest)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(raw) {
+		t.Errorf("-metrics file is not JSON:\n%s", raw)
+	}
+	raw, err = os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateTrace(raw); err != nil {
+		t.Errorf("-trace file does not validate: %v", err)
 	}
 }
 

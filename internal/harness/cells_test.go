@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/ecc"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/obs"
 	"swapcodes/internal/sm"
@@ -60,8 +61,9 @@ func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
 	}
 	err := pool.Run(context.Background(), []engine.Job{
 		{Name: "headline", Run: func(ctx context.Context) error {
-			campaign := func(ctx context.Context) (*InjectionResult, error) { return RunInjectionCtx(ctx, pool, 300, 2) }
-			_, err := HeadlineCtx(ctx, pool, campaign, opt)
+			// The campaign launches no cell; its tallies do not matter here.
+			noSDC := func(ecc.Code) (frac, hi float64) { return 0, 1 }
+			_, err := HeadlineCtx(ctx, pool, noSDC, opt)
 			return err
 		}},
 		{Name: "fig14", Run: func(ctx context.Context) error {
@@ -167,6 +169,26 @@ func TestStoredSweepEqualsLaunched(t *testing.T) {
 		if !reflect.DeepEqual(cold.Rows[0].Errs, warm.Rows[0].Errs) || len(warm.Rows[13].Errs) != 1 {
 			t.Errorf("mem %q: compiler refusals not kept: %v", mem, warm.Rows[13].Errs)
 		}
+	}
+}
+
+// TestMemModelOffIsFlat: "off" is the flat-latency default spelled out, so
+// a sweep asking for it after a flat sweep through the same store launches
+// and stores no cell.
+func TestMemModelOffIsFlat(t *testing.T) {
+	ctx := context.Background()
+	tier := newCountingTier()
+	cells := NewCellStore(tier)
+	schemes := []compiler.Scheme{compiler.SwapECC}
+	if _, err := RunPerfCtxOpts(ctx, engine.New(2), schemes, false, Options{Cells: cells}); err != nil {
+		t.Fatal(err)
+	}
+	stored := len(tier.puts)
+	if _, err := RunPerfCtxOpts(ctx, engine.New(2), schemes, false, Options{MemModel: "off", Cells: cells}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tier.puts) - stored; stored == 0 || n != 0 {
+		t.Errorf("the flat sweep stored %d cells, the \"off\" sweep after it %d more, want none", stored, n)
 	}
 }
 

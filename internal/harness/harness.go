@@ -61,9 +61,14 @@ type Options struct {
 	Cells *CellStore
 }
 
+// smConfig is the launches' sm.Config. MemModel takes its one spelling,
+// so CellKey sees one per model; the launch refuses an invalid one.
 func (o Options) smConfig() sm.Config {
 	cfg := sm.DefaultConfig()
 	cfg.MemModel = o.MemModel
+	if model, err := sm.ParseMemModel(o.MemModel); err == nil {
+		cfg.MemModel = model
+	}
 	return cfg
 }
 

@@ -237,8 +237,11 @@ func TestHeadline(t *testing.T) {
 		t.Skip("full sweep")
 	}
 	pool := engine.New(0)
-	campaign := func(ctx context.Context) (*InjectionResult, error) { return RunInjectionCtx(ctx, pool, 300, 2) }
-	rows, err := HeadlineCtx(context.Background(), pool, campaign, Options{Cells: NewCellStore(nil)})
+	inj, err := RunInjectionCtx(context.Background(), pool, 300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := HeadlineCtx(context.Background(), pool, inj.PooledSDC, Options{Cells: NewCellStore(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"swapcodes/internal/ecc"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/faultsim"
 	"swapcodes/internal/harness"
@@ -40,52 +41,51 @@ type runner struct {
 // run executes the job and returns (payload, servedFromCache, error).
 // replayed carries the shard checkpoints the WAL restored for this job.
 func (r *runner) run(ctx context.Context, j *Job, replayed map[int]*ShardSummary) (json.RawMessage, bool, error) {
-	var pid int64
-	if r.rec != nil {
-		pid = r.rec.Process("job:" + j.ID)
-		if start := r.rec.Now(); r.queuedUS > 0 && start > r.queuedUS {
-			// The queue-wait span is written at pop (not submit): until a
-			// worker claims the job there is nobody to write it.
-			r.rec.Span(pid, 1, "queue-wait", "job", r.queuedUS, start-r.queuedUS,
-				r.tc.Args(nil))
-		}
+	if start := r.rec.Now(); r.queuedUS > 0 && start > r.queuedUS {
+		// The queue-wait span is written at pop (not submit): until a
+		// worker claims the job there is nobody to write it.
+		r.rec.Span(r.rec.Process("job:"+j.ID), 1, "queue-wait", "job", r.queuedUS, start-r.queuedUS,
+			r.tc.Args(nil))
 	}
-	key := j.Spec.Key()
+	return r.result(ctx, j, j.Spec, replayed)
+}
+
+// result returns spec's payload and whether the result cache held it. On a
+// miss it computes the payload as part of job j, whose ID a campaign's
+// shards checkpoint under and whose checkpoints replayed holds, and stores
+// it under spec's key. A headline job resolves its campaign's spec here
+// too, so campaign and headline jobs of one (tuples, seed) share one
+// campaign.
+func (r *runner) result(ctx context.Context, j *Job, spec Spec, replayed map[int]*ShardSummary) (json.RawMessage, bool, error) {
+	pid, key := r.rec.Process("job:"+j.ID), spec.Key()
 	if b, ok := r.cache.Get("result", key); ok {
-		if r.rec != nil {
-			r.rec.Instant(pid, 1, "result cache hit", "job", r.rec.Now(),
-				r.tc.Args(map[string]any{"key": key[:16]}))
-		}
+		r.rec.Instant(pid, 1, "result cache hit", "job", r.rec.Now(),
+			r.tc.Args(map[string]any{"key": key[:16]}))
 		return b, true, nil
 	}
-	execStart := int64(0)
-	if r.rec != nil {
-		execStart = r.rec.Now()
-		r.rec.Instant(pid, 1, "result cache miss", "job", r.rec.Now(),
-			r.tc.Args(map[string]any{"key": key[:16]}))
-	}
+	execStart := r.rec.Now()
+	r.rec.Instant(pid, 1, "result cache miss", "job", execStart,
+		r.tc.Args(map[string]any{"key": key[:16]}))
 	var (
 		v   any
 		err error
 	)
-	switch j.Spec.Kind {
+	switch spec.Kind {
 	case KindCampaign:
-		v, err = r.runCampaign(ctx, j, replayed)
+		v, err = r.runCampaign(ctx, j, spec, replayed)
 	case KindPerf:
-		v, err = r.runPerf(ctx, j.Spec)
+		v, err = r.runPerf(ctx, spec)
 	case KindHeadline:
-		v, err = r.runHeadline(ctx, j.Spec)
+		v, err = r.runHeadline(ctx, j, spec, replayed)
 	case KindCPIStack:
-		v, err = r.runCPIStack(ctx, j.Spec)
+		v, err = r.runCPIStack(ctx, spec)
 	case KindVerify:
 		v, err = r.runVerify(ctx)
 	default:
-		err = fmt.Errorf("jobs: unknown kind %q", j.Spec.Kind)
+		err = fmt.Errorf("jobs: unknown kind %q", spec.Kind)
 	}
-	if r.rec != nil {
-		r.rec.Span(pid, 1, "execute:"+j.Spec.Kind, "job", execStart, r.rec.Now()-execStart,
-			r.tc.Args(map[string]any{"ok": err == nil}))
-	}
+	r.rec.Span(pid, 1, "execute:"+spec.Kind, "job", execStart, r.rec.Now()-execStart,
+		r.tc.Args(map[string]any{"ok": err == nil}))
 	if err != nil {
 		return nil, false, err
 	}
@@ -151,8 +151,7 @@ type CampaignResult struct {
 	Digest string `json:"digest"`
 }
 
-func (r *runner) runCampaign(ctx context.Context, j *Job, replayed map[int]*ShardSummary) (*CampaignResult, error) {
-	spec := j.Spec
+func (r *runner) runCampaign(ctx context.Context, j *Job, spec Spec, replayed map[int]*ShardSummary) (*CampaignResult, error) {
 	plan := harness.NewCampaign(spec.Tuples, spec.Seed)
 	units, refs := plan.Units, plan.Shards()
 	j.setShardTotal(len(refs))
@@ -311,7 +310,7 @@ func assembleCampaign(spec Spec, plan *harness.InjectionPlan, sums []*ShardSumma
 // the operand trace from the content-addressed cache, or collects it (a
 // full workload replay, which releases each unit's shards as the unit
 // fills) and stores it. The trace is the service's most expensive reusable
-// intermediate: every campaign and headline job at the same tuple limit
+// intermediate: every campaign at the same tuple limit, whatever its seed,
 // shares one collection.
 func (r *runner) traceFill(limit int) func(context.Context, *trace.OperandTrace) error {
 	key := CacheKey("trace", "v1", fmt.Sprintf("limit=%d", limit))
@@ -393,16 +392,22 @@ type HeadlineResult struct {
 	Text   string                `json:"text"`
 }
 
-func (r *runner) runHeadline(ctx context.Context, spec Spec) (*HeadlineResult, error) {
-	campaign := func(ctx context.Context) (*harness.InjectionResult, error) {
-		plan := harness.NewCampaign(spec.Tuples, spec.Seed)
-		shards, err := plan.Stream(ctx, r.pool, harness.Stream{Fill: r.traceFill(spec.Tuples)})
-		if err != nil {
-			return nil, err
-		}
-		return plan.Assemble(shards, 0), nil
+// runHeadline reads the pooled SDC tallies of the headline's campaign from
+// the payload of the campaign spec of the same (tuples, seed).
+func (r *runner) runHeadline(ctx context.Context, j *Job, spec Spec, replayed map[int]*ShardSummary) (*HeadlineResult, error) {
+	raw, _, err := r.result(ctx, j, Spec{Kind: KindCampaign, Tuples: spec.Tuples, Seed: spec.Seed}, replayed)
+	if err != nil {
+		return nil, err
 	}
-	rows, err := harness.HeadlineCtx(ctx, r.pool, campaign, harness.Options{Cells: r.cells})
+	var campaign CampaignResult
+	if err := json.Unmarshal(raw, &campaign); err != nil {
+		return nil, fmt.Errorf("jobs: campaign result: %w", err)
+	}
+	pooledSDC := func(code ecc.Code) (frac, hi float64) {
+		iv := campaign.PooledSDC[code.Name()]
+		return iv.Frac, iv.Hi
+	}
+	rows, err := harness.HeadlineCtx(ctx, r.pool, pooledSDC, harness.Options{Cells: r.cells})
 	if err != nil {
 		return nil, err
 	}

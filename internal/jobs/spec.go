@@ -29,17 +29,21 @@ import (
 	"fmt"
 
 	"swapcodes/internal/harness"
+	"swapcodes/internal/sm"
 )
 
 // Job kinds. The set mirrors the experiment surface of the CLIs.
 const (
 	// KindCampaign is the Figure 10/11 gate-level injection campaign:
 	// trace operands, inject into all six units, tally severity and SDC
-	// risk. The only kind with per-shard checkpointing.
+	// risk. Its shards are checkpointed one by one.
 	KindCampaign = "campaign"
 	// KindPerf is a workload × scheme performance sweep (Figures 12/15/16).
 	KindPerf = "perf"
-	// KindHeadline recomputes the paper-vs-measured claim table.
+	// KindHeadline recomputes the paper-vs-measured claim table. Its
+	// coverage claims come from the payload of the campaign spec of the
+	// same tuples and seed: read from the result cache, or computed (and
+	// its shards checkpointed) as part of the headline job.
 	KindHeadline = "headline"
 	// KindCPIStack is the perf sweep plus CPI-stack slowdown attribution.
 	KindCPIStack = "cpistack"
@@ -108,14 +112,11 @@ func (s *Spec) Normalize() error {
 		if _, err := harness.ParseSchemes(s.Schemes); err != nil {
 			return err
 		}
-		switch s.MemModel {
-		case "", "sectored":
-		case "off":
-			s.MemModel = "" // one cache identity for the flat-latency default
-		default:
-			return fmt.Errorf("jobs: unknown mem_model %q (want off or sectored)", s.MemModel)
+		model, err := sm.ParseMemModel(s.MemModel) // one cache identity per model
+		if err != nil {
+			return fmt.Errorf("jobs: mem_model: %w", err)
 		}
-		s.Tuples, s.Seed = 0, 0
+		s.MemModel, s.Tuples, s.Seed = model, 0, 0
 	case KindVerify:
 		if len(s.Schemes) > 0 || s.Tuples != 0 {
 			return fmt.Errorf("jobs: verify jobs take no schemes or tuples")

@@ -52,17 +52,26 @@ type memReq struct {
 	sectors [isa.WarpSize]int32
 }
 
+// ParseMemModel returns the one spelling of a Config.MemModel value: "" for
+// the flat-latency default, written "" or "off", and "sectored" for the
+// hierarchy. Any other value is an error.
+func ParseMemModel(name string) (string, error) {
+	switch name {
+	case "", "off":
+		return "", nil
+	case "sectored":
+		return name, nil
+	}
+	return "", fmt.Errorf("sm: unknown MemModel %q (valid: off, sectored)", name)
+}
+
 // armMemHier validates Config.MemModel and instantiates the hierarchy.
 func (m *machine) armMemHier() error {
-	switch m.cfg.MemModel {
-	case "", "off":
-		return nil
-	case "sectored":
+	model, err := ParseMemModel(m.cfg.MemModel)
+	if model == "sectored" {
 		m.mh = memmodel.New(memmodel.DefaultConfig())
-		return nil
-	default:
-		return fmt.Errorf("sm: unknown MemModel %q (valid: off, sectored)", m.cfg.MemModel)
 	}
+	return err
 }
 
 // logMem coalesces one LDG/STG's active-lane addresses into sectors and
