@@ -261,18 +261,21 @@ func TestFailedCellsStoreNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Verify = func(*sm.GPU) error { return boom }
-	if _, _, err := runWorkload(ctx, w, []compiler.Scheme{compiler.SwapECC}, true, Options{Cells: cells}); !errors.Is(err, boom) {
+	ws := []*workloads.Workload{w}
+	pool := engine.New(1)
+	if _, err := runRows(ctx, pool, ws, []compiler.Scheme{compiler.SwapECC}, true, Options{Cells: cells}, &recorders{}); !errors.Is(err, boom) {
 		t.Fatalf("failed verification = %v", err)
 	}
 	if len(tier.puts) != 0 {
 		t.Fatalf("failed verification stored %d cells", len(tier.puts))
 	}
 
+	// A put follows only a launch, so one put means the cell was launched.
 	key := CellKey(w.Name, compiler.Baseline, sm.DefaultConfig(), false)
 	tier.m[key] = []byte(`{"stats":`)
-	row, work, err := runWorkload(ctx, w, nil, false, Options{Cells: cells})
-	if err != nil || work.launched != 1 || row.Baseline == nil {
-		t.Fatalf("undecodable cell: launched %d, err %v", work.launched, err)
+	res, err := runRows(ctx, pool, ws, nil, false, Options{Cells: cells}, &recorders{})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0].Baseline == nil {
+		t.Fatalf("undecodable cell: rows %+v, err %v", res.Rows, err)
 	}
 	if _, err := decodeCell(tier.m[key]); err != nil || tier.puts[key] != 1 {
 		t.Fatalf("undecodable cell not overwritten: %v (%d puts)", err, tier.puts[key])

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/obs/simprof"
@@ -96,63 +97,50 @@ type PerfResult struct {
 	Rows    []*PerfRow
 }
 
-// rowWork is what resolving a sweep row computed: the cells it launched,
-// and the scheduler rounds those launches ran (IssueCycles + IdleRounds).
-type rowWork struct {
-	launched int
-	rounds   int64
+// recorders is a sweep's free list of flight recorders. A launch takes one,
+// or makes one when the list is empty, and gives it back when it succeeds,
+// so a sweep makes one recorder per launch that runs at the same time, and
+// launchCell resets the one it takes. A failed launch keeps its recorder:
+// the *FlightError it returns carries that recorder's bundle.
+type recorders struct {
+	mu   sync.Mutex
+	free []*simprof.FlightRecorder
+	made int
 }
 
-// runWorkload resolves one workload's row, baseline first, through
-// opt.Cells, and reports the work it did.
-func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, rowWork, error) {
-	row := &PerfRow{Workload: w.Name,
-		Stats: make(map[compiler.Scheme]*sm.Stats),
-		Errs:  make(map[compiler.Scheme]string)}
-	cfg := opt.smConfig()
-	var work rowWork
-	// The row's launches share one flight recorder, made by the first. A
-	// failed launch ends the row, so its recorder, whose bundle the error
-	// carries, is never reused.
-	var fr *simprof.FlightRecorder
-	for _, s := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
-		out, ran, err := opt.Cells.resolve(ctx, CellKey(w.Name, s, cfg, verify),
-			func(ctx context.Context) (cellOutcome, error) {
-				if opt.FlightRecord && fr == nil {
-					fr = simprof.NewFlightRecorder(0)
-				}
-				return launchCell(ctx, w, s, verify, opt, fr)
-			})
-		if ran {
-			work.launched++
-			if out.Stats != nil {
-				work.rounds += out.Stats.IssueCycles + out.Stats.IdleRounds
-			}
-		}
-		switch {
-		case err != nil:
-			return nil, work, err
-		case out.Refused != "":
-			row.Errs[s] = out.Refused
-		case s == compiler.Baseline:
-			row.Baseline = out.Stats
-		default:
-			row.Stats[s] = out.Stats
-		}
+// get takes a recorder off the list, or makes one.
+func (r *recorders) get() *simprof.FlightRecorder {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.free); n > 0 {
+		fr := r.free[n-1]
+		r.free = r.free[:n-1]
+		return fr
 	}
-	return row, work, nil
+	r.made++
+	return simprof.NewFlightRecorder(0)
+}
+
+// put gives a recorder back to the list.
+func (r *recorders) put(fr *simprof.FlightRecorder) {
+	r.mu.Lock()
+	r.free = append(r.free, fr)
+	r.mu.Unlock()
 }
 
 // launchCell computes one cell: compile the scheme, launch it on a freshly
 // set-up GPU and, when asked, check the output against the host reference.
-// A non-nil fr is reset and armed on the launch.
-func launchCell(ctx context.Context, w *workloads.Workload, s compiler.Scheme, verify bool, opt Options, fr *simprof.FlightRecorder) (cellOutcome, error) {
+// Under opt.FlightRecord the launch is armed with a recorder from frs,
+// reset first, which goes back to frs when the cell succeeds.
+func launchCell(ctx context.Context, w *workloads.Workload, s compiler.Scheme, verify bool, opt Options, frs *recorders) (cellOutcome, error) {
 	k, err := compiler.Apply(w.Kernel, s)
 	if err != nil {
 		return cellOutcome{Refused: err.Error()}, nil
 	}
 	g := w.NewGPU(opt.smConfig())
-	if fr != nil {
+	var fr *simprof.FlightRecorder
+	if opt.FlightRecord {
+		fr = frs.get()
 		fr.Reset()
 		fr.Annotate(w.Name, 0)
 		g.Flight = fr
@@ -171,6 +159,9 @@ func launchCell(ctx context.Context, w *workloads.Workload, s compiler.Scheme, v
 			}
 			return cellOutcome{}, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
 		}
+	}
+	if fr != nil {
+		frs.put(fr)
 	}
 	return cellOutcome{Stats: st}, nil
 }

@@ -111,38 +111,75 @@ func RunInjectionCtx(ctx context.Context, pool *engine.Pool, tuples int, seed in
 	return plan.Assemble(shards, time.Since(start).Seconds()), err
 }
 
-// RunPerfCtxOpts executes the workload×scheme sweep with workloads in
-// parallel: every workload row is one job, its baseline first, then each
-// scheme, functionally verified when asked. With opt.Cells set, a row
-// launches only the cells the store does not hold. Simulation is
-// deterministic, so the sweep's numbers are independent of the worker
-// count and of which cells came from the store. On cancellation the
-// completed rows are returned with the error.
+// RunPerfCtxOpts executes the workload×scheme sweep: every workload's
+// baseline and each scheme, functionally verified when asked, one pool job
+// per cell (runRows). With opt.Cells set, only the cells the store does not
+// hold are launched. Simulation is deterministic, so the sweep's numbers
+// are independent of the worker count, of the order cells ran in and of
+// which cells came from the store. On cancellation the rows whose cells
+// all completed are returned with the error.
 func RunPerfCtxOpts(ctx context.Context, pool *engine.Pool, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
-	return runRows(ctx, pool, workloads.All(), schemes, verify, opt)
+	return runRows(ctx, pool, workloads.All(), schemes, verify, opt, &recorders{})
 }
 
-// runRows is RunPerfCtxOpts over the given workloads: one row each, in
-// order, with one "perf:<workload>" span per row that counts the cells the
-// row launched and the rounds they ran.
-func runRows(ctx context.Context, pool *engine.Pool, ws []*workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfResult, error) {
-	rows, err := engine.Map(ctx, pool, len(ws), func(ctx context.Context, i int) (*PerfRow, error) {
+// runRows is RunPerfCtxOpts over the given workloads, with flight
+// recorders from frs under opt.FlightRecord. Its pool jobs are the cells,
+// column by column: every baseline, then each scheme's column, so
+// neighbouring jobs are cells of different workloads and the workers
+// seldom run two cells of the largest one at once (DESIGN.md §7). The rows
+// are assembled by index, each in workload order. Every cell resolved gets
+// one "perf:<workload>" span that says whether it launched the cell and
+// counts the rounds the launch ran.
+func runRows(ctx context.Context, pool *engine.Pool, ws []*workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options, frs *recorders) (*PerfResult, error) {
+	cols := append([]compiler.Scheme{compiler.Baseline}, schemes...)
+	cfg := opt.smConfig()
+	n := len(ws)
+	type cell struct {
+		out  cellOutcome
+		done bool
+	}
+	cells, err := engine.Map(ctx, pool, len(cols)*n, func(ctx context.Context, i int) (cell, error) {
+		w, s := ws[i%n], cols[i/n]
 		rec := pool.Recorder()
 		start := rec.Now()
-		row, work, rerr := runWorkload(ctx, ws[i], schemes, verify, opt)
-		if rerr == nil {
-			pool.Tracker().AddItems(int64(len(schemes) + 1))
-			rec.Span(rec.Process("harness"), rec.NextTID(), "perf:"+ws[i].Name, "driver",
-				start, rec.Now()-start, map[string]any{"schemes": len(schemes),
-					"launched": work.launched, "rounds": work.rounds})
+		out, ran, err := opt.Cells.resolve(ctx, CellKey(w.Name, s, cfg, verify),
+			func(ctx context.Context) (cellOutcome, error) {
+				return launchCell(ctx, w, s, verify, opt, frs)
+			})
+		if err != nil {
+			return cell{}, err
 		}
-		return row, rerr
+		launched, rounds := 0, int64(0)
+		if ran {
+			launched = 1
+			if out.Stats != nil {
+				rounds = out.Stats.IssueCycles + out.Stats.IdleRounds
+			}
+		}
+		pool.Tracker().AddItems(1)
+		rec.Span(rec.Process("harness"), rec.NextTID(), "perf:"+w.Name, "driver", start, rec.Now()-start,
+			map[string]any{"scheme": SchemeName(s), "launched": launched, "rounds": rounds})
+		return cell{out: out, done: true}, nil
 	})
 	res := &PerfResult{Schemes: schemes}
-	for _, row := range rows {
-		if row != nil {
-			res.Rows = append(res.Rows, row)
+rows:
+	for r, w := range ws {
+		row := &PerfRow{Workload: w.Name,
+			Stats: make(map[compiler.Scheme]*sm.Stats),
+			Errs:  make(map[compiler.Scheme]string)}
+		for c, s := range cols {
+			switch out := cells[c*n+r]; {
+			case !out.done:
+				continue rows
+			case out.out.Refused != "":
+				row.Errs[s] = out.out.Refused
+			case s == compiler.Baseline:
+				row.Baseline = out.out.Stats
+			default:
+				row.Stats[s] = out.out.Stats
+			}
 		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, err
 }

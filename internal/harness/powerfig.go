@@ -48,7 +48,7 @@ func RunPower(ctx context.Context, pool *engine.Pool, opt Options) (*PowerResult
 			high = append(high, w)
 		}
 	}
-	perf, err := runRows(ctx, pool, high, Fig14Schemes(), true, opt)
+	perf, err := runRows(ctx, pool, high, Fig14Schemes(), true, opt, &recorders{})
 	if err != nil {
 		return nil, err
 	}

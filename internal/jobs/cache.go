@@ -92,14 +92,22 @@ func (c *Cache) hit(item string, ok bool) {
 	}
 }
 
-// Get looks up a key, checking memory then disk. item labels the hit/miss
-// counters ("trace", "result", ...).
+// Get looks up a key, checking memory then disk, and counts the outcome
+// under item ("trace", "cell", ...).
 func (c *Cache) Get(item, key string) ([]byte, bool) {
+	b, ok := c.lookup(key)
+	c.hit(item, ok)
+	return b, ok
+}
+
+// lookup is Get without the count, for callers that count an outcome
+// other than the lookup itself: a job's result is one hit or one miss
+// however many times the job looks it up.
+func (c *Cache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
 	v, ok := c.mem[key]
 	c.mu.Unlock()
 	if ok {
-		c.hit(item, true)
 		return v, true
 	}
 	if c.dir != "" {
@@ -107,11 +115,9 @@ func (c *Cache) Get(item, key string) ([]byte, bool) {
 			c.mu.Lock()
 			c.mem[key] = b
 			c.mu.Unlock()
-			c.hit(item, true)
 			return b, true
 		}
 	}
-	c.hit(item, false)
 	return nil, false
 }
 

@@ -185,3 +185,20 @@ func TestStreamedCampaignJobMatchesCASJob(t *testing.T) {
 		t.Fatal("a streamed campaign's payload differs from the same spec's over the CAS trace")
 	}
 }
+
+// TestResultCountedOncePerJob: a cold campaign job counts one result miss,
+// not one at submit and one at run, and an identical resubmission answered
+// at submit counts one hit, so the hit ratio reads 50%.
+func TestResultCountedOncePerJob(t *testing.T) {
+	svc := newService(t, Options{Workers: 2})
+	spec := Spec{Kind: KindCampaign, Tuples: 64, Seed: 1}
+	runSpec(t, svc, spec)
+	runSpec(t, svc, spec)
+	reg := svc.rec.Registry()
+	hits := counterValue(t, reg, obs.Name("jobs.cache_hits", "item", "result"))
+	misses := counterValue(t, reg, obs.Name("jobs.cache_misses", "item", "result"))
+	pct := reg.Gauge(obs.Name("jobs.cache_hit_pct", "item", "result")).Value()
+	if hits != 1 || misses != 1 || pct != 50 {
+		t.Errorf("result counters = %d hits, %d misses, %d%%; want 1, 1, 50%%", hits, misses, pct)
+	}
+}

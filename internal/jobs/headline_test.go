@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -148,5 +150,52 @@ func TestHeadlineResumesCampaignCheckpoints(t *testing.T) {
 	}
 	if !bytes.Equal(j2.Result(), want) {
 		t.Error("resumed headline payload differs from an uninterrupted run's")
+	}
+}
+
+// walShards counts the shard checkpoints in a state directory's WAL.
+func walShards(t *testing.T, dir string) int {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte(`{"t":"shard"`))
+}
+
+// TestConcurrentHeadlineAndCampaignShareOneCampaign: a headline job and the
+// campaign job of its (tuples, seed), submitted back to back to a service
+// that runs two jobs at once, run one campaign between them: the second to
+// ask for the campaign's result waits for the first's. The WAL holds the
+// 12 shard checkpoints of one 1,000-tuple campaign, and both payloads
+// equal those of the same jobs run one after the other.
+func TestConcurrentHeadlineAndCampaignShareOneCampaign(t *testing.T) {
+	headline := Spec{Kind: KindHeadline, Tuples: 1000, Seed: 1}
+	campaign := Spec{Kind: KindCampaign, Tuples: 1000, Seed: 1}
+	seq := newService(t, Options{Workers: 2})
+	wantCampaign := runSpec(t, seq, campaign)
+	wantHeadline := runSpec(t, seq, headline)
+
+	dir := t.TempDir()
+	svc := newService(t, Options{StateDir: dir, Workers: 2, MaxConcurrentJobs: 2})
+	var jobs []*Job
+	for _, spec := range []Spec{headline, campaign} {
+		id, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := svc.Get(id)
+		jobs = append(jobs, j)
+	}
+	for i, want := range [][]byte{wantHeadline, wantCampaign} {
+		if st := waitTerminal(t, jobs[i], 2*time.Minute); st.State != StateDone {
+			t.Fatalf("%s job = %s: %s", jobs[i].Spec.Kind, st.State, st.Error)
+		}
+		if !bytes.Equal(jobs[i].Result(), want) {
+			t.Errorf("%s payload differs from a sequential run's", jobs[i].Spec.Kind)
+		}
+	}
+	if n := walShards(t, dir); n != 12 {
+		t.Errorf("WAL holds %d shard records, want the 12 of one campaign", n)
 	}
 }

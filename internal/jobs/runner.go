@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"swapcodes/internal/ecc"
 	"swapcodes/internal/engine"
@@ -23,10 +24,11 @@ import (
 // the spec — no wall-clock, no worker-count dependence — which is what lets
 // the kill/resume e2e test demand byte-identical results.
 type runner struct {
-	pool  *engine.Pool
-	cache *Cache
-	cells *harness.CellStore // the service's sweep cells, shared by every job
-	store *Store             // nil in store-less tests: no checkpoints, still correct
+	pool   *engine.Pool
+	cache  *Cache
+	cells  *harness.CellStore // the service's sweep cells, shared by every job
+	owners *owners            // the service's results in progress
+	store  *Store             // nil in store-less tests: no checkpoints, still correct
 
 	// Trace plumbing (zero values in store-less tests are fine: a nil
 	// Recorder records nothing). Each job gets its own trace process row
@@ -55,14 +57,36 @@ func (r *runner) run(ctx context.Context, j *Job, replayed map[int]*ShardSummary
 // shards checkpoint under and whose checkpoints replayed holds, and stores
 // it under spec's key. A headline job resolves its campaign's spec here
 // too, so campaign and headline jobs of one (tuples, seed) share one
-// campaign.
+// campaign. Each call counts one result-cache outcome: a hit when the
+// payload comes from the cache, a miss when this call computes it.
+//
+// A result has at most one owner computing it (owners): a call that finds
+// another job computing the same spec waits for it and then reads its
+// payload from the cache. An owner that fails or is stopped stores
+// nothing, and its waiters compute the result themselves. Waiting cannot
+// deadlock: the only owner that waits is a headline result's, on its
+// campaign's result, whose owner waits on nothing.
 func (r *runner) result(ctx context.Context, j *Job, spec Spec, replayed map[int]*ShardSummary) (json.RawMessage, bool, error) {
 	pid, key := r.rec.Process("job:"+j.ID), spec.Key()
-	if b, ok := r.cache.Get("result", key); ok {
+	for {
+		busy := r.owners.claim(key)
+		if busy == nil {
+			break
+		}
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
+	defer r.owners.release(key)
+	if b, ok := r.cache.lookup(key); ok {
+		r.cache.hit("result", true)
 		r.rec.Instant(pid, 1, "result cache hit", "job", r.rec.Now(),
 			r.tc.Args(map[string]any{"key": key[:16]}))
 		return b, true, nil
 	}
+	r.cache.hit("result", false)
 	execStart := r.rec.Now()
 	r.rec.Instant(pid, 1, "result cache miss", "job", execStart,
 		r.tc.Args(map[string]any{"key": key[:16]}))
@@ -102,6 +126,34 @@ func (r *runner) result(ctx context.Context, j *Job, spec Spec, replayed map[int
 		return nil, false, err
 	}
 	return raw, false, nil
+}
+
+// owners names the job computing each result in progress, by result key,
+// the rule harness.CellStore applies to sweep cells.
+type owners struct {
+	mu sync.Mutex
+	m  map[string]chan struct{}
+}
+
+// claim makes the caller the owner of key and returns nil, or returns a
+// channel that closes when key's current owner releases it.
+func (o *owners) claim(key string) <-chan struct{} {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if busy, ok := o.m[key]; ok {
+		return busy
+	}
+	o.m[key] = make(chan struct{})
+	return nil
+}
+
+// release ends the caller's ownership of key and wakes its waiters.
+func (o *owners) release(key string) {
+	o.mu.Lock()
+	busy := o.m[key]
+	delete(o.m, key)
+	o.mu.Unlock()
+	close(busy)
 }
 
 // Interval is a tallied fraction with its Wilson 95% confidence interval.

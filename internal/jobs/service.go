@@ -45,6 +45,7 @@ type Service struct {
 	store  *Store // nil when StateDir is empty
 	cache  *Cache
 	cells  *harness.CellStore // sweep cells over cache, shared by all jobs
+	owners *owners            // results being computed, shared by all jobs
 	queue  *queue
 	rec    *obs.Recorder
 	log    *slog.Logger
@@ -107,8 +108,9 @@ func New(opts Options) (*Service, error) {
 
 	s := &Service{
 		pool: pool, store: store, cache: cache,
-		cells: harness.NewCellStore(cellTier{cache}),
-		queue: newQueue(opts.QueueCap), rec: rec, log: log,
+		cells:  harness.NewCellStore(cellTier{cache}),
+		owners: &owners{m: make(map[string]chan struct{})},
+		queue:  newQueue(opts.QueueCap), rec: rec, log: log,
 		queueCap: opts.QueueCap,
 		jobs:     make(map[string]*Job),
 		replayed: make(map[string]map[int]*ShardSummary),
@@ -228,7 +230,10 @@ func (s *Service) SubmitWithTrace(spec Spec, traceID string) (string, error) {
 			return "", err
 		}
 	}
-	if raw, ok := s.cache.Get("result", spec.Key()); ok {
+	// A miss here is not counted: the job counts one when it computes
+	// its result, or a hit when it finds it stored by then.
+	if raw, ok := s.cache.lookup(spec.Key()); ok {
+		s.cache.hit("result", true)
 		s.finishCached(j, raw)
 		return id, nil
 	}
@@ -469,7 +474,7 @@ func (s *Service) execute(base context.Context, j *Job, rep map[int]*ShardSummar
 	s.rec.Registry().Gauge("jobs.running").Add(1)
 	defer s.rec.Registry().Gauge("jobs.running").Add(-1)
 
-	r := &runner{pool: s.pool, cache: s.cache, cells: s.cells, store: s.store,
+	r := &runner{pool: s.pool, cache: s.cache, cells: s.cells, owners: s.owners, store: s.store,
 		rec: s.rec, tc: tc, queuedUS: enqueuedUS}
 	start := time.Now()
 	raw, cached, err := r.run(ctx, j, rep)

@@ -67,7 +67,9 @@ type Spec struct {
 	// Schemes selects the protection schemes of perf/cpistack jobs by CLI
 	// name (default: the Figure 12 set).
 	Schemes []string `json:"schemes,omitempty"`
-	// SkipVerify disables functional output verification on perf sweeps.
+	// SkipVerify disables functional output verification on the sweeps of
+	// perf and cpistack jobs. Other kinds never read it, so Normalize
+	// clears it for them and it keys no result of its own.
 	SkipVerify bool `json:"skip_verify,omitempty"`
 	// MemModel selects the SM's memory timing model for perf/cpistack
 	// sweeps (sm.Config.MemModel): "" or "off" is the flat-latency default,
@@ -104,7 +106,8 @@ func (s *Spec) Normalize() error {
 		if len(s.Schemes) > 0 {
 			return fmt.Errorf("jobs: %s jobs take no schemes", s.Kind)
 		}
-		s.MemModel = "" // fault campaigns run on the flat-latency timing path
+		s.MemModel = ""      // fault campaigns run on the flat-latency timing path
+		s.SkipVerify = false // only perf sweeps read it
 	case KindPerf, KindCPIStack:
 		if len(s.Schemes) == 0 {
 			s.Schemes = []string{"sw-dup", "swap-ecc", "pre-addsub", "pre-mad"}
@@ -123,6 +126,7 @@ func (s *Spec) Normalize() error {
 		}
 		s.Seed = 0
 		s.MemModel = ""
+		s.SkipVerify = false
 	case "":
 		return fmt.Errorf("jobs: spec missing kind")
 	default:

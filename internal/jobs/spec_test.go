@@ -135,6 +135,29 @@ func TestSpecKeyCoversResultFields(t *testing.T) {
 	}
 }
 
+// TestSkipVerifyKeysNoFaultResult: skip_verify changes only what a perf or
+// cpistack sweep computes, so a campaign, headline or verify spec with it
+// normalizes to the key of the same spec without it.
+func TestSkipVerifyKeysNoFaultResult(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: KindCampaign, Tuples: 1000, Seed: 1},
+		{Kind: KindHeadline, Tuples: 1000, Seed: 1},
+		{Kind: KindVerify},
+	} {
+		skip := spec
+		skip.SkipVerify = true
+		for _, s := range []*Spec{&spec, &skip} {
+			if err := s.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if skip.Key() != spec.Key() || skip.SkipVerify {
+			t.Errorf("%s spec with skip_verify keys %s, without %s; want one key and the field cleared",
+				spec.Kind, skip.Key()[:12], spec.Key()[:12])
+		}
+	}
+}
+
 // Content addresses of two normalized specs, as computed before the SM's
 // worker count left Spec. CAS entries and cached results written then are
 // stored under these keys, so they must never move.

@@ -159,6 +159,13 @@ type mshrEntry struct {
 	level  Level
 }
 
+// buckets is the number of sector buckets in the MSHR file's in-flight
+// filter (Hier.inflight), a power of two.
+const (
+	buckets    = 256
+	bucketMask = buckets - 1
+)
+
 // line is one cache line's tag state. stamp is a monotone access counter
 // (deterministic LRU — never wall time).
 type line struct {
@@ -177,10 +184,18 @@ type Hier struct {
 	l1 []line // L1Sets x L1Ways, way-major within a set
 	l2 []line // L2Banks x L2SetsPerBank x L2Ways
 
-	// MSHR file: at most MSHRs entries ordered by (fill, insertion), so
-	// the head is the earliest fill and equal fills retire FIFO. The file
-	// is small (tens of entries): inserts and merge lookups just scan it.
-	mshr []mshrEntry
+	// MSHR file: a ring of at most MSHRs entries from head, ordered by
+	// (fill, insertion), so the head is the earliest fill and retires in
+	// O(1), equal fills retire FIFO, and an insert steps back only past
+	// later fills. The ring's length is a power of two, so ringMask wraps
+	// an index. inflight is an exact filter in front of the merge scan:
+	// the entries in the file per sector bucket (sector & bucketMask), so
+	// a sector whose bucket counts none is not in flight. A count moves
+	// only when an entry enters or leaves the file.
+	mshr         []mshrEntry
+	head, inFile int
+	ringMask     int
+	inflight     [buckets]int
 
 	// Per-bank L2 service state and device-wide DRAM bandwidth state.
 	bankFree []int64
@@ -196,11 +211,16 @@ func New(cfg Config) *Hier {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	ring := 1
+	for ring < cfg.MSHRs {
+		ring <<= 1
+	}
 	h := &Hier{
 		cfg:      cfg,
 		l1:       make([]line, cfg.L1Sets*cfg.L1Ways),
 		l2:       make([]line, cfg.L2Banks*cfg.L2SetsPerBank*cfg.L2Ways),
-		mshr:     make([]mshrEntry, 0, cfg.MSHRs),
+		mshr:     make([]mshrEntry, ring),
+		ringMask: ring - 1,
 		bankFree: make([]int64, cfg.L2Banks),
 		openRow:  make([]int32, cfg.DRAMBanks),
 	}
@@ -243,17 +263,26 @@ func (h *Hier) AccessLoad(now int64, sectors []int32) (int64, Level) {
 	return ready, level
 }
 
-// loadSector times one sector of a load.
+// loadSector times one sector of a load. The sector's line, its sector
+// within the line and its L1 set are computed once, here; its L2 bank and
+// set only on a miss, in l2Access.
 func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 	// In-flight misses shield the (already valid-marked) L1 sector until
-	// their fill completes, so the merge check comes first.
-	for i := range h.mshr {
-		if e := &h.mshr[i]; e.sector == sector {
-			h.stats.MSHRMerges++
-			return e.fill, e.level
+	// their fill completes, so the merge check comes first. A sector has
+	// at most one entry: a second miss to it merges instead.
+	if h.inflight[uint32(sector)&bucketMask] != 0 {
+		for i := 0; i < h.inFile; i++ {
+			if e := &h.mshr[(h.head+i)&h.ringMask]; e.sector == sector {
+				h.stats.MSHRMerges++
+				return e.fill, e.level
+			}
 		}
 	}
-	if h.l1Hit(sector) {
+	lineID := sector / int32(h.cfg.LineSectors)
+	sub := uint(sector - lineID*int32(h.cfg.LineSectors))
+	set := int(uint32(lineID) % uint32(h.cfg.L1Sets))
+	ways := h.l1[set*h.cfg.L1Ways : (set+1)*h.cfg.L1Ways]
+	if h.l1Hit(ways, lineID, sub) {
 		h.stats.L1Hits++
 		return now + h.cfg.L1Latency, LevelL1
 	}
@@ -261,42 +290,44 @@ func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 	detect := now + h.cfg.L1Latency
 	start := detect
 	mshrWait := false
-	if len(h.mshr) >= h.cfg.MSHRs {
+	if h.inFile >= h.cfg.MSHRs {
 		// File exhausted: the miss queues until the earliest in-flight fill
 		// releases its entry. That entry is retired now (its fill time is a
 		// commitment the model keeps via the returned ready cycles).
 		h.stats.MSHRFullEvents++
-		if f := h.mshr[0].fill; f > start {
+		if f := h.mshr[h.head].fill; f > start {
 			h.stats.MSHRWaitCycles += f - start
 			start = f
 			mshrWait = true
 		}
-		h.retire(1)
+		h.retireHead()
 	}
-	fill, lvl := h.l2Access(start, sector)
+	fill, lvl := h.l2Access(start, sector, lineID)
 	if mshrWait {
 		lvl = LevelMSHR
 	}
 	h.insertMSHR(mshrEntry{sector: sector, fill: fill, level: lvl})
-	h.l1Fill(sector)
+	fillWay(ways, lineID, sub, &h.stamp)
 	return fill, lvl
 }
 
-// l2Access times a sector through its L2 bank and, on a miss, DRAM.
-func (h *Hier) l2Access(start int64, sector int32) (int64, Level) {
+// l2Access times a sector of line lineID through its L2 bank and, on a
+// miss, DRAM.
+func (h *Hier) l2Access(start int64, sector, lineID int32) (int64, Level) {
 	bank := int(uint32(sector) % uint32(h.cfg.L2Banks))
 	svc := start
 	if h.bankFree[bank] > svc {
 		svc = h.bankFree[bank]
 	}
 	h.bankFree[bank] = svc + h.cfg.L2Interval
-	if h.l2Hit(bank, sector) {
+	ways := h.l2Ways(bank, lineID)
+	if h.l2Hit(ways, lineID) {
 		h.stats.L2Hits++
 		return svc + h.cfg.L2Latency, LevelL2
 	}
 	h.stats.L2Misses++
 	fill := h.dramAccess(svc+h.cfg.L2Latency, sector)
-	h.l2Fill(bank, sector)
+	fillWay(ways, lineID, 0, &h.stamp)
 	return fill, LevelDRAM
 }
 
@@ -335,7 +366,8 @@ func (h *Hier) AccessStore(now int64, sectors []int32) {
 			svc = h.bankFree[bank]
 		}
 		h.bankFree[bank] = svc + h.cfg.L2Interval
-		if !h.l2Hit(bank, s) {
+		lineID := s / int32(h.cfg.LineSectors)
+		if !h.l2Hit(h.l2Ways(bank, lineID), lineID) {
 			// No-allocate: the write drains to DRAM without installing the
 			// line, consuming bandwidth and moving the row buffer.
 			h.dramAccess(svc+h.cfg.L2Latency, s)
@@ -344,37 +376,42 @@ func (h *Hier) AccessStore(now int64, sectors []int32) {
 }
 
 // expire retires MSHR entries whose fills completed at or before now.
-// Timestamps are non-decreasing across calls, so a single front scan
-// suffices (the slice is fill-ordered).
+// Timestamps are non-decreasing across calls, so retiring from the head
+// suffices (the file is fill-ordered).
 func (h *Hier) expire(now int64) {
-	n := 0
-	for n < len(h.mshr) && h.mshr[n].fill <= now {
-		n++
+	for h.inFile > 0 && h.mshr[h.head].fill <= now {
+		h.retireHead()
 	}
-	h.retire(n)
 }
 
-// retire drops the file's n head entries in place, keeping the rest in order.
-func (h *Hier) retire(n int) { h.mshr = h.mshr[:copy(h.mshr, h.mshr[n:])] }
+// retireHead drops the file's head entry, its earliest fill.
+func (h *Hier) retireHead() {
+	h.inflight[uint32(h.mshr[h.head].sector)&bucketMask]--
+	h.head = (h.head + 1) & h.ringMask
+	h.inFile--
+}
 
-// insertMSHR adds an in-flight miss keeping the slice fill-ordered with
-// FIFO tie-break (insertion after equal fills).
+// insertMSHR adds an in-flight miss keeping the file fill-ordered with
+// FIFO tie-break (insertion after equal fills): the later fills at the
+// tail each move one slot on, and e takes the slot the last of them left.
 func (h *Hier) insertMSHR(e mshrEntry) {
-	i := len(h.mshr)
-	for i > 0 && h.mshr[i-1].fill > e.fill {
-		i--
+	i := (h.head + h.inFile) & h.ringMask
+	for n := h.inFile; n > 0; n-- {
+		prev := (i - 1) & h.ringMask
+		if h.mshr[prev].fill <= e.fill {
+			break
+		}
+		h.mshr[i] = h.mshr[prev]
+		i = prev
 	}
-	h.mshr = append(h.mshr, mshrEntry{})
-	copy(h.mshr[i+1:], h.mshr[i:])
 	h.mshr[i] = e
+	h.inFile++
+	h.inflight[uint32(e.sector)&bucketMask]++
 }
 
-// l1Hit reports whether the sector is present and valid in the L1.
-func (h *Hier) l1Hit(sector int32) bool {
-	lineID := sector / int32(h.cfg.LineSectors)
-	sub := uint(sector % int32(h.cfg.LineSectors))
-	set := int(uint32(lineID) % uint32(h.cfg.L1Sets))
-	ways := h.l1[set*h.cfg.L1Ways : (set+1)*h.cfg.L1Ways]
+// l1Hit reports whether sector sub of line lineID is present and valid in
+// the L1 set ways.
+func (h *Hier) l1Hit(ways []line, lineID int32, sub uint) bool {
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == lineID {
 			if ways[i].sectors&(1<<sub) != 0 {
@@ -388,23 +425,16 @@ func (h *Hier) l1Hit(sector int32) bool {
 	return false
 }
 
-// l1Fill marks the sector valid, allocating (and victimizing) its line if
-// needed. The sector is marked immediately; the in-flight MSHR entry
-// shields the window until the fill completes.
-func (h *Hier) l1Fill(sector int32) {
-	lineID := sector / int32(h.cfg.LineSectors)
-	sub := uint(sector % int32(h.cfg.LineSectors))
-	set := int(uint32(lineID) % uint32(h.cfg.L1Sets))
-	fill(h.l1[set*h.cfg.L1Ways:(set+1)*h.cfg.L1Ways], lineID, sub, &h.stamp)
-}
-
-// l2Hit reports whether the sector's line is present in its L2 bank (the
-// L2 tracks whole lines; sector masks matter only at the L1).
-func (h *Hier) l2Hit(bank int, sector int32) bool {
-	lineID := sector / int32(h.cfg.LineSectors)
+// l2Ways returns the ways of line lineID's set in L2 bank bank.
+func (h *Hier) l2Ways(bank int, lineID int32) []line {
 	set := int(uint32(lineID) % uint32(h.cfg.L2SetsPerBank))
 	base := (bank*h.cfg.L2SetsPerBank + set) * h.cfg.L2Ways
-	ways := h.l2[base : base+h.cfg.L2Ways]
+	return h.l2[base : base+h.cfg.L2Ways]
+}
+
+// l2Hit reports whether line lineID is present in the L2 set ways (the L2
+// tracks whole lines; sector masks matter only at the L1).
+func (h *Hier) l2Hit(ways []line, lineID int32) bool {
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == lineID {
 			h.stamp++
@@ -415,18 +445,12 @@ func (h *Hier) l2Hit(bank int, sector int32) bool {
 	return false
 }
 
-// l2Fill installs the sector's line into its L2 bank.
-func (h *Hier) l2Fill(bank int, sector int32) {
-	lineID := sector / int32(h.cfg.LineSectors)
-	set := int(uint32(lineID) % uint32(h.cfg.L2SetsPerBank))
-	base := (bank*h.cfg.L2SetsPerBank + set) * h.cfg.L2Ways
-	fill(h.l2[base:base+h.cfg.L2Ways], lineID, 0, &h.stamp)
-}
-
-// fill installs lineID into the way set, reusing a hit or invalid way and
-// otherwise evicting the least-recently-stamped one (ties to the lowest
-// way index — deterministic).
-func fill(ways []line, lineID int32, sub uint, stamp *int64) {
+// fillWay installs lineID into the way set, marking sector sub valid (the
+// L1 marks it at once; the in-flight MSHR entry shields the window until
+// the fill completes). It reuses a hit or invalid way and otherwise evicts
+// the least-recently-stamped one (ties to the lowest way index —
+// deterministic).
+func fillWay(ways []line, lineID int32, sub uint, stamp *int64) {
 	*stamp++
 	victim := 0
 	for i := range ways {

@@ -252,3 +252,39 @@ func TestLevelString(t *testing.T) {
 		}
 	}
 }
+
+// TestMSHRRingWraps holds ringStream to what its comment says it does on
+// small()'s two-entry ring, so the stream keeps covering the ring's wrap as
+// the model changes, and checks it against the reference model.
+func TestMSHRRingWraps(t *testing.T) {
+	cfg := small()
+	seq := ringStream()
+	checkEquivalent(t, cfg, seq)
+	h := New(cfg)
+	var wrappedMerge, wrapRetire, fifoTie bool
+	for _, a := range seq {
+		h.expire(a.now)
+		for _, s := range a.sectors {
+			for i := 0; i < h.inFile; i++ {
+				if j := (h.head + i) & h.ringMask; h.mshr[j].sector == s && j < h.head {
+					wrappedMerge = true
+				}
+			}
+		}
+		head, in := h.head, h.inFile
+		h.AccessLoad(a.now, a.sectors)
+		if h.head < head && h.inFile > 0 && in > 0 {
+			wrapRetire = true
+		}
+		for i := 1; i < h.inFile; i++ {
+			if h.mshr[(h.head+i)&h.ringMask].fill == h.mshr[(h.head+i-1)&h.ringMask].fill {
+				fifoTie = true
+			}
+		}
+	}
+	st := h.Stats()
+	if !wrappedMerge || !wrapRetire || !fifoTie || st.MSHRFullEvents == 0 || st.MSHRMerges < 3 {
+		t.Errorf("ring stream: merge into a wrapped entry %v, retire across the end %v, equal fills in file %v, stats %+v",
+			wrappedMerge, wrapRetire, fifoTie, st)
+	}
+}

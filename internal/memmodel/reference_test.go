@@ -406,6 +406,24 @@ func unitStreams() [][]access {
 			load(200, 0, 64), load(500, 5, 200, 300, 400),
 		},
 		monotone,
+		ringStream(), // TestMSHRRingWraps
+	}
+}
+
+// ringStream drives the MSHR ring of small() (two entries) through a wrap:
+// it fills the file, inserts two misses with equal fills, retires the
+// first of them (FIFO) for a third miss, which takes the ring's first slot
+// again, merges into that wrapped entry and into the entry before it, and
+// retires the older entry across the ring's end while the wrapped one
+// stays in flight.
+func ringStream() []access {
+	load := func(now int64, s ...int32) access { return access{now: now, sectors: s} }
+	return []access{
+		load(0, 0, 4),       // two DRAM misses warm lines 0 and 1; the second fills first
+		load(1000, 1, 2),    // both drained; two L2 hits on two banks fill at 1050, in order
+		load(1001, 5),       // file full: retires sector 1's entry, sector 5 wraps to slot 0
+		load(1002, 2, 5, 1), // merges into both entries; sector 1 is an L1 hit
+		load(1060, 5, 6),    // sector 2 retires across the end; 5 merges, 6 misses
 	}
 }
 

@@ -26,6 +26,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"swapcodes/internal/isa"
 	"swapcodes/internal/memmodel"
@@ -80,26 +81,29 @@ func (m *machine) armMemHier() error {
 // its address register. Addresses repeat exec's arithmetic exactly; an
 // out-of-bounds address is logged as-is — exec reports the error right
 // after and the launch aborts before the log is ever serviced.
+//
+// The sectors are logged once each, in the order of their first lane. A
+// lane in the sector of the lane before it, or past every sector so far
+// (ascending addresses), needs no scan of the list, so coalesced and
+// strided warps dedup in one pass; only a lane that steps back scans it.
 func (p *partition) logMem(w *warpState, in *isa.Instr, mask uint32) {
 	mh := p.m.mh
 	req := memReq{w: w, dst: isa.RZ, store: in.Op == isa.STG}
 	a := w.laneSlice(in.Src[0])
+	var hi int32
 	for l := 0; l < isa.WarpSize; l++ {
 		if mask&(1<<uint(l)) == 0 {
 			continue
 		}
 		s := mh.SectorOf(int32(int(int32(a[l])) + int(in.Imm)))
-		dup := false
-		for _, x := range req.sectors[:req.nsec] {
-			if x == s {
-				dup = true
-				break
-			}
+		if req.nsec > 0 && (s == req.sectors[req.nsec-1] || s <= hi && slices.Contains(req.sectors[:req.nsec], s)) {
+			continue
 		}
-		if !dup {
-			req.sectors[req.nsec] = s
-			req.nsec++
+		if req.nsec == 0 || s > hi {
+			hi = s
 		}
+		req.sectors[req.nsec] = s
+		req.nsec++
 	}
 	p.mlog = append(p.mlog, req)
 	p.loggedLoad = in.Op == isa.LDG

@@ -56,9 +56,11 @@ func TestMemModelOffBitIdentical(t *testing.T) {
 }
 
 // memDiffWorkloads keeps the armed differential affordable: two
-// memory-bound kernels (bfs, gauss), the dense compute one (mm), and the
-// barrier-heavy one (lavaMD).
-var memDiffWorkloads = []string{"bfs", "gauss", "mm", "lavaMD"}
+// memory-bound kernels (bfs, gauss), the dense compute one (mm), the
+// barrier-heavy one (lavaMD), and the two whose hierarchy waits fill the
+// scheduler's far set most (snap, kmeans), where stall reuses its wait
+// verdict across idle rounds.
+var memDiffWorkloads = []string{"bfs", "gauss", "mm", "lavaMD", "snap", "kmeans"}
 
 // TestMemModelArmedDifferential: the armed hierarchy must be bit-identical
 // between the reference scheduler and the slot-cached default loop — all
@@ -98,7 +100,7 @@ func TestMemModelArmedDifferential(t *testing.T) {
 // hierarchy-extended retire horizon actually execute against the armed
 // scheduler.
 func TestMemModelArmedVerifyMode(t *testing.T) {
-	for _, name := range []string{"bfs", "gauss"} {
+	for _, name := range []string{"bfs", "gauss", "snap", "kmeans"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)

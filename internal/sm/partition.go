@@ -112,6 +112,14 @@ type partition struct {
 	wheelSum    [wheelSize / 64]uint64
 	due, farDue int64
 
+	// stall's wait verdict: the earliest wake in the wheel and the far set
+	// (parked when both are empty) and the slots waiting until it. It
+	// changes only when a slot enters or leaves the wheel or the far set,
+	// in place, unlink, expire and clearSets, which clear waitOK.
+	waitOK   bool
+	waitWake int64
+	waitAt   uint64
+
 	// Per-round outputs, consumed by the barrier. memc carries the
 	// memory-hierarchy level (memmodel.Level) the nearest-to-ready warp's
 	// dependence stall waits on, 0 when the blocking producer was not a
@@ -251,20 +259,15 @@ func (p *partition) pick(why bool) (int, int64, stallReason, isa.Class, uint8) {
 // the pipe class that reason attributes to, and the memory-hierarchy level
 // when it is a hierarchy-load dependence. The earliest wake is the nearest
 // wheel bucket's, a far wait's, or the throttle wake of a pipe with ready
-// slots, which every ready slot of that pipe shares.
+// slots, which every ready slot of that pipe shares. The wait half (waits)
+// is reused from the last idle round while neither set changed; throttle
+// wakes move with every refill, so they are read afresh.
 func (p *partition) stall(start int) (int64, stallReason, isa.Class, uint8) {
-	best, at := parked, uint64(0)
-	if b, wake := p.nearest(); b >= 0 {
-		best, at = wake, p.wheel[b]
+	if !p.waitOK {
+		p.waitWake, p.waitAt = p.waits()
+		p.waitOK = true
 	}
-	for f := p.far; f != 0; f &= f - 1 {
-		j := bits.TrailingZeros64(f)
-		if wake := p.sched[j].wake; wake < best {
-			best, at = wake, 1<<uint(j)
-		} else if wake == best {
-			at |= 1 << uint(j)
-		}
-	}
+	best, at := p.waitWake, p.waitAt
 	for cls := p.readyCls; cls != 0; cls &= cls - 1 {
 		cl := isa.Class(bits.TrailingZeros16(cls))
 		if wake := p.throttleWake(cl); wake < best {
@@ -281,6 +284,25 @@ func (p *partition) stall(start int) (int64, stallReason, isa.Class, uint8) {
 		return best, stallThrottle, s.class, 0
 	}
 	return s.wake, s.reason, s.class, s.mem
+}
+
+// waits returns the earliest wake of the wheel and the far set (parked when
+// both are empty) and the slots waiting until it: stall's wait verdict,
+// which the partition keeps until a slot enters or leaves either set.
+func (p *partition) waits() (int64, uint64) {
+	best, at := parked, uint64(0)
+	if b, wake := p.nearest(); b >= 0 {
+		best, at = wake, p.wheel[b]
+	}
+	for f := p.far; f != 0; f &= f - 1 {
+		j := bits.TrailingZeros64(f)
+		if wake := p.sched[j].wake; wake < best {
+			best, at = wake, 1<<uint(j)
+		} else if wake == best {
+			at |= 1 << uint(j)
+		}
+	}
+	return best, at
 }
 
 // firstFrom returns the first set bit of set (non-zero) in rotation order
@@ -306,9 +328,11 @@ func (p *partition) place(j int) {
 		p.wheel[b] |= bit
 		p.wheelSum[b>>6] |= 1 << (b & 63)
 		p.due = min(p.due, s.wake)
+		p.waitOK = false
 	default:
 		p.far |= bit
 		p.farDue = min(p.farDue, s.wake)
+		p.waitOK = false
 	}
 }
 
@@ -325,11 +349,13 @@ func (p *partition) unlink(j int) {
 		}
 	case p.far&bit != 0:
 		p.far &^= bit
+		p.waitOK = false
 	case s.wake != parked:
 		b := s.wake & wheelMask
 		if p.wheel[b] &^= bit; p.wheel[b] == 0 {
 			p.wheelSum[b>>6] &^= 1 << (b & 63)
 		}
+		p.waitOK = false
 	}
 }
 
@@ -352,6 +378,7 @@ func (p *partition) expire(cycle int64) {
 		p.wheel[b] = 0
 		p.wheelSum[b>>6] &^= 1 << (b & 63)
 		p.due = wake + 1
+		p.waitOK = false
 	}
 	if p.farDue <= cycle {
 		p.farDue = parked
@@ -360,6 +387,7 @@ func (p *partition) expire(cycle int64) {
 			if wake := p.sched[j].wake; wake <= cycle {
 				p.far &^= 1 << uint(j)
 				p.toReady(j)
+				p.waitOK = false
 			} else {
 				p.farDue = min(p.farDue, wake)
 			}
@@ -409,6 +437,7 @@ func (p *partition) clearSets() {
 	p.ready = [len(p.ready)]uint64{}
 	p.readyCls, p.stale, p.far = 0, 0, 0
 	p.due, p.farDue = parked, parked
+	p.waitOK = false
 }
 
 // pickRef is the reference scheduler (Config.Reference): the same choice
