@@ -17,7 +17,10 @@
 // here in fixed partition order at the merge barrier, see internal/sm).
 package memmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Level names the hierarchy level that bounded a load's completion, the
 // vocabulary of the CPI stack's memory components.
@@ -159,19 +162,55 @@ type mshrEntry struct {
 	level  Level
 }
 
-// buckets is the number of sector buckets in the MSHR file's in-flight
-// filter (Hier.inflight), a power of two.
-const (
-	buckets    = 256
-	bucketMask = buckets - 1
-)
+// bucketBits sizes the MSHR file's in-flight filter (Hier.inflight): 256
+// sector buckets.
+const bucketBits = 8
+
+// bucket maps a sector to its filter bucket: the top bucketBits of a
+// multiplicative hash, so sectors a power-of-two stride apart (the same
+// offset in two arrays) spread over the buckets instead of sharing one.
+func bucket(sector int32) uint32 { return uint32(sector) * 0x9e3779b1 >> (32 - bucketBits) }
+
+// divisor divides by one of the hierarchy's fixed sizes: by a shift and a
+// mask when the size is a power of two, as every size of DefaultConfig is,
+// else by a division. Either way quo and rem give what Go's / and % give,
+// so a geometry that is not a power of two times the same.
+type divisor struct {
+	n     uint32
+	shift uint8
+	pow2  bool
+}
+
+func newDivisor(n int) divisor {
+	d := divisor{n: uint32(n)}
+	if d.n&(d.n-1) == 0 {
+		d.pow2, d.shift = true, uint8(bits.TrailingZeros32(d.n))
+	}
+	return d
+}
+
+// quo is x / n, truncated toward zero.
+func (d divisor) quo(x int32) int32 {
+	if d.pow2 {
+		return (x + x>>31&int32(d.n-1)) >> d.shift
+	}
+	return x / int32(d.n)
+}
+
+// rem is uint32(x) % n, an index below n.
+func (d divisor) rem(x int32) int {
+	if d.pow2 {
+		return int(uint32(x) & (d.n - 1))
+	}
+	return int(uint32(x) % d.n)
+}
 
 // line is one cache line's tag state. stamp is a monotone access counter
 // (deterministic LRU — never wall time).
 type line struct {
+	stamp   int64
 	tag     int32
 	sectors uint8 // valid bitmap, LineSectors wide
-	stamp   int64
 	valid   bool
 }
 
@@ -189,13 +228,13 @@ type Hier struct {
 	// O(1), equal fills retire FIFO, and an insert steps back only past
 	// later fills. The ring's length is a power of two, so ringMask wraps
 	// an index. inflight is an exact filter in front of the merge scan:
-	// the entries in the file per sector bucket (sector & bucketMask), so
-	// a sector whose bucket counts none is not in flight. A count moves
-	// only when an entry enters or leaves the file.
+	// the entries in the file per sector bucket (bucket), so a sector
+	// whose bucket counts none is not in flight. A count moves only when
+	// an entry enters or leaves the file.
 	mshr         []mshrEntry
 	head, inFile int
 	ringMask     int
-	inflight     [buckets]int
+	inflight     [1 << bucketBits]int
 
 	// Per-bank L2 service state and device-wide DRAM bandwidth state.
 	bankFree []int64
@@ -204,6 +243,9 @@ type Hier struct {
 
 	stamp   int64
 	maxFill int64
+
+	// The sizes every sector divides by, fixed by New.
+	lineSectors, l1Sets, l2Banks, l2Sets, rowSectors, dramBanks divisor
 }
 
 // New builds a hierarchy; the configuration must Validate.
@@ -223,6 +265,13 @@ func New(cfg Config) *Hier {
 		ringMask: ring - 1,
 		bankFree: make([]int64, cfg.L2Banks),
 		openRow:  make([]int32, cfg.DRAMBanks),
+
+		lineSectors: newDivisor(cfg.LineSectors),
+		l1Sets:      newDivisor(cfg.L1Sets),
+		l2Banks:     newDivisor(cfg.L2Banks),
+		l2Sets:      newDivisor(cfg.L2SetsPerBank),
+		rowSectors:  newDivisor(cfg.RowSectors),
+		dramBanks:   newDivisor(cfg.DRAMBanks),
 	}
 	for i := range h.openRow {
 		h.openRow[i] = -1
@@ -265,12 +314,12 @@ func (h *Hier) AccessLoad(now int64, sectors []int32) (int64, Level) {
 
 // loadSector times one sector of a load. The sector's line, its sector
 // within the line and its L1 set are computed once, here; its L2 bank and
-// set only on a miss, in l2Access.
+// set only on a miss, in l2Access. Each set is scanned once (probe).
 func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 	// In-flight misses shield the (already valid-marked) L1 sector until
 	// their fill completes, so the merge check comes first. A sector has
 	// at most one entry: a second miss to it merges instead.
-	if h.inflight[uint32(sector)&bucketMask] != 0 {
+	if h.inflight[bucket(sector)] != 0 {
 		for i := 0; i < h.inFile; i++ {
 			if e := &h.mshr[(h.head+i)&h.ringMask]; e.sector == sector {
 				h.stats.MSHRMerges++
@@ -278,11 +327,13 @@ func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 			}
 		}
 	}
-	lineID := sector / int32(h.cfg.LineSectors)
+	lineID := h.lineSectors.quo(sector)
 	sub := uint(sector - lineID*int32(h.cfg.LineSectors))
-	set := int(uint32(lineID) % uint32(h.cfg.L1Sets))
+	set := h.l1Sets.rem(lineID)
 	ways := h.l1[set*h.cfg.L1Ways : (set+1)*h.cfg.L1Ways]
-	if h.l1Hit(ways, lineID, sub) {
+	way, victim := probe(ways, lineID)
+	if way >= 0 && ways[way].sectors&(1<<sub) != 0 {
+		h.touch(&ways[way])
 		h.stats.L1Hits++
 		return now + h.cfg.L1Latency, LevelL1
 	}
@@ -307,27 +358,37 @@ func (h *Hier) loadSector(now int64, sector int32) (int64, Level) {
 		lvl = LevelMSHR
 	}
 	h.insertMSHR(mshrEntry{sector: sector, fill: fill, level: lvl})
-	fillWay(ways, lineID, sub, &h.stamp)
+	// The sector turns valid at once; its MSHR entry shields it until the
+	// fill completes.
+	if way < 0 {
+		way = victim
+		ways[way] = line{tag: lineID, valid: true}
+	}
+	ways[way].sectors |= 1 << sub
+	h.touch(&ways[way])
 	return fill, lvl
 }
 
 // l2Access times a sector of line lineID through its L2 bank and, on a
 // miss, DRAM.
 func (h *Hier) l2Access(start int64, sector, lineID int32) (int64, Level) {
-	bank := int(uint32(sector) % uint32(h.cfg.L2Banks))
+	bank := h.l2Banks.rem(sector)
 	svc := start
 	if h.bankFree[bank] > svc {
 		svc = h.bankFree[bank]
 	}
 	h.bankFree[bank] = svc + h.cfg.L2Interval
 	ways := h.l2Ways(bank, lineID)
-	if h.l2Hit(ways, lineID) {
+	way, victim := probe(ways, lineID)
+	if way >= 0 {
+		h.touch(&ways[way])
 		h.stats.L2Hits++
 		return svc + h.cfg.L2Latency, LevelL2
 	}
 	h.stats.L2Misses++
 	fill := h.dramAccess(svc+h.cfg.L2Latency, sector)
-	fillWay(ways, lineID, 0, &h.stamp)
+	ways[victim] = line{tag: lineID, valid: true}
+	h.touch(&ways[victim])
 	return fill, LevelDRAM
 }
 
@@ -338,8 +399,8 @@ func (h *Hier) dramAccess(start int64, sector int32) int64 {
 		start = h.dramFree
 	}
 	h.dramFree = start + h.cfg.DRAMInterval
-	row := sector / int32(h.cfg.RowSectors)
-	bank := int(uint32(row) % uint32(h.cfg.DRAMBanks))
+	row := h.rowSectors.quo(sector)
+	bank := h.dramBanks.rem(row)
 	lat := h.cfg.DRAMLatency
 	if h.openRow[bank] == row {
 		h.stats.RowHits++
@@ -360,14 +421,17 @@ func (h *Hier) AccessStore(now int64, sectors []int32) {
 	h.stats.StoreSectors += int64(len(sectors))
 	h.expire(now)
 	for _, s := range sectors {
-		bank := int(uint32(s) % uint32(h.cfg.L2Banks))
+		bank := h.l2Banks.rem(s)
 		svc := now
 		if h.bankFree[bank] > svc {
 			svc = h.bankFree[bank]
 		}
 		h.bankFree[bank] = svc + h.cfg.L2Interval
-		lineID := s / int32(h.cfg.LineSectors)
-		if !h.l2Hit(h.l2Ways(bank, lineID), lineID) {
+		lineID := h.lineSectors.quo(s)
+		ways := h.l2Ways(bank, lineID)
+		if way, _ := probe(ways, lineID); way >= 0 {
+			h.touch(&ways[way])
+		} else {
 			// No-allocate: the write drains to DRAM without installing the
 			// line, consuming bandwidth and moving the row buffer.
 			h.dramAccess(svc+h.cfg.L2Latency, s)
@@ -386,7 +450,7 @@ func (h *Hier) expire(now int64) {
 
 // retireHead drops the file's head entry, its earliest fill.
 func (h *Hier) retireHead() {
-	h.inflight[uint32(h.mshr[h.head].sector)&bucketMask]--
+	h.inflight[bucket(h.mshr[h.head].sector)]--
 	h.head = (h.head + 1) & h.ringMask
 	h.inFile--
 }
@@ -406,66 +470,36 @@ func (h *Hier) insertMSHR(e mshrEntry) {
 	}
 	h.mshr[i] = e
 	h.inFile++
-	h.inflight[uint32(e.sector)&bucketMask]++
-}
-
-// l1Hit reports whether sector sub of line lineID is present and valid in
-// the L1 set ways.
-func (h *Hier) l1Hit(ways []line, lineID int32, sub uint) bool {
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == lineID {
-			if ways[i].sectors&(1<<sub) != 0 {
-				h.stamp++
-				ways[i].stamp = h.stamp
-				return true
-			}
-			return false
-		}
-	}
-	return false
+	h.inflight[bucket(e.sector)]++
 }
 
 // l2Ways returns the ways of line lineID's set in L2 bank bank.
 func (h *Hier) l2Ways(bank int, lineID int32) []line {
-	set := int(uint32(lineID) % uint32(h.cfg.L2SetsPerBank))
+	set := h.l2Sets.rem(lineID)
 	base := (bank*h.cfg.L2SetsPerBank + set) * h.cfg.L2Ways
 	return h.l2[base : base+h.cfg.L2Ways]
 }
 
-// l2Hit reports whether line lineID is present in the L2 set ways (the L2
-// tracks whole lines; sector masks matter only at the L1).
-func (h *Hier) l2Hit(ways []line, lineID int32) bool {
+// probe scans a set's ways once for line lineID. It returns the way that
+// holds the line, or -1 and the way a fill of the line takes: the least
+// recently stamped, ties to the lowest index (deterministic). A way is
+// stamped when it is filled, so an invalid way (stamp 0) is taken before
+// any valid one. The L2 tracks whole lines; sector masks matter only at
+// the L1.
+func probe(ways []line, lineID int32) (way, victim int) {
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == lineID {
-			h.stamp++
-			ways[i].stamp = h.stamp
-			return true
-		}
-	}
-	return false
-}
-
-// fillWay installs lineID into the way set, marking sector sub valid (the
-// L1 marks it at once; the in-flight MSHR entry shields the window until
-// the fill completes). It reuses a hit or invalid way and otherwise evicts
-// the least-recently-stamped one (ties to the lowest way index —
-// deterministic).
-func fillWay(ways []line, lineID int32, sub uint, stamp *int64) {
-	*stamp++
-	victim := 0
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == lineID {
-			ways[i].sectors |= 1 << sub
-			ways[i].stamp = *stamp
-			return
-		}
-		if !ways[i].valid {
-			victim = i
-			ways[i].stamp = 0 // claim: invalid ways always lose the LRU scan
+			return i, -1
 		}
 		if ways[i].stamp < ways[victim].stamp {
 			victim = i
 		}
 	}
-	ways[victim] = line{tag: lineID, sectors: 1 << sub, stamp: *stamp, valid: true}
+	return -1, victim
+}
+
+// touch stamps a line as the most recently used.
+func (h *Hier) touch(l *line) {
+	h.stamp++
+	l.stamp = h.stamp
 }

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -286,5 +287,26 @@ func TestMSHRRingWraps(t *testing.T) {
 	if !wrappedMerge || !wrapRetire || !fifoTie || st.MSHRFullEvents == 0 || st.MSHRMerges < 3 {
 		t.Errorf("ring stream: merge into a wrapped entry %v, retire across the end %v, equal fills in file %v, stats %+v",
 			wrappedMerge, wrapRetire, fifoTie, st)
+	}
+}
+
+// TestDivisorMatchesGoDivision: a divisor's shift-and-mask path for powers
+// of two and its division path give Go's truncating / and unsigned % on
+// negative and positive operands alike.
+func TestDivisorMatchesGoDivision(t *testing.T) {
+	xs := []int32{0, 1, 3, 4, 5, 7, 8, 255, 256, 1 << 20, math.MaxInt32, -1, -3, -4, -5, -8, -9, -256, math.MinInt32}
+	for _, n := range []int{1, 2, 3, 4, 6, 8, 16, 32, 64, 100, 128, 1 << 30} {
+		d := newDivisor(n)
+		if d.pow2 != (n&(n-1) == 0) {
+			t.Errorf("divisor %d: pow2 = %v", n, d.pow2)
+		}
+		for _, x := range xs {
+			if got, want := d.quo(x), x/int32(n); got != want {
+				t.Errorf("%d / %d = %d, want %d", x, n, got, want)
+			}
+			if got, want := d.rem(x), int(uint32(x)%uint32(n)); got != want {
+				t.Errorf("uint32(%d) %% %d = %d, want %d", x, n, got, want)
+			}
+		}
 	}
 }

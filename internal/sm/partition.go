@@ -112,13 +112,20 @@ type partition struct {
 	wheelSum    [wheelSize / 64]uint64
 	due, farDue int64
 
-	// stall's wait verdict: the earliest wake in the wheel and the far set
-	// (parked when both are empty) and the slots waiting until it. It
-	// changes only when a slot enters or leaves the wheel or the far set,
-	// in place, unlink, expire and clearSets, which clear waitOK.
-	waitOK   bool
-	waitWake int64
-	waitAt   uint64
+	// stall's wait verdicts, one per set: the earliest wake in the wheel
+	// (nearWake) and in the far set (farWake), parked when the set is
+	// empty, and the slots waiting until it (nearAt, farAt). A set's
+	// verdict changes only when a slot enters or leaves that set, in place,
+	// unlink, expire and clearSets, which clear nearOK or farOK.
+	nearOK, farOK     bool
+	nearWake, farWake int64
+	nearAt, farAt     uint64
+	// sole is stall's whole answer when no slot was ready and one slot
+	// waited until the earliest wake: the answer then depends on neither
+	// the rotation start nor the cycle, so it holds, while soleOK, for as
+	// long as both verdicts do and no slot is ready.
+	sole   schedSlot
+	soleOK bool
 
 	// Per-round outputs, consumed by the barrier. memc carries the
 	// memory-hierarchy level (memmodel.Level) the nearest-to-ready warp's
@@ -259,15 +266,32 @@ func (p *partition) pick(why bool) (int, int64, stallReason, isa.Class, uint8) {
 // the pipe class that reason attributes to, and the memory-hierarchy level
 // when it is a hierarchy-load dependence. The earliest wake is the nearest
 // wheel bucket's, a far wait's, or the throttle wake of a pipe with ready
-// slots, which every ready slot of that pipe shares. The wait half (waits)
-// is reused from the last idle round while neither set changed; throttle
-// wakes move with every refill, so they are read afresh.
+// slots, which every ready slot of that pipe shares. The wheel's and the
+// far set's verdicts are reused from an earlier call while their set has
+// not changed; throttle wakes move with every refill, so they are read
+// afresh.
 func (p *partition) stall(start int) (int64, stallReason, isa.Class, uint8) {
-	if !p.waitOK {
-		p.waitWake, p.waitAt = p.waits()
-		p.waitOK = true
+	if p.soleOK && p.nearOK && p.farOK && p.readyCls == 0 {
+		return p.sole.wake, p.sole.reason, p.sole.class, p.sole.mem
 	}
-	best, at := p.waitWake, p.waitAt
+	p.soleOK = false
+	if !p.nearOK {
+		p.nearWake, p.nearAt = parked, 0
+		if b, wake := p.nearest(); b >= 0 {
+			p.nearWake, p.nearAt = wake, p.wheel[b]
+		}
+		p.nearOK = true
+	}
+	if !p.farOK {
+		p.farWake, p.farAt = p.farWaits()
+		p.farOK = true
+	}
+	best, at := p.nearWake, p.nearAt
+	if p.farWake < best {
+		best, at = p.farWake, p.farAt
+	} else if p.farWake == best {
+		at |= p.farAt
+	}
 	for cls := p.readyCls; cls != 0; cls &= cls - 1 {
 		cl := isa.Class(bits.TrailingZeros16(cls))
 		if wake := p.throttleWake(cl); wake < best {
@@ -280,20 +304,19 @@ func (p *partition) stall(start int) (int64, stallReason, isa.Class, uint8) {
 		return farFuture, stallNoWarp, isa.ClassFxP, 0
 	}
 	s := &p.sched[firstFrom(at, start)]
+	if p.readyCls == 0 && at&(at-1) == 0 {
+		p.sole, p.soleOK = *s, true
+	}
 	if s.wake == depsReady {
 		return best, stallThrottle, s.class, 0
 	}
 	return s.wake, s.reason, s.class, s.mem
 }
 
-// waits returns the earliest wake of the wheel and the far set (parked when
-// both are empty) and the slots waiting until it: stall's wait verdict,
-// which the partition keeps until a slot enters or leaves either set.
-func (p *partition) waits() (int64, uint64) {
+// farWaits returns the earliest wake in the far set (parked when it is
+// empty) and the far slots waiting until it.
+func (p *partition) farWaits() (int64, uint64) {
 	best, at := parked, uint64(0)
-	if b, wake := p.nearest(); b >= 0 {
-		best, at = wake, p.wheel[b]
-	}
 	for f := p.far; f != 0; f &= f - 1 {
 		j := bits.TrailingZeros64(f)
 		if wake := p.sched[j].wake; wake < best {
@@ -328,11 +351,11 @@ func (p *partition) place(j int) {
 		p.wheel[b] |= bit
 		p.wheelSum[b>>6] |= 1 << (b & 63)
 		p.due = min(p.due, s.wake)
-		p.waitOK = false
+		p.nearOK = false
 	default:
 		p.far |= bit
 		p.farDue = min(p.farDue, s.wake)
-		p.waitOK = false
+		p.farOK = false
 	}
 }
 
@@ -349,13 +372,13 @@ func (p *partition) unlink(j int) {
 		}
 	case p.far&bit != 0:
 		p.far &^= bit
-		p.waitOK = false
+		p.farOK = false
 	case s.wake != parked:
 		b := s.wake & wheelMask
 		if p.wheel[b] &^= bit; p.wheel[b] == 0 {
 			p.wheelSum[b>>6] &^= 1 << (b & 63)
 		}
-		p.waitOK = false
+		p.nearOK = false
 	}
 }
 
@@ -378,7 +401,7 @@ func (p *partition) expire(cycle int64) {
 		p.wheel[b] = 0
 		p.wheelSum[b>>6] &^= 1 << (b & 63)
 		p.due = wake + 1
-		p.waitOK = false
+		p.nearOK = false
 	}
 	if p.farDue <= cycle {
 		p.farDue = parked
@@ -387,7 +410,7 @@ func (p *partition) expire(cycle int64) {
 			if wake := p.sched[j].wake; wake <= cycle {
 				p.far &^= 1 << uint(j)
 				p.toReady(j)
-				p.waitOK = false
+				p.farOK = false
 			} else {
 				p.farDue = min(p.farDue, wake)
 			}
@@ -437,7 +460,7 @@ func (p *partition) clearSets() {
 	p.ready = [len(p.ready)]uint64{}
 	p.readyCls, p.stale, p.far = 0, 0, 0
 	p.due, p.farDue = parked, parked
-	p.waitOK = false
+	p.nearOK, p.farOK = false, false
 }
 
 // pickRef is the reference scheduler (Config.Reference): the same choice
