@@ -42,12 +42,13 @@ type Options struct {
 	// *FlightError carrying the JSONL black-box bundle. While nothing
 	// fails it costs one ring store per scheduler decision, and the rings
 	// (657 KB on the default four-scheduler SM) are allocated once per
-	// sweep row: the row's launches share one recorder, reset before each.
-	// Measured on 2026-10-19 on a 2-vCPU Xeon VM (Go 1.24.0), one Figure 12
-	// sweep (15 rows, 75 launches, unverified) allocated 31.2 MB armed
-	// against 20.1 MB disarmed, 149 KB more per armed launch, where a
-	// recorder per launch had cost 682 KB more (71.2 MB a sweep). With a
-	// recorder per launch, at commit 3436a8a, swapbench's
+	// launch running at the same time: a sweep keeps a free list of
+	// recorders, each reset before its next launch. Measured on 2026-10-19
+	// on a 2-vCPU Xeon VM (Go 1.24.0), one Figure 12 sweep (75 launches,
+	// unverified, two workers) allocated 23.6–24.5 MB armed against
+	// 20.3–21.1 MB disarmed, 45 KB more per armed launch, where a recorder
+	// per sweep row had cost 143 KB more and a recorder per launch 682 KB.
+	// With a recorder per launch, at commit 3436a8a, swapbench's
 	// simprof.flight_overhead_frac (swap-ecc, armed against disarmed) read
 	// +1.2% on lavaMD, +6.1% on bfs and +8.9% on needle.
 	FlightRecord bool
@@ -105,7 +106,6 @@ type PerfResult struct {
 type recorders struct {
 	mu   sync.Mutex
 	free []*simprof.FlightRecorder
-	made int
 }
 
 // get takes a recorder off the list, or makes one.
@@ -117,7 +117,6 @@ func (r *recorders) get() *simprof.FlightRecorder {
 		r.free = r.free[:n-1]
 		return fr
 	}
-	r.made++
 	return simprof.NewFlightRecorder(0)
 }
 

@@ -269,7 +269,7 @@ func (p *partition) pick(why bool) (int, int64, stallReason, isa.Class, uint8) {
 // slots, which every ready slot of that pipe shares. The wheel's and the
 // far set's verdicts are reused from an earlier call while their set has
 // not changed; throttle wakes move with every refill, so they are read
-// afresh.
+// afresh, and the whole answer is reused only while sole holds.
 func (p *partition) stall(start int) (int64, stallReason, isa.Class, uint8) {
 	if p.soleOK && p.nearOK && p.farOK && p.readyCls == 0 {
 		return p.sole.wake, p.sole.reason, p.sole.class, p.sole.mem
