@@ -188,7 +188,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	// estimates resolve their cells through one store, so each distinct
 	// (workload, scheme, memory model) cell is launched once per run,
 	// however many experiments share it.
-	cells := harness.NewCellStore(nil)
+	cells := harness.NewStore(nil)
 	sweep := func(ctx context.Context, schemes []compiler.Scheme, mem string) (*harness.PerfResult, error) {
 		return harness.RunPerfCtxOpts(ctx, pool, schemes, true, harness.Options{MemModel: mem, Cells: cells})
 	}

@@ -1,29 +1,58 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"swapcodes/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/all.golden and testdata/work.golden from current output")
 
-// buildExperiments compiles the experiments binary under test. It builds
-// without the race detector even under go test -race: the pin checks output
-// bytes, and a race build of every experiment costs over a minute.
+// binDir holds the experiments binary under test for the whole test run.
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "experiments-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// build compiles the experiments binary once per test run; every test that
+// runs the binary shares it. It builds without the race detector even under
+// go test -race: the pin checks output bytes, and a race build of every
+// experiment costs over a minute.
+var build = sync.OnceValues(func() (string, error) {
+	bin := filepath.Join(binDir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build: %v\n%s", err, out)
+	}
+	return bin, nil
+})
+
+// buildExperiments returns the experiments binary under test.
 func buildExperiments(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "experiments")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	bin, err := build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bin
 }
@@ -54,6 +83,54 @@ func TestAllGolden(t *testing.T) {
 	}
 	checkGolden(t, "all.golden", stdout.Bytes())
 	checkLedger(t, "work.golden", workLedger(t, metrics, trace))
+}
+
+// TestSIGTERMFlushes stops a run with SIGTERM, as kill and timeout(1) do:
+// like Ctrl-C, it exits 1 rather than dying of the signal, says the run was
+// cancelled, and the deferred flush writes a -metrics file that decodes and
+// a -trace file that validates. Three sweeps on two workers run for
+// seconds, so the signal lands mid-run.
+func TestSIGTERMFlushes(t *testing.T) {
+	dir := t.TempDir()
+	metrics, trace := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	cmd := exec.Command(buildExperiments(t), "-exp", "fig12,fig15,fig16", "-workers", "2",
+		"-metrics", metrics, "-trace", trace, "-metrics-interval", "20ms")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer time.AfterFunc(time.Minute, func() { cmd.Process.Kill() }).Stop()
+	// The first progress line comes after the signal handler is set up,
+	// while the sweeps run.
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() && !strings.Contains(sc.Text(), "; tuples=") {
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(stderr)
+	err = cmd.Wait()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !bytes.Contains(rest, []byte("cancelled; writing partial metrics")) {
+		t.Fatalf("after SIGTERM: exit code %d (%v), stderr:\n%s\nwant exit 1 and a cancelled run", code, err, rest)
+	}
+	f, err := os.Open(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := obs.DecodeJSON(f); err != nil {
+		t.Errorf("-metrics file does not decode: %v", err)
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateTrace(raw); err != nil {
+		t.Errorf("-trace file does not validate: %v", err)
+	}
 }
 
 // readGolden rewrites testdata/name with got under -update, then returns

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -499,16 +500,16 @@ func TestServerE2EGracefulSignal(t *testing.T) {
 	bin := buildServer(t)
 	stateDir := filepath.Join(t.TempDir(), "state")
 	srv := startServer(t, bin, stateDir)
-	if err := srv.cmd.Process.Signal(os.Interrupt); err != nil {
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-srv.done:
 		if err != nil {
-			t.Fatalf("server exited non-zero on SIGINT: %v", err)
+			t.Fatalf("server exited non-zero on SIGTERM: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("server did not exit on SIGINT")
+		t.Fatal("server did not exit on SIGTERM")
 	}
 	if _, err := os.Stat(filepath.Join(stateDir, "wal.jsonl")); err != nil {
 		t.Fatalf("state dir not initialized: %v", err)

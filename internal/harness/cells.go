@@ -65,122 +65,121 @@ func decodeCell(b []byte) (cellOutcome, error) {
 	return out, nil
 }
 
-// CellTier is the byte store under a CellStore, keyed by CellKey. The job
-// server backs it with its content-addressed cache, so cells outlive the
-// process; NewCellStore(nil) keeps them in memory.
-type CellTier interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, val []byte) error
+// Tier is the byte store under a Store: values by content key, each read
+// and write filed under its item class ("cell", "result", "trace"). The
+// job server's content-addressed cache is one, so its values outlive the
+// process and it counts hits and misses per item; NewStore(nil) keeps the
+// values in memory.
+type Tier interface {
+	Get(item, key string) ([]byte, bool)
+	Put(item, key string, val []byte) error
 }
 
-// CellStore resolves sweep cells for every sweep handed it through
-// Options.Cells. A cell it holds is decoded instead of launched; a cell
-// another sweep is launching at that moment is waited for, so each cell is
-// launched once however many sweeps ask for it concurrently. Only a
-// successful outcome is stored: a failed launch, a failed verification or a
-// cancelled one stores nothing, and whoever asks next launches the cell
-// again.
+// Store resolves reusable artifacts by content key: the sweep cells of
+// every sweep handed it through Options.Cells, and in the job server also
+// job results and operand traces. A key has at most one owner at a time.
+// The owner reads the tier and computes the value only when the tier holds
+// none it can decode; every other caller of the key waits for the owner and
+// then looks again, so it reads what the owner stored, or, when the owner
+// stored nothing because it failed, was cancelled or panicked, becomes the
+// owner itself. Only a successful computation is stored.
 //
-// Waiting cannot deadlock: a goroutine owns at most one cell at a time, and
-// only while it launches that cell, which never waits on another.
-type CellStore struct {
-	tier CellTier
+// Waiting cannot deadlock. An owner waits only on values its own value is
+// computed from: a headline result on its campaign's result, a campaign on
+// its operand trace, a sweep on its cells. Cells and traces wait on
+// nothing, so no chain of owners waits on itself.
+type Store struct {
+	tier Tier
 
-	mu     sync.Mutex
-	flight map[string]*cellFlight
+	mu   sync.Mutex
+	busy map[string]chan struct{} // by key; closed when its owner is done
 }
 
-// cellFlight is one resolution in progress; done closes when it ends.
-type cellFlight struct {
-	done chan struct{}
-	out  cellOutcome
-	err  error
-}
-
-// NewCellStore returns a store over tier (nil: a private in-memory map).
-func NewCellStore(tier CellTier) *CellStore {
+// NewStore returns a store over tier (nil: a private in-memory map).
+func NewStore(tier Tier) *Store {
 	if tier == nil {
 		tier = &memTier{m: make(map[string][]byte)}
 	}
-	return &CellStore{tier: tier, flight: make(map[string]*cellFlight)}
+	return &Store{tier: tier, busy: make(map[string]chan struct{})}
 }
 
-// resolve returns the outcome of the cell under key and whether this call
-// launched it. A nil store launches every cell.
-func (s *CellStore) resolve(ctx context.Context, key string, launch func(context.Context) (cellOutcome, error)) (cellOutcome, bool, error) {
+// Resolve returns the value of item under key and whether this call
+// computed it. A stored value that decode refuses is computed again and
+// overwritten; a nil decode accepts every stored value. A caller that
+// gives up while it waits for another owner returns ctx.Err().
+func (s *Store) Resolve(ctx context.Context, item, key string, decode func([]byte) error, compute func(context.Context) ([]byte, error)) (val []byte, computed bool, err error) {
+	for {
+		s.mu.Lock()
+		busy, waiting := s.busy[key]
+		if !waiting {
+			s.busy[key] = make(chan struct{})
+		}
+		s.mu.Unlock()
+		if !waiting {
+			break
+		}
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
+	defer func() {
+		s.mu.Lock()
+		busy := s.busy[key]
+		delete(s.busy, key)
+		s.mu.Unlock()
+		close(busy)
+	}()
+	if b, ok := s.tier.Get(item, key); ok && (decode == nil || decode(b) == nil) {
+		return b, false, nil
+	}
+	if val, err = compute(ctx); err == nil {
+		err = s.tier.Put(item, key, val)
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	return val, true, nil
+}
+
+// resolve returns the outcome of the sweep cell under key and whether this
+// call launched it. A nil store launches every cell.
+func (s *Store) resolve(ctx context.Context, key string, launch func(context.Context) (cellOutcome, error)) (cellOutcome, bool, error) {
 	if s == nil {
 		out, err := launch(ctx)
 		return out, true, err
 	}
-	for {
-		s.mu.Lock()
-		f, waiting := s.flight[key]
-		if !waiting {
-			f = &cellFlight{done: make(chan struct{})}
-			s.flight[key] = f
-		}
-		s.mu.Unlock()
-		if !waiting {
-			ran := s.fill(ctx, key, f, launch)
-			return f.out, ran, f.err
-		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return cellOutcome{}, false, ctx.Err()
-		}
-		if f.err == nil {
-			return f.out, false, nil
-		}
-		// The owner failed, possibly only because its own sweep was
-		// cancelled: resolve the cell afresh.
-	}
+	var out cellOutcome
+	_, ran, err := s.Resolve(ctx, "cell", key,
+		func(b []byte) (err error) {
+			out, err = decodeCell(b)
+			return err
+		},
+		func(ctx context.Context) ([]byte, error) {
+			var err error
+			if out, err = launch(ctx); err != nil {
+				return nil, err
+			}
+			return json.Marshal(out)
+		})
+	return out, ran, err
 }
 
-// fill resolves the flight f this goroutine owns: from the tier when it
-// holds a decodable entry, else by launching and storing the outcome. An
-// undecodable entry is launched again and overwritten.
-func (s *CellStore) fill(ctx context.Context, key string, f *cellFlight, launch func(context.Context) (cellOutcome, error)) (ran bool) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.flight, key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-	if b, ok := s.tier.Get(key); ok {
-		if out, err := decodeCell(b); err == nil {
-			f.out = out
-			return false
-		}
-	}
-	f.err = errors.New("harness: cell launch panicked") // replaced on return
-	out, err := launch(ctx)
-	f.out, f.err = out, err
-	if err != nil {
-		return true
-	}
-	b, err := json.Marshal(out)
-	if err == nil {
-		err = s.tier.Put(key, b)
-	}
-	f.err = err
-	return true
-}
-
-// memTier is the in-memory CellTier of a store built without one.
+// memTier is the in-memory Tier of a store built without one.
 type memTier struct {
 	mu sync.Mutex
 	m  map[string][]byte
 }
 
-func (t *memTier) Get(key string) ([]byte, bool) {
+func (t *memTier) Get(_, key string) ([]byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b, ok := t.m[key]
 	return b, ok
 }
 
-func (t *memTier) Put(key string, val []byte) error {
+func (t *memTier) Put(_, key string, val []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.m[key] = val

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,7 +19,7 @@ import (
 	"swapcodes/internal/workloads"
 )
 
-// countingTier is a CellTier that counts the Puts under each key.
+// countingTier is a Tier that counts the Puts under each key.
 type countingTier struct {
 	mu   sync.Mutex
 	m    map[string][]byte
@@ -29,14 +30,14 @@ func newCountingTier() *countingTier {
 	return &countingTier{m: map[string][]byte{}, puts: map[string]int{}}
 }
 
-func (t *countingTier) Get(key string) ([]byte, bool) {
+func (t *countingTier) Get(_, key string) ([]byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b, ok := t.m[key]
 	return b, ok
 }
 
-func (t *countingTier) Put(key string, val []byte) error {
+func (t *countingTier) Put(_, key string, val []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.m[key] = val
@@ -50,7 +51,7 @@ func (t *countingTier) Put(key string, val []byte) error {
 // each distinct cell must be launched, and stored, exactly once.
 func TestSharedStoreLaunchesEachCellOnce(t *testing.T) {
 	tier := newCountingTier()
-	cells := NewCellStore(tier)
+	cells := NewStore(tier)
 	opt := Options{Cells: cells}
 	pool := engine.New(4)
 	sweep := func(schemes []compiler.Scheme) engine.Job {
@@ -114,7 +115,7 @@ func TestPowerServedFromStore(t *testing.T) {
 	}
 
 	fresh := newCountingTier()
-	if _, err := RunPower(ctx, pool, Options{Cells: NewCellStore(fresh)}); err != nil {
+	if _, err := RunPower(ctx, pool, Options{Cells: NewStore(fresh)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := launched(); n != 10 || len(fresh.puts) != 10 {
@@ -122,7 +123,7 @@ func TestPowerServedFromStore(t *testing.T) {
 	}
 
 	tier := newCountingTier()
-	opt := Options{Cells: NewCellStore(tier)}
+	opt := Options{Cells: NewStore(tier)}
 	if _, err := RunPerfCtxOpts(ctx, engine.New(2), Fig12Schemes(), true, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestStoredSweepEqualsLaunched(t *testing.T) {
 	schemes := []compiler.Scheme{compiler.SwapECC, compiler.InterThread}
 	for _, mem := range []string{"", "sectored"} {
 		tier := newCountingTier()
-		opt := Options{MemModel: mem, Cells: NewCellStore(tier)}
+		opt := Options{MemModel: mem, Cells: NewStore(tier)}
 		cold, err := RunPerfCtxOpts(ctx, engine.New(2), schemes, false, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +179,7 @@ func TestStoredSweepEqualsLaunched(t *testing.T) {
 func TestMemModelOffIsFlat(t *testing.T) {
 	ctx := context.Background()
 	tier := newCountingTier()
-	cells := NewCellStore(tier)
+	cells := NewStore(tier)
 	schemes := []compiler.Scheme{compiler.SwapECC}
 	if _, err := RunPerfCtxOpts(ctx, engine.New(2), schemes, false, Options{Cells: cells}); err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestCellKeyCoversInputs(t *testing.T) {
 func TestFailedCellsStoreNothing(t *testing.T) {
 	ctx := context.Background()
 	tier := newCountingTier()
-	cells := NewCellStore(tier)
+	cells := NewStore(tier)
 
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
@@ -285,9 +286,11 @@ func TestFailedCellsStoreNothing(t *testing.T) {
 // TestWaiterRetriesAfterOwnerFails: a sweep waiting on a cell whose owner
 // fails (here: the owner's sweep is cancelled) launches the cell itself.
 // Had the waiter arrived after the owner gave up, it would have launched
-// the cell as owner; either way the outcome is the same.
+// the cell as owner; either way the outcome is the same. When the owner of
+// a key succeeds instead (here a job result, not a cell), its waiter
+// returns the bytes the owner stored without computing them.
 func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
-	cells := NewCellStore(nil)
+	cells := NewStore(nil)
 	var launches atomic.Int64
 	ownerIn, release := make(chan struct{}), make(chan struct{})
 	ownerCtx, cancel := context.WithCancel(context.Background())
@@ -324,5 +327,38 @@ func TestWaiterRetriesAfterOwnerFails(t *testing.T) {
 	}
 	if n := launches.Load(); n != 2 {
 		t.Fatalf("launched %d, want 2", n)
+	}
+
+	var computes atomic.Int64
+	ownerIn, release = make(chan struct{}), make(chan struct{})
+	compute := func(context.Context) ([]byte, error) {
+		if computes.Add(1) == 1 {
+			close(ownerIn)
+			<-release
+		}
+		return []byte("payload"), nil
+	}
+	go func() {
+		_, _, err := cells.Resolve(context.Background(), "result", "r", nil, compute)
+		done <- err
+	}()
+	<-ownerIn
+	go func() {
+		val, computed, err := cells.Resolve(context.Background(), "result", "r", nil, compute)
+		if err == nil && (computed || string(val) != "payload") {
+			err = fmt.Errorf("waiter returned %q, computed %v; want the owner's bytes", val, computed)
+		}
+		waiter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block on the owner
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("owner = %v", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatal(err)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("computed %d times, want 1", n)
 	}
 }

@@ -60,7 +60,7 @@ type Options struct {
 	// Cells, when set, resolves every perf-sweep cell through the store:
 	// a cell it holds is not launched again, and a cell two sweeps need at
 	// once is launched once. Nil launches every cell.
-	Cells *CellStore
+	Cells *Store
 }
 
 // smConfig is the launches' sm.Config. MemModel takes its one spelling,

@@ -241,7 +241,7 @@ func TestHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := HeadlineCtx(context.Background(), pool, inj.PooledSDC, Options{Cells: NewCellStore(nil)})
+	rows, err := HeadlineCtx(context.Background(), pool, inj.PooledSDC, Options{Cells: NewStore(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,8 +118,8 @@ type cancelTier struct {
 	cancel context.CancelFunc
 }
 
-func (t *cancelTier) Put(key string, val []byte) error {
-	err := t.countingTier.Put(key, val)
+func (t *cancelTier) Put(item, key string, val []byte) error {
+	err := t.countingTier.Put(item, key, val)
 	t.mu.Lock()
 	n := 0
 	for _, c := range t.puts {
@@ -144,7 +144,7 @@ func TestCancelledSweepKeepsWholeRows(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		tier := &cancelTier{countingTier: newCountingTier(), after: len(ws) + 1, cancel: cancel}
 		got, err := runRows(ctx, engine.New(workers), ws, schemes[:1], false,
-			Options{Cells: NewCellStore(tier)}, &recorders{})
+			Options{Cells: NewStore(tier)}, &recorders{})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%d workers: err = %v, want cancelled", workers, err)

@@ -13,7 +13,8 @@ import (
 
 // Cache is the content-addressed store for expensive intermediates and
 // final results: operand traces (a full workload-suite replay each), perf
-// sweep cells (harness.CellKey) and finished job payloads. Keys are
+// sweep cells (harness.CellKey) and finished job payloads. It is the tier
+// of the service's harness.Store, through which all three resolve. Keys are
 // SHA-256 content addresses derived from the inputs that determine the
 // value (CacheKey), so a hit is always semantically safe to reuse, as long
 // as one simulator build writes a state dir.
@@ -100,9 +101,9 @@ func (c *Cache) Get(item, key string) ([]byte, bool) {
 	return b, ok
 }
 
-// lookup is Get without the count, for callers that count an outcome
-// other than the lookup itself: a job's result is one hit or one miss
-// however many times the job looks it up.
+// lookup is Get without the count, for the submit-time peek at a result:
+// it counts only a hit, since a job that misses there counts its outcome
+// when it runs.
 func (c *Cache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
 	v, ok := c.mem[key]
@@ -165,13 +166,6 @@ func (c *Cache) Put(item, key string, val []byte) error {
 	}
 	return nil
 }
-
-// cellTier files the harness's sweep cells in the cache under the "cell"
-// item: memory plus the disk tier, so cells outlive the process.
-type cellTier struct{ c *Cache }
-
-func (t cellTier) Get(key string) ([]byte, bool)    { return t.c.Get("cell", key) }
-func (t cellTier) Put(key string, val []byte) error { return t.c.Put("cell", key, val) }
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"swapcodes/internal/obs"
 	"swapcodes/internal/trace"
@@ -146,6 +147,54 @@ func TestHeadlineReadsCampaignTrace(t *testing.T) {
 	}
 	if got := traceSpans(); got != spans {
 		t.Errorf("the headline job recorded %d trace:* spans, want none", got-spans)
+	}
+}
+
+// TestConcurrentCampaignsCollectOneTrace: two campaign jobs at one tuple
+// limit, of different seeds, submitted back to back to a service that runs
+// two jobs at once, collect their operand trace once. The first to ask for
+// it collects it (one trace miss, the three traced launches of a
+// 1,000-tuple collection); the other waits for it, or finds it stored, and
+// reads it (one trace hit). Either way both payloads equal those of the
+// same jobs run one after the other.
+func TestConcurrentCampaignsCollectOneTrace(t *testing.T) {
+	specs := []Spec{{Kind: KindCampaign, Tuples: 1000, Seed: 1}, {Kind: KindCampaign, Tuples: 1000, Seed: 2}}
+	seq := newService(t, Options{Workers: 2})
+	var want [][]byte
+	for _, spec := range specs {
+		want = append(want, runSpec(t, seq, spec))
+	}
+
+	rec := obs.NewRecorder()
+	svc := newService(t, Options{Workers: 2, MaxConcurrentJobs: 2, Recorder: rec})
+	var jobs []*Job
+	for _, spec := range specs {
+		id, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := svc.Get(id)
+		jobs = append(jobs, j)
+	}
+	for i, j := range jobs {
+		if st := waitTerminal(t, j, 2*time.Minute); st.State != StateDone {
+			t.Fatalf("seed %d job = %s: %s", specs[i].Seed, st.State, st.Error)
+		}
+		if !bytes.Equal(j.Result(), want[i]) {
+			t.Errorf("seed %d payload differs from a sequential run's", specs[i].Seed)
+		}
+	}
+	reg := rec.Registry()
+	hits := counterValue(t, reg, obs.Name("jobs.cache_hits", "item", "trace"))
+	misses := counterValue(t, reg, obs.Name("jobs.cache_misses", "item", "trace"))
+	spans := 0
+	for _, e := range rec.Events() {
+		if e.Ph == "X" && strings.HasPrefix(e.Name, "trace:") {
+			spans++
+		}
+	}
+	if misses != 1 || hits != 1 || spans != 3 {
+		t.Errorf("trace misses %d, hits %d, trace:* spans %d; want 1, 1 and 3", misses, hits, spans)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"swapcodes/internal/ecc"
 	"swapcodes/internal/engine"
@@ -24,11 +23,9 @@ import (
 // the spec — no wall-clock, no worker-count dependence — which is what lets
 // the kill/resume e2e test demand byte-identical results.
 type runner struct {
-	pool   *engine.Pool
-	cache  *Cache
-	cells  *harness.CellStore // the service's sweep cells, shared by every job
-	owners *owners            // the service's results in progress
-	store  *Store             // nil in store-less tests: no checkpoints, still correct
+	pool      *engine.Pool
+	artifacts *harness.Store // the service's cells, results and traces, over its cache
+	store     *Store         // nil in store-less tests: no checkpoints, still correct
 
 	// Trace plumbing (zero values in store-less tests are fine: a nil
 	// Recorder records nothing). Each job gets its own trace process row
@@ -57,103 +54,57 @@ func (r *runner) run(ctx context.Context, j *Job, replayed map[int]*ShardSummary
 // shards checkpoint under and whose checkpoints replayed holds, and stores
 // it under spec's key. A headline job resolves its campaign's spec here
 // too, so campaign and headline jobs of one (tuples, seed) share one
-// campaign. Each call counts one result-cache outcome: a hit when the
-// payload comes from the cache, a miss when this call computes it.
-//
-// A result has at most one owner computing it (owners): a call that finds
-// another job computing the same spec waits for it and then reads its
-// payload from the cache. An owner that fails or is stopped stores
-// nothing, and its waiters compute the result themselves. Waiting cannot
-// deadlock: the only owner that waits is a headline result's, on its
-// campaign's result, whose owner waits on nothing.
+// campaign. A call that finds another job computing the same spec waits
+// for it (harness.Store). Each call counts one result-cache outcome: a hit
+// when the payload comes from the cache, a miss when this call computes it.
 func (r *runner) result(ctx context.Context, j *Job, spec Spec, replayed map[int]*ShardSummary) (json.RawMessage, bool, error) {
 	pid, key := r.rec.Process("job:"+j.ID), spec.Key()
-	for {
-		busy := r.owners.claim(key)
-		if busy == nil {
-			break
+	raw, computed, err := r.artifacts.Resolve(ctx, "result", key, nil, func(ctx context.Context) ([]byte, error) {
+		execStart := r.rec.Now()
+		r.rec.Instant(pid, 1, "result cache miss", "job", execStart,
+			r.tc.Args(map[string]any{"key": key[:16]}))
+		var (
+			v   any
+			err error
+		)
+		switch spec.Kind {
+		case KindCampaign:
+			v, err = r.runCampaign(ctx, j, spec, replayed)
+		case KindPerf:
+			v, err = r.runPerf(ctx, spec)
+		case KindHeadline:
+			v, err = r.runHeadline(ctx, j, spec, replayed)
+		case KindCPIStack:
+			v, err = r.runCPIStack(ctx, spec)
+		case KindVerify:
+			v, err = r.runVerify(ctx)
+		default:
+			err = fmt.Errorf("jobs: unknown kind %q", spec.Kind)
 		}
-		select {
-		case <-busy:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+		r.rec.Span(pid, 1, "execute:"+spec.Kind, "job", execStart, r.rec.Now()-execStart,
+			r.tc.Args(map[string]any{"ok": err == nil}))
+		if err != nil {
+			return nil, err
 		}
+		// Compact on purpose: the WAL embeds results as json.RawMessage, and
+		// encoding/json compacts embedded raw values on re-marshal — an
+		// indented payload would come back from replay with different bytes.
+		// Compact bytes survive the round trip verbatim, keeping the
+		// byte-identity contract across restarts.
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("jobs: marshal result: %w", err)
+		}
+		return raw, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	defer r.owners.release(key)
-	if b, ok := r.cache.lookup(key); ok {
-		r.cache.hit("result", true)
+	if !computed {
 		r.rec.Instant(pid, 1, "result cache hit", "job", r.rec.Now(),
 			r.tc.Args(map[string]any{"key": key[:16]}))
-		return b, true, nil
 	}
-	r.cache.hit("result", false)
-	execStart := r.rec.Now()
-	r.rec.Instant(pid, 1, "result cache miss", "job", execStart,
-		r.tc.Args(map[string]any{"key": key[:16]}))
-	var (
-		v   any
-		err error
-	)
-	switch spec.Kind {
-	case KindCampaign:
-		v, err = r.runCampaign(ctx, j, spec, replayed)
-	case KindPerf:
-		v, err = r.runPerf(ctx, spec)
-	case KindHeadline:
-		v, err = r.runHeadline(ctx, j, spec, replayed)
-	case KindCPIStack:
-		v, err = r.runCPIStack(ctx, spec)
-	case KindVerify:
-		v, err = r.runVerify(ctx)
-	default:
-		err = fmt.Errorf("jobs: unknown kind %q", spec.Kind)
-	}
-	r.rec.Span(pid, 1, "execute:"+spec.Kind, "job", execStart, r.rec.Now()-execStart,
-		r.tc.Args(map[string]any{"ok": err == nil}))
-	if err != nil {
-		return nil, false, err
-	}
-	// Compact on purpose: the WAL embeds results as json.RawMessage, and
-	// encoding/json compacts embedded raw values on re-marshal — an indented
-	// payload would come back from replay with different bytes. Compact
-	// bytes survive the round trip verbatim, keeping the byte-identity
-	// contract across restarts.
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, false, fmt.Errorf("jobs: marshal result: %w", err)
-	}
-	if err := r.cache.Put("result", key, raw); err != nil {
-		return nil, false, err
-	}
-	return raw, false, nil
-}
-
-// owners names the job computing each result in progress, by result key,
-// the rule harness.CellStore applies to sweep cells.
-type owners struct {
-	mu sync.Mutex
-	m  map[string]chan struct{}
-}
-
-// claim makes the caller the owner of key and returns nil, or returns a
-// channel that closes when key's current owner releases it.
-func (o *owners) claim(key string) <-chan struct{} {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if busy, ok := o.m[key]; ok {
-		return busy
-	}
-	o.m[key] = make(chan struct{})
-	return nil
-}
-
-// release ends the caller's ownership of key and wakes its waiters.
-func (o *owners) release(key string) {
-	o.mu.Lock()
-	busy := o.m[key]
-	delete(o.m, key)
-	o.mu.Unlock()
-	close(busy)
+	return raw, !computed, nil
 }
 
 // Interval is a tallied fraction with its Wilson 95% confidence interval.
@@ -358,30 +309,23 @@ func assembleCampaign(spec Spec, plan *harness.InjectionPlan, sums []*ShardSumma
 	return res
 }
 
-// traceFill is the Fill of a campaign at limit tuples per unit: it loads
+// traceFill is the Fill of a campaign at limit tuples per unit: it decodes
 // the operand trace from the content-addressed cache, or collects it (a
 // full workload replay, which releases each unit's shards as the unit
-// fills) and stores it. The trace is the service's most expensive reusable
+// fills) and stores it. A corrupt entry leaves tr unchanged and is
+// collected again. The trace is the service's most expensive reusable
 // intermediate: every campaign at the same tuple limit, whatever its seed,
-// shares one collection.
+// shares one collection, however many need it at once.
 func (r *runner) traceFill(limit int) func(context.Context, *trace.OperandTrace) error {
 	key := CacheKey("trace", "v1", fmt.Sprintf("limit=%d", limit))
 	return func(ctx context.Context, tr *trace.OperandTrace) error {
-		if b, ok := r.cache.Get("trace", key); ok {
-			if err := tr.UnmarshalBinary(b); err == nil {
-				return nil
+		_, _, err := r.artifacts.Resolve(ctx, "trace", key, tr.UnmarshalBinary, func(ctx context.Context) ([]byte, error) {
+			if err := harness.FillOperands(ctx, r.pool, tr); err != nil {
+				return nil, err
 			}
-			// Corrupt cache entry (tr is unchanged): recollect.
-		}
-		if err := harness.FillOperands(ctx, r.pool, tr); err != nil {
-			return err
-		}
-		if b, err := tr.MarshalBinary(); err == nil {
-			if err := r.cache.Put("trace", key, b); err != nil {
-				return err
-			}
-		}
-		return nil
+			return tr.MarshalBinary()
+		})
+		return err
 	}
 }
 
@@ -404,9 +348,9 @@ type PerfResult struct {
 
 // sweepOptions are the harness options of a perf or cpistack job: the
 // flight recorder armed on every launch, and every cell resolved through
-// the service's cell store.
+// the service's store.
 func (r *runner) sweepOptions(spec Spec) harness.Options {
-	return harness.Options{FlightRecord: true, MemModel: spec.MemModel, Cells: r.cells}
+	return harness.Options{FlightRecord: true, MemModel: spec.MemModel, Cells: r.artifacts}
 }
 
 func (r *runner) runPerf(ctx context.Context, spec Spec) (*PerfResult, error) {
@@ -459,7 +403,7 @@ func (r *runner) runHeadline(ctx context.Context, j *Job, spec Spec, replayed ma
 		iv := campaign.PooledSDC[code.Name()]
 		return iv.Frac, iv.Hi
 	}
-	rows, err := harness.HeadlineCtx(ctx, r.pool, pooledSDC, harness.Options{Cells: r.cells})
+	rows, err := harness.HeadlineCtx(ctx, r.pool, pooledSDC, harness.Options{Cells: r.artifacts})
 	if err != nil {
 		return nil, err
 	}

@@ -41,16 +41,15 @@ type Options struct {
 // fixed set of executor goroutines sharing one deterministic engine pool,
 // with WAL persistence and a content-addressed cache underneath.
 type Service struct {
-	pool   *engine.Pool
-	store  *Store // nil when StateDir is empty
-	cache  *Cache
-	cells  *harness.CellStore // sweep cells over cache, shared by all jobs
-	owners *owners            // results being computed, shared by all jobs
-	queue  *queue
-	rec    *obs.Recorder
-	log    *slog.Logger
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	pool      *engine.Pool
+	store     *Store // nil when StateDir is empty
+	cache     *Cache
+	artifacts *harness.Store // cells, results and traces over cache, shared by all jobs
+	queue     *queue
+	rec       *obs.Recorder
+	log       *slog.Logger
+	cancel    context.CancelFunc
+	wg        sync.WaitGroup
 
 	// queueCap mirrors Options.QueueCap for the /readyz saturation check.
 	queueCap int
@@ -108,9 +107,8 @@ func New(opts Options) (*Service, error) {
 
 	s := &Service{
 		pool: pool, store: store, cache: cache,
-		cells:  harness.NewCellStore(cellTier{cache}),
-		owners: &owners{m: make(map[string]chan struct{})},
-		queue:  newQueue(opts.QueueCap), rec: rec, log: log,
+		artifacts: harness.NewStore(cache),
+		queue:     newQueue(opts.QueueCap), rec: rec, log: log,
 		queueCap: opts.QueueCap,
 		jobs:     make(map[string]*Job),
 		replayed: make(map[string]map[int]*ShardSummary),
@@ -474,7 +472,7 @@ func (s *Service) execute(base context.Context, j *Job, rep map[int]*ShardSummar
 	s.rec.Registry().Gauge("jobs.running").Add(1)
 	defer s.rec.Registry().Gauge("jobs.running").Add(-1)
 
-	r := &runner{pool: s.pool, cache: s.cache, cells: s.cells, owners: s.owners, store: s.store,
+	r := &runner{pool: s.pool, artifacts: s.artifacts, store: s.store,
 		rec: s.rec, tc: tc, queuedUS: enqueuedUS}
 	start := time.Now()
 	raw, cached, err := r.run(ctx, j, rep)
