@@ -18,7 +18,7 @@ import (
 	"swapcodes/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/all.golden and testdata/work.golden from current output")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata from current output")
 
 // binDir holds the experiments binary under test for the whole test run.
 var binDir string
@@ -133,6 +133,38 @@ func TestSIGTERMFlushes(t *testing.T) {
 	}
 }
 
+// TestFlagsGolden pins the flag set: the name, type and default of every
+// flag -h lists must equal testdata/flags.golden, which -update rewrites.
+// Usage text is not pinned.
+func TestFlagsGolden(t *testing.T) {
+	out, err := exec.Command(buildExperiments(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("experiments -h: %v\n%s", err, out)
+	}
+	got := flagTable(out)
+	if want := readGolden(t, "flags.golden", got); !bytes.Equal(got, want) {
+		t.Errorf("flags differ from testdata/flags.golden:\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// flagTable reduces -h output to one line per flag: its name, its type as
+// -h prints it (bool when it prints none) and, when -h shows one, its
+// default.
+func flagTable(help []byte) []byte {
+	var rows []string
+	for _, line := range strings.Split(string(help), "\n") {
+		head, usage, _ := strings.Cut(line, "\t")
+		if strings.HasPrefix(head, "  -") {
+			f := append(strings.Fields(head), "bool")
+			rows = append(rows, f[0]+" "+f[1])
+		}
+		if i := strings.LastIndex(usage, " (default "); i >= 0 && len(rows) > 0 {
+			rows[len(rows)-1] += " default " + strings.TrimSuffix(usage[i+len(" (default "):], ")")
+		}
+	}
+	return []byte(strings.Join(rows, "\n") + "\n")
+}
+
 // readGolden rewrites testdata/name with got under -update, then returns
 // its content.
 func readGolden(t *testing.T, name string, got []byte) []byte {
@@ -148,7 +180,7 @@ func readGolden(t *testing.T, name string, got []byte) []byte {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run go test -run TestAllGolden -update to create it)", err)
+		t.Fatalf("%v (run go test -update to create it)", err)
 	}
 	return want
 }

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -77,23 +80,91 @@ func scrapeCounter(t *testing.T, base, sample string) int64 {
 	return 0
 }
 
-// buildServer compiles the swapserve binary under test. With
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden from current output")
+
+// binDir holds the swapserve binary under test for the whole test run.
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "swapserve-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// build compiles the swapserve binary under test once per test run. With
 // SWAPSERVE_E2E_RACE=1 (the CI smoke job) it builds with the race detector,
 // so the kill/resume sequence also shakes out data races in the service.
-func buildServer(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "swapserve")
+var build = sync.OnceValues(func() (string, error) {
+	bin := filepath.Join(binDir, "swapserve")
 	args := []string{"build"}
 	if os.Getenv("SWAPSERVE_E2E_RACE") == "1" {
 		args = append(args, "-race")
 	}
 	args = append(args, "-o", bin, ".")
-	cmd := exec.Command("go", args...)
-	out, err := cmd.CombinedOutput()
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go %v: %v\n%s", args, err, out)
+	}
+	return bin, nil
+})
+
+// buildServer returns the swapserve binary under test.
+func buildServer(t *testing.T) string {
+	t.Helper()
+	bin, err := build()
 	if err != nil {
-		t.Fatalf("go %v: %v\n%s", args, err, out)
+		t.Fatal(err)
 	}
 	return bin
+}
+
+// TestFlagsGolden pins the flag set: the name, type and default of every
+// flag -h lists must equal testdata/flags.golden, which -update rewrites.
+// Usage text is not pinned.
+func TestFlagsGolden(t *testing.T) {
+	out, err := exec.Command(buildServer(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("swapserve -h: %v\n%s", err, out)
+	}
+	got, path := flagTable(out), filepath.Join("testdata", "flags.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestFlagsGolden -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("flags differ from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
+}
+
+// flagTable reduces -h output to one line per flag: its name, its type as
+// -h prints it (bool when it prints none) and, when -h shows one, its
+// default.
+func flagTable(help []byte) []byte {
+	var rows []string
+	for _, line := range strings.Split(string(help), "\n") {
+		head, usage, _ := strings.Cut(line, "\t")
+		if strings.HasPrefix(head, "  -") {
+			f := append(strings.Fields(head), "bool")
+			rows = append(rows, f[0]+" "+f[1])
+		}
+		if i := strings.LastIndex(usage, " (default "); i >= 0 && len(rows) > 0 {
+			rows[len(rows)-1] += " default " + strings.TrimSuffix(usage[i+len(" (default "):], ")")
+		}
+	}
+	return []byte(strings.Join(rows, "\n") + "\n")
 }
 
 // server is one running swapserve child process.

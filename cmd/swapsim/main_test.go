@@ -6,11 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -21,15 +24,86 @@ import (
 	"swapcodes/internal/obs"
 )
 
-// buildSwapsim compiles the binary under test (without the race detector,
-// as cmd/experiments' tests do: the checks read its output, not its races).
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden from current output")
+
+// binDir holds the swapsim binary under test for the whole test run.
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "swapsim-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// build compiles the binary under test once per test run (without the race
+// detector, as cmd/experiments' tests do: the checks read its output, not
+// its races).
+var build = sync.OnceValues(func() (string, error) {
+	bin := filepath.Join(binDir, "swapsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build: %v\n%s", err, out)
+	}
+	return bin, nil
+})
+
+// buildSwapsim returns the swapsim binary under test.
 func buildSwapsim(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "swapsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	bin, err := build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bin
+}
+
+// TestFlagsGolden pins the flag set: the name, type and default of every
+// flag -h lists must equal testdata/flags.golden, which -update rewrites.
+// Usage text is not pinned.
+func TestFlagsGolden(t *testing.T) {
+	out, err := exec.Command(buildSwapsim(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("swapsim -h: %v\n%s", err, out)
+	}
+	got, path := flagTable(out), filepath.Join("testdata", "flags.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestFlagsGolden -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("flags differ from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
+}
+
+// flagTable reduces -h output to one line per flag: its name, its type as
+// -h prints it (bool when it prints none) and, when -h shows one, its
+// default.
+func flagTable(help []byte) []byte {
+	var rows []string
+	for _, line := range strings.Split(string(help), "\n") {
+		head, usage, _ := strings.Cut(line, "\t")
+		if strings.HasPrefix(head, "  -") {
+			f := append(strings.Fields(head), "bool")
+			rows = append(rows, f[0]+" "+f[1])
+		}
+		if i := strings.LastIndex(usage, " (default "); i >= 0 && len(rows) > 0 {
+			rows[len(rows)-1] += " default " + strings.TrimSuffix(usage[i+len(" (default "):], ")")
+		}
+	}
+	return []byte(strings.Join(rows, "\n") + "\n")
 }
 
 // runSwapsim runs the binary and returns its stdout, stderr and exit error.
