@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"swapcodes/internal/jobs"
 	"swapcodes/internal/obs"
 )
 
@@ -131,6 +135,60 @@ func TestSIGTERMFlushes(t *testing.T) {
 	if _, err := obs.ValidateTrace(raw); err != nil {
 		t.Errorf("-trace file does not validate: %v", err)
 	}
+}
+
+// TestSubmitRoundTrip runs -submit against an in-memory job service: fig10
+// and fig11 share one campaign spec, so the service runs one job and both
+// blocks print its payload; a local-only experiment is refused before any
+// submission.
+func TestSubmitRoundTrip(t *testing.T) {
+	svc, err := jobs.New(jobs.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	bin := buildExperiments(t)
+
+	cmd := exec.Command(bin, "-submit", ts.URL, "-exp", "fig10,fig11", "-tuples", "64")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("-submit -exp fig10,fig11: %v\n%s", err, stderr.Bytes())
+	}
+	if n := len(svc.List()); n != 1 {
+		t.Errorf("service holds %d jobs, want 1: fig10 and fig11 share one campaign spec", n)
+	}
+	fig10, fig11, ok := strings.Cut(strings.TrimPrefix(string(out), "== fig10 ==\n"), "== fig11 ==\n")
+	if !strings.HasPrefix(string(out), "== fig10 ==\n") || !ok || fig10 != fig11 ||
+		!strings.Contains(fig10, `"kind": "campaign"`) {
+		t.Errorf("stdout is not one campaign payload under == fig10 == and == fig11 ==:\n%s", out)
+	}
+
+	out, err = exec.Command(bin, "-submit", ts.URL, "-exp", "fig13").CombinedOutput()
+	if code := exitCode(err); code != 1 || !bytes.Contains(out, []byte("cannot run via -submit")) {
+		t.Errorf("-submit -exp fig13: exit code %d, output:\n%s\nwant exit 1 and a refusal", code, out)
+	}
+	if n := len(svc.List()); n != 1 {
+		t.Errorf("service holds %d jobs after the refused run, want 1", n)
+	}
+}
+
+// exitCode is a finished command's exit code: 0 for a nil error, -1 when
+// the command did not exit on its own.
+func exitCode(err error) int {
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		return -1
+	}
+	return 0
 }
 
 // TestFlagsGolden pins the flag set: the name, type and default of every
