@@ -31,11 +31,11 @@
 // Ctrl-C, SIGTERM or -timeout cancels the run and reports what finished.
 //
 // With -submit the server-backed experiments (headline, fig10, fig11,
-// fig12, cpistack, fig15, fig16, verify) run as jobs on a swapserve
+// fig12, cpistack, memcpi, fig15, fig16, verify) run as jobs on a swapserve
 // instead of locally — duplicates sharing a spec (fig10/fig11) collapse
 // into one submission, and a warm server answers identical respins from
-// its content-addressed cache. See EXPERIMENTS.md "Running the job
-// server".
+// its content-addressed cache; -timeout bounds the whole exchange. See
+// EXPERIMENTS.md "Running the job server".
 package main
 
 import (
@@ -43,13 +43,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"swapcodes/internal/cli"
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/harness"
@@ -59,266 +58,238 @@ import (
 	"swapcodes/internal/verify"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments to run (headline, table1..table4, fig10..fig16, cpistack, memcpi, smprof, verify, all)")
-	tuples := flag.Int("tuples", 10000, "input tuples per unit for the fig10/fig11 injection campaign")
-	seed := flag.Int64("seed", 1, "campaign master seed (results are bit-identical for a given seed at any -workers)")
-	workers := flag.Int("workers", 0, "engine worker count (0 = all cores)")
-	memModel := flag.String("mem-model", "", "SM memory timing model for the perf-sweep figures: off (flat latency, the default) or sectored (L1/MSHR/L2/DRAM hierarchy; -exp memcpi always runs sectored)")
-	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit)")
-	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory")
-	chart := flag.Bool("chart", false, "render the performance figures as ASCII bar charts")
-	verilogDir := flag.String("verilog", "", "export the synthesized units as structural Verilog into this directory")
-	metricsOut := flag.String("metrics", "", "write run metrics to this file (.json, .csv, anything else: aligned table)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file, loadable in Perfetto / chrome://tracing")
-	metricsInterval := flag.Duration("metrics-interval", 0, "print a progress line to stderr at this interval (e.g. 5s)")
-	serve := flag.String("serve", "", "serve live observability on this address (GET /metrics Prometheus text, /runs JSON, /debug/pprof)")
-	submit := flag.String("submit", "", "submit the experiments to a running swapserve at this base URL (e.g. http://127.0.0.1:9090) instead of running locally")
-	tenant := flag.String("tenant", "", "tenant fairness key for -submit (empty = default tenant)")
-	flag.Parse()
-	mem, err := sm.ParseMemModel(*memModel)
-	fail(err)
-
-	if *submit != "" {
-		fail(runSubmit(*submit, *tenant, *exp, *tuples, *seed, mem))
-		return
-	}
-
-	var rec *obs.Recorder
-	if *metricsOut != "" || *traceOut != "" || *metricsInterval > 0 || *serve != "" {
-		rec = obs.NewRecorder()
-	}
-	fail(run(rec, *exp, *tuples, *seed, *workers, mem, *timeout, *serve, *csvDir,
-		*chart, *verilogDir, *metricsOut, *traceOut, *metricsInterval))
+// options are the flags only experiments takes.
+type options struct {
+	exp, csvDir, verilogDir string
+	tuples                  int
+	seed                    int64
+	chart                   bool
 }
 
-// run owns the experiment lifecycle so its defers fire on every exit path:
-// the metrics/trace flush and the -serve shutdown happen on success, on
-// cancellation (a signal, -timeout), on experiment failure, and during a
-// panic unwind — a crashed run still leaves its partial observations.
-func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
-	memModel string, timeout time.Duration, serve, csvDir string, chart bool, verilogDir,
-	metricsOut, traceOut string, metricsInterval time.Duration) (err error) {
-	pool := engine.New(workers)
-	pool.SetObs(rec)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+func main() {
+	var f cli.Flags
+	f.Register(flag.CommandLine, "workers", "mem-model", "timeout", "metrics", "trace",
+		"metrics-interval", "serve", "submit", "tenant")
+	var o options
+	flag.StringVar(&o.exp, "exp", "all", "comma-separated experiments to run (headline, table1..table4, fig10..fig16, cpistack, memcpi, smprof, verify, all)")
+	flag.IntVar(&o.tuples, "tuples", 10000, "input tuples per unit for the fig10/fig11 injection campaign")
+	flag.Int64Var(&o.seed, "seed", 1, "campaign master seed (results are bit-identical for a given seed at any -workers)")
+	flag.StringVar(&o.csvDir, "csv", "", "also write plot-ready CSV files into this directory")
+	flag.BoolVar(&o.chart, "chart", false, "render the performance figures as ASCII bar charts")
+	flag.StringVar(&o.verilogDir, "verilog", "", "export the synthesized units as structural Verilog into this directory")
+	flag.Parse()
+	if err := run(&f, o); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	// The flush runs deferred — and exactly once — so partial observations
-	// survive cancellation, failures, and panics.
-	flusher := &obs.FileFlusher{Rec: rec, MetricsPath: metricsOut, TracePath: traceOut,
-		Logf: func(path string) { fmt.Fprintln(os.Stderr, "wrote", path) }}
-	defer func() {
-		if ferr := flusher.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	if serve != "" {
-		srv, serr := obs.StartConfigured(obs.ServerConfig{Addr: serve, Registry: rec.Registry(),
-			Runs: func() any { return pool.Tracker().Snapshot() }})
-		if serr != nil {
-			return serr
-		}
-		fmt.Fprintf(os.Stderr, "experiments: serving observability on %s\n", srv.URL())
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if serr := srv.Shutdown(sctx); serr != nil && err == nil {
-				err = serr
-			}
-		}()
-	}
-	fmt.Fprintf(os.Stderr, "experiments: workers=%d seed=%d tuples=%d\n",
-		pool.Workers(), seed, tuples)
-	stopProgress := obs.StartProgress(os.Stderr, metricsInterval, func() string {
-		snap := pool.Tracker().Snapshot()
-		return fmt.Sprintf("experiments: %s; tuples=%d",
-			snap.String(), rec.Registry().SumCounters("faultsim.tuples"))
-	})
-	defer stopProgress()
+}
 
-	if verilogDir != "" {
-		if err := os.MkdirAll(verilogDir, 0o755); err != nil {
-			return err
-		}
-		for _, u := range harness.Units() {
-			path := filepath.Join(verilogDir, strings.ReplaceAll(u.Name, "-", "_")+".v")
-			if err := os.WriteFile(path, []byte(u.Circuit.Verilog()), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "wrote", path)
-		}
+// run selects the experiments, then runs them locally or, with -submit, on
+// a swapserve, between the lifecycle's Start and its deferred End.
+func run(f *cli.Flags, o options) (err error) {
+	mem, err := sm.ParseMemModel(f.MemModel)
+	if err != nil {
+		return err
 	}
+	selected, err := selectExperiments(experiments(o.tuples, o.seed, mem), o.exp, f.Submit != "")
+	if err != nil {
+		return err
+	}
+	r, err := f.Start(false)
+	if err != nil {
+		return err
+	}
+	defer r.End(&err)
+	if f.Submit != "" {
+		return submit(r, f, selected)
+	}
+	return runLocal(r, f, o, selected)
+}
 
-	// CSV write failures must not os.Exit past the deferred flush; the first
-	// one is remembered and surfaces after the run.
-	var csvMu sync.Mutex
-	var csvErr error
-	writeCSV := func(name, content string) {
-		if csvDir == "" {
-			return
-		}
-		csvMu.Lock()
-		defer csvMu.Unlock()
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			if csvErr == nil {
-				csvErr = err
-			}
-			return
-		}
-		path := filepath.Join(csvDir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			if csvErr == nil {
-				csvErr = err
-			}
-			return
-		}
-		fmt.Fprintln(os.Stderr, "wrote", path)
-	}
+// experiment is one -exp name: how it runs locally and, when a swapserve
+// can run it, the job spec that does.
+type experiment struct {
+	name string
+	spec *jobs.Spec // nil: local only
+	run  func(ctx context.Context, l *local) (string, error)
+}
 
-	// fig10, fig11 and the headline read one injection campaign, which
-	// runs before the experiment jobs start (see below).
-	var inj *harness.InjectionResult
-	// Every perf sweep of the run (fig12, fig13, cpistack, memcpi, fig15,
-	// fig16, smprof and the headline's three) and both Figure 14 power
-	// estimates resolve their cells through one store, so each distinct
-	// (workload, scheme, memory model) cell is launched once per run,
-	// however many experiments share it.
-	cells := harness.NewStore(nil)
-	sweep := func(ctx context.Context, schemes []compiler.Scheme, mem string) (*harness.PerfResult, error) {
-		return harness.RunPerfCtxOpts(ctx, pool, schemes, true, harness.Options{MemModel: mem, Cells: cells})
-	}
+// local is what the experiments of a local run share.
+type local struct {
+	pool *engine.Pool
+	// cells serves every perf sweep of the run (fig12, fig13, cpistack,
+	// memcpi, fig15, fig16, smprof and the headline's three) and both
+	// Figure 14 power estimates, so each distinct (workload, scheme, memory
+	// model) cell is launched once per run, however many experiments share
+	// it.
+	cells *harness.Store
+	// inj is the one injection campaign fig10, fig11 and the headline read;
+	// it runs before the experiment jobs start.
+	inj    *harness.InjectionResult
+	chart  bool
+	csvDir string
+	csvMu  sync.Mutex
+	csvErr error
+}
 
-	// Canonical order: this is both the -exp name space and the order the
-	// output is printed in, however the jobs are scheduled.
-	type experiment struct {
-		name string
-		run  func(ctx context.Context) (string, error)
+func (l *local) sweep(ctx context.Context, schemes []compiler.Scheme, mem string) (*harness.PerfResult, error) {
+	return harness.RunPerfCtxOpts(ctx, l.pool, schemes, true, harness.Options{MemModel: mem, Cells: l.cells})
+}
+
+// writeCSV writes one -csv file. A failure must not os.Exit past End's
+// flush; the first one is remembered and surfaces after the run.
+func (l *local) writeCSV(name, content string) {
+	if l.csvDir == "" {
+		return
 	}
-	experiments := []experiment{
-		{"headline", func(ctx context.Context) (string, error) {
+	l.csvMu.Lock()
+	defer l.csvMu.Unlock()
+	path := filepath.Join(l.csvDir, name)
+	err := os.MkdirAll(l.csvDir, 0o755)
+	if err == nil {
+		err = os.WriteFile(path, []byte(content), 0o644)
+	}
+	if err != nil {
+		if l.csvErr == nil {
+			l.csvErr = err
+		}
+		return
+	}
+	fmt.Fprintln(os.Stderr, "wrote", path)
+}
+
+// experiments is the one experiment table, in canonical order: the -exp
+// name space, and the order the output is printed in however the jobs are
+// scheduled. Perf sweeps read -mem-model (mem) unless they say otherwise.
+func experiments(tuples int, seed int64, mem string) []experiment {
+	campaign := &jobs.Spec{Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed}
+	sweepSpec := func(kind string, schemes []compiler.Scheme, mem string) *jobs.Spec {
+		spec := &jobs.Spec{Kind: kind, MemModel: mem}
+		for _, s := range schemes {
+			spec.Schemes = append(spec.Schemes, harness.SchemeName(s))
+		}
+		return spec
+	}
+	return []experiment{
+		{"headline", &jobs.Spec{Kind: jobs.KindHeadline, Tuples: tuples, Seed: seed}, func(ctx context.Context, l *local) (string, error) {
 			// The headline is a flat-memory table whatever -mem-model says.
-			rows, err := harness.HeadlineCtx(ctx, pool, inj.PooledSDC, harness.Options{Cells: cells})
+			rows, err := harness.HeadlineCtx(ctx, l.pool, l.inj.PooledSDC, harness.Options{Cells: l.cells})
 			if err != nil {
 				return "", err
 			}
 			return harness.RenderHeadline(rows), nil
 		}},
-		{"table1", func(context.Context) (string, error) { return harness.Table1(), nil }},
-		{"table2", func(context.Context) (string, error) { return harness.Table2(), nil }},
-		{"table3", func(context.Context) (string, error) { return harness.Table3(), nil }},
-		{"table4", func(context.Context) (string, error) {
+		{"table1", nil, func(context.Context, *local) (string, error) { return harness.Table1(), nil }},
+		{"table2", nil, func(context.Context, *local) (string, error) { return harness.Table2(), nil }},
+		{"table3", nil, func(context.Context, *local) (string, error) { return harness.Table3(), nil }},
+		{"table4", nil, func(_ context.Context, l *local) (string, error) {
 			rows := harness.Table4()
-			writeCSV("table4.csv", harness.Table4CSV(rows))
+			l.writeCSV("table4.csv", harness.Table4CSV(rows))
 			return harness.RenderTable4(rows), nil
 		}},
-		{"fig10", func(context.Context) (string, error) {
-			writeCSV("fig10_fig11.csv", inj.CSV())
-			if tl := inj.RenderThroughput(); tl != "" {
+		{"fig10", campaign, func(_ context.Context, l *local) (string, error) {
+			l.writeCSV("fig10_fig11.csv", l.inj.CSV())
+			if tl := l.inj.RenderThroughput(); tl != "" {
 				fmt.Fprintf(os.Stderr, "experiments: %s\n", tl)
 			}
-			return inj.RenderFig10() + "\n" + inj.RenderConeStats(), nil
+			return l.inj.RenderFig10() + "\n" + l.inj.RenderConeStats(), nil
 		}},
-		{"fig11", func(context.Context) (string, error) {
-			out := inj.RenderFig11()
+		{"fig11", campaign, func(_ context.Context, l *local) (string, error) {
+			out := l.inj.RenderFig11()
 			out += fmt.Sprintf("pooled detection coverage: SEC-DED %.2f%%, Mod-127 %.2f%% (paper: >98.8%% / >99.3%%)\n",
-				100*inj.DetectionCoverage(codeByName("SEC-DED-DP")),
-				100*inj.DetectionCoverage(codeByName("Mod-127")))
+				100*l.inj.DetectionCoverage(codeByName("SEC-DED-DP")),
+				100*l.inj.DetectionCoverage(codeByName("Mod-127")))
 			return out, nil
 		}},
-		{"fig12", func(ctx context.Context) (string, error) {
-			perf, err := sweep(ctx, harness.Fig12Schemes(), memModel)
+		{"fig12", sweepSpec(jobs.KindPerf, harness.Fig12Schemes(), mem), func(ctx context.Context, l *local) (string, error) {
+			perf, err := l.sweep(ctx, harness.Fig12Schemes(), mem)
 			if err != nil {
 				return "", err
 			}
 			out := perf.Render("Figure 12: slowdown over the un-duplicated program (Tesla P100-class SM model)")
-			if chart {
+			if l.chart {
 				out += "\n" + perf.Chart("Figure 12 (chart)", 120)
 			}
-			writeCSV("fig12.csv", perf.CSV())
+			l.writeCSV("fig12.csv", perf.CSV())
 			return out, nil
 		}},
-		{"fig13", func(ctx context.Context) (string, error) {
-			perf, err := sweep(ctx, harness.Fig12Schemes(), memModel)
+		{"fig13", nil, func(ctx context.Context, l *local) (string, error) {
+			perf, err := l.sweep(ctx, harness.Fig12Schemes(), mem)
 			if err != nil {
 				return "", err
 			}
 			mix := harness.RunCodeMix(perf)
-			writeCSV("fig13.csv", mix.CSV())
+			l.writeCSV("fig13.csv", mix.CSV())
 			return mix.Render(), nil
 		}},
-		{"cpistack", func(ctx context.Context) (string, error) {
-			perf, err := sweep(ctx, harness.Fig12Schemes(), memModel)
+		{"cpistack", sweepSpec(jobs.KindCPIStack, harness.Fig12Schemes(), mem), func(ctx context.Context, l *local) (string, error) {
+			perf, err := l.sweep(ctx, harness.Fig12Schemes(), mem)
 			if err != nil {
 				return "", err
 			}
 			cs := harness.CPIStacks(perf)
 			out := cs.Render("CPI stacks: where each scheme's cycles go (headline sweep)")
 			out += "\n" + cs.RenderAttribution("Slowdown attribution vs unprotected baseline")
-			if chart {
+			if l.chart {
 				out += "\n" + cs.Chart("CPI stacks (chart)")
 			}
-			writeCSV("cpistack.csv", cs.CSV())
+			l.writeCSV("cpistack.csv", cs.CSV())
 			return out, nil
 		}},
-		{"memcpi", func(ctx context.Context) (string, error) {
-			perf, err := sweep(ctx, harness.Fig12Schemes(), "sectored")
+		{"memcpi", sweepSpec(jobs.KindCPIStack, harness.Fig12Schemes(), "sectored"), func(ctx context.Context, l *local) (string, error) {
+			perf, err := l.sweep(ctx, harness.Fig12Schemes(), "sectored")
 			if err != nil {
 				return "", err
 			}
 			mc := harness.MemCPI(perf)
 			out := mc.Render("Memory CPI: idle share by hierarchy level (Figure 12 sweep, sectored model)")
-			if chart {
+			if l.chart {
 				cs := harness.CPIStacks(perf)
 				out += "\n" + cs.Chart("CPI stacks with memory tiers (chart)")
 			}
-			writeCSV("memcpi.csv", mc.CSV())
+			l.writeCSV("memcpi.csv", mc.CSV())
 			return out, nil
 		}},
-		{"fig14", func(ctx context.Context) (string, error) {
+		{"fig14", nil, func(ctx context.Context, l *local) (string, error) {
 			// Like the headline, Figure 14 is flat-memory whatever
 			// -mem-model says.
-			pr, err := harness.RunPower(ctx, pool, harness.Options{Cells: cells})
+			pr, err := harness.RunPower(ctx, l.pool, harness.Options{Cells: l.cells})
 			if err != nil {
 				return "", err
 			}
-			writeCSV("fig14.csv", pr.CSV())
+			l.writeCSV("fig14.csv", pr.CSV())
 			return pr.Render() +
 				fmt.Sprintf("worst power overhead: %.0f%% (paper: <=15%%)\n", 100*(pr.MaxRelPower()-1)), nil
 		}},
-		{"fig15", func(ctx context.Context) (string, error) {
-			perf, err := sweep(ctx, harness.Fig15Schemes(), memModel)
+		{"fig15", sweepSpec(jobs.KindPerf, harness.Fig15Schemes(), mem), func(ctx context.Context, l *local) (string, error) {
+			perf, err := l.sweep(ctx, harness.Fig15Schemes(), mem)
 			if err != nil {
 				return "", err
 			}
-			writeCSV("fig15.csv", perf.CSV())
+			l.writeCSV("fig15.csv", perf.CSV())
 			return perf.Render("Figure 15: inter-thread duplication slowdown (fails on mm: CTA size; snap: shuffles)"), nil
 		}},
-		{"fig16", func(ctx context.Context) (string, error) {
-			perf, err := sweep(ctx, harness.Fig16Schemes(), memModel)
+		{"fig16", sweepSpec(jobs.KindPerf, harness.Fig16Schemes(), mem), func(ctx context.Context, l *local) (string, error) {
+			perf, err := l.sweep(ctx, harness.Fig16Schemes(), mem)
 			if err != nil {
 				return "", err
 			}
-			writeCSV("fig16.csv", perf.CSV())
+			l.writeCSV("fig16.csv", perf.CSV())
 			return perf.Render("Figure 16: Swap-Predict with plausible future check-bit predictors"), nil
 		}},
-		{"smprof", func(ctx context.Context) (string, error) {
+		{"smprof", nil, func(ctx context.Context, l *local) (string, error) {
 			// The profile reads the flat-memory Figure 12 sweep whatever
 			// -mem-model says.
-			perf, err := sweep(ctx, harness.Fig12Schemes(), "")
+			perf, err := l.sweep(ctx, harness.Fig12Schemes(), "")
 			if err != nil {
 				return "", err
 			}
 			res := harness.SMProf(perf)
-			writeCSV("smprof.csv", res.CSV())
+			l.writeCSV("smprof.csv", res.CSV())
 			return res.Render("SM round-loop profile: rounds, idle-skip and partition balance"), nil
 		}},
-		{"verify", func(ctx context.Context) (string, error) {
-			res, err := harness.RunVerifyCtx(ctx, pool, verify.Matrix())
+		{"verify", &jobs.Spec{Kind: jobs.KindVerify}, func(ctx context.Context, l *local) (string, error) {
+			res, err := harness.RunVerifyCtx(ctx, l.pool, verify.Matrix())
 			if err != nil {
 				return "", err
 			}
@@ -329,31 +300,84 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			return out, nil
 		}},
 	}
+}
 
+// selectExperiments applies the -exp rule: the named experiments and, for
+// "all", every one but verify (it replays the whole workload suite across
+// 68 combos) and smprof (it profiles the simulator, not the paper). Unknown
+// names are refused; under -submit so are named local-only experiments,
+// and "all" skips them.
+func selectExperiments(table []experiment, exp string, submit bool) ([]experiment, error) {
 	want := map[string]bool{}
-	for _, e := range strings.Split(exp, ",") {
-		want[strings.TrimSpace(e)] = true
+	for _, name := range strings.Split(exp, ",") {
+		want[strings.TrimSpace(name)] = true
 	}
 	all := want["all"]
+	delete(want, "all")
 	var selected []experiment
-	known := map[string]bool{"all": true}
-	needInj := false
-	for _, e := range experiments {
-		known[e.name] = true
-		// "verify" replays the whole workload suite across 68 combos, and
-		// "smprof" profiles the simulator rather than reproducing the paper;
-		// both are opt-in only and not part of "all".
-		if want[e.name] || (all && e.name != "verify" && e.name != "smprof") {
+	var served, refused []string
+	for _, e := range table {
+		named := want[e.name]
+		delete(want, e.name)
+		switch {
+		case e.spec != nil:
+			served = append(served, e.name)
+		case submit && named:
+			refused = append(refused, e.name)
+			continue
+		case submit:
+			continue
+		}
+		if named || all && e.name != "verify" && e.name != "smprof" {
 			selected = append(selected, e)
-			needInj = needInj || e.name == "headline" || e.name == "fig10" || e.name == "fig11"
 		}
 	}
 	for name := range want {
-		if !known[name] {
-			return fmt.Errorf("unknown experiment %q", name)
+		return nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	if len(refused) > 0 {
+		return nil, fmt.Errorf("experiment %q cannot run via -submit (server-backed: %s)",
+			refused[0], strings.Join(served, ", "))
+	}
+	return selected, nil
+}
+
+// runLocal runs the selected experiments concurrently as jobs on one engine
+// pool, after the injection campaign when any of them reads it, and prints
+// their outputs in canonical order.
+func runLocal(r *cli.Run, f *cli.Flags, o options, selected []experiment) error {
+	pool := engine.New(f.Workers)
+	pool.SetObs(r.Rec)
+	if f.Serve != "" {
+		if _, err := r.Serve(f.Serve, obs.ServerConfig{Runs: func() any { return pool.Tracker().Snapshot() }}); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "experiments: workers=%d seed=%d tuples=%d\n", pool.Workers(), o.seed, o.tuples)
+	r.Progress(func() string {
+		return fmt.Sprintf("experiments: %s; tuples=%d",
+			pool.Tracker().Snapshot().String(), r.Rec.Registry().SumCounters("faultsim.tuples"))
+	})
+
+	if o.verilogDir != "" {
+		if err := os.MkdirAll(o.verilogDir, 0o755); err != nil {
+			return err
+		}
+		for _, u := range harness.Units() {
+			path := filepath.Join(o.verilogDir, strings.ReplaceAll(u.Name, "-", "_")+".v")
+			if err := os.WriteFile(path, []byte(u.Circuit.Verilog()), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintln(os.Stderr, "wrote", path)
 		}
 	}
 
+	l := &local{pool: pool, cells: harness.NewStore(nil), chart: o.chart, csvDir: o.csvDir}
+	// The campaign and headline jobs are the ones that read the campaign.
+	needInj := false
+	for _, e := range selected {
+		needInj = needInj || e.spec != nil && (e.spec.Kind == jobs.KindCampaign || e.spec.Kind == jobs.KindHeadline)
+	}
 	// The campaign runs first, from this goroutine, so its engine.Map can
 	// recruit every pool worker. Run inside an experiment job, it would
 	// hold that job's pool token, and a job waiting for it would hold
@@ -362,7 +386,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	var injTime time.Duration
 	var runErr error
 	if needInj {
-		inj, runErr = harness.RunInjectionCtx(ctx, pool, tuples, seed)
+		l.inj, runErr = harness.RunInjectionCtx(r.Ctx, pool, o.tuples, o.seed)
 		injTime = time.Since(start)
 	}
 
@@ -372,21 +396,19 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 	// and printed in canonical order.
 	outputs := make([]string, len(selected))
 	times := make([]time.Duration, len(selected))
-	jobs := make([]engine.Job, len(selected))
+	runs := make([]engine.Job, len(selected))
 	for i, e := range selected {
-		i, e := i, e
-		jobs[i] = engine.Job{Name: e.name, Run: func(ctx context.Context) error {
+		runs[i] = engine.Job{Name: e.name, Run: func(ctx context.Context) error {
 			start := time.Now()
-			out, err := e.run(ctx)
+			out, err := e.run(ctx, l)
 			times[i] = time.Since(start)
 			outputs[i] = out
 			return err
 		}}
 	}
 	if runErr == nil {
-		runErr = pool.Run(ctx, jobs)
+		runErr = pool.Run(r.Ctx, runs)
 	}
-	stopProgress()
 	for i, e := range selected {
 		if outputs[i] == "" {
 			fmt.Fprintf(os.Stderr, "experiments: %s: no result (cancelled or failed)\n", e.name)
@@ -402,96 +424,42 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers int,
 			fmt.Fprintf(os.Stderr, "experiments: %-8s %8.2fs\n", e.name, times[i].Seconds())
 		}
 	}
-	pr := pool.Tracker().Snapshot()
 	fmt.Fprintf(os.Stderr, "experiments: total %.2fs; engine: %s\n",
-		time.Since(start).Seconds(), pr.String())
-	// The deferred flushObs writes metrics/trace after this return, so a
-	// cancelled run (Ctrl-C, SIGTERM, -timeout) still leaves its partial
-	// observations on disk.
-	if runErr != nil && rec != nil {
+		time.Since(start).Seconds(), pool.Tracker().Snapshot().String())
+	// End writes -metrics and -trace after this return, so a cancelled run
+	// (Ctrl-C, SIGTERM, -timeout) still leaves its partial observations.
+	if runErr != nil && r.Rec != nil {
 		fmt.Fprintln(os.Stderr, "experiments: cancelled; writing partial metrics")
 	}
 	if runErr == nil {
-		runErr = csvErr
+		runErr = l.csvErr
 	}
 	return runErr
 }
 
-// runSubmit is the -submit client mode: experiments become job specs
-// against a running swapserve, which runs (or serves from cache) each one
-// and returns the payload. Only the service-backed experiments map; the
-// local-only ones (static tables, fig13/fig14 post-processing) say so.
-func runSubmit(base, tenant, exp string, tuples int, seed int64, memModel string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	names := func(schemes []compiler.Scheme) []string {
-		out := make([]string, len(schemes))
-		for i, s := range schemes {
-			out[i] = harness.SchemeName(s)
-		}
-		return out
-	}
-	specFor := map[string]jobs.Spec{
-		"headline": {Kind: jobs.KindHeadline, Tuples: tuples, Seed: seed},
-		"fig10":    {Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed},
-		"fig11":    {Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed},
-		"fig12":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig12Schemes()), MemModel: memModel},
-		"cpistack": {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), MemModel: memModel},
-		"memcpi":   {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), MemModel: "sectored"},
-		"fig15":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig15Schemes()), MemModel: memModel},
-		"fig16":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig16Schemes()), MemModel: memModel},
-		"verify":   {Kind: jobs.KindVerify},
-	}
-	order := []string{"headline", "fig10", "fig11", "fig12", "cpistack", "memcpi", "fig15", "fig16", "verify"}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if want["all"] {
-		for _, name := range order {
-			// Same opt-in rule as local runs: verify is not part of "all".
-			want[name] = want[name] || name != "verify"
-		}
-		delete(want, "all")
-	}
-	for name := range want {
-		if _, ok := specFor[name]; !ok {
-			return fmt.Errorf("experiment %q cannot run via -submit (server-backed: %s)",
-				name, strings.Join(order, ", "))
-		}
-	}
-
-	c := &jobs.Client{Base: base}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
-	}
-	// fig10 and fig11 share one campaign spec; submit each distinct spec
-	// once and reuse the payload (the server would cache-hit anyway, but
-	// this also skips the duplicate polling).
+// submit is the -submit client mode: each selected experiment becomes its
+// job spec on a running swapserve, which runs it (or answers it from its
+// content-addressed cache) and returns the payload. Experiments that share
+// a spec (fig10 and fig11) share one submission.
+func submit(r *cli.Run, f *cli.Flags, selected []experiment) error {
+	c := &jobs.Client{Base: f.Submit}
 	payloads := map[string][]byte{}
-	for _, name := range order {
-		if !want[name] {
-			continue
-		}
-		spec := specFor[name]
-		spec.Tenant = tenant
+	for _, e := range selected {
+		spec := *e.spec
+		spec.Tenant = f.Tenant
 		norm := spec
 		if err := norm.Normalize(); err != nil {
 			return err
 		}
-		key := norm.Key()
-		raw, ok := payloads[key]
+		raw, ok := payloads[norm.Key()]
 		if !ok {
 			var err error
-			raw, err = c.RunJob(ctx, spec, logf)
-			if err != nil {
+			if raw, err = c.RunJob(r.Ctx, spec, r.Logf); err != nil {
 				return err
 			}
-			payloads[key] = raw
+			payloads[norm.Key()] = raw
 		}
-		fmt.Printf("== %s ==\n%s\n", name, jobs.RenderPayload(raw))
+		fmt.Printf("== %s ==\n%s\n", e.name, jobs.RenderPayload(raw))
 	}
 	return nil
 }
@@ -508,11 +476,4 @@ func codeByName(name string) interface {
 		}
 	}
 	panic("unknown code " + name)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -175,6 +176,27 @@ func TestSubmitRoundTrip(t *testing.T) {
 	}
 	if n := len(svc.List()); n != 1 {
 		t.Errorf("service holds %d jobs after the refused run, want 1", n)
+	}
+}
+
+// TestSubmitHonoursTimeout: -timeout ends a -submit run whose job never
+// finishes; it exits 1 well before the test gives up on it.
+func TestSubmitHonoursTimeout(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, `{"id":"stub"}`)
+	})
+	mux.HandleFunc("GET /jobs/stub", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(jobs.Status{ID: "stub", State: jobs.StateRunning})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	cmd := exec.Command(buildExperiments(t), "-submit", ts.URL, "-exp", "fig12", "-timeout", "300ms")
+	defer time.AfterFunc(5*time.Second, func() { cmd.Process.Kill() }).Stop()
+	out, err := cmd.CombinedOutput()
+	if code := exitCode(err); code != 1 {
+		t.Errorf("exit code %d (%v) within 5 s, output:\n%s\nwant 1: -timeout 300ms ends the poll", code, err, out)
 	}
 }
 

@@ -31,91 +31,57 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"swapcodes/internal/cli"
 	"swapcodes/internal/jobs"
 	"swapcodes/internal/obs"
 )
 
 func main() {
+	f := cli.Flags{LogFormat: "json"}
+	f.Register(flag.CommandLine, "workers", "metrics", "trace", "metrics-interval", "log-level", "log-format")
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address (use :0 for an ephemeral port)")
 	state := flag.String("state", "swapserve-state", "state directory for the WAL and content-addressed cache")
-	workers := flag.Int("workers", 0, "engine worker count (0 = all cores)")
 	maxJobs := flag.Int("max-jobs", 2, "jobs executing concurrently; queued jobs wait")
 	queueCap := flag.Int("queue-cap", 64, "queued-job bound; submissions beyond it are rejected")
-	metricsOut := flag.String("metrics", "", "write final metrics to this file on shutdown (.json, .csv, else aligned table)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file on shutdown")
-	metricsInterval := flag.Duration("metrics-interval", 0, "print a progress line to stderr at this interval (e.g. 5s)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", "json", "log format: json or text")
 	flag.Parse()
 
-	if err := run(*addr, *state, *workers, *maxJobs, *queueCap,
-		*metricsOut, *traceOut, *metricsInterval, *logLevel, *logFormat); err != nil {
+	if err := run(&f, *addr, *state, *maxJobs, *queueCap); err != nil {
 		fmt.Fprintln(os.Stderr, "swapserve:", err)
 		os.Exit(1)
 	}
 }
 
-// run owns the server lifecycle so its defers fire on every exit path: HTTP
-// drain, service close (which checkpoints running campaigns at shard
-// granularity), and the metrics flush all happen on SIGINT/SIGTERM and
-// during a panic unwind alike.
-func run(addr, state string, workers, maxJobs, queueCap int,
-	metricsOut, traceOut string, metricsInterval time.Duration,
-	logLevel, logFormat string) (err error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	rec := obs.NewRecorder()
-
-	level, err := obs.ParseLogLevel(logLevel)
+// run serves until SIGINT or SIGTERM, between the lifecycle's Start and its
+// deferred End, which drains HTTP, closes the service (checkpointing running
+// campaigns at shard granularity) and flushes -metrics and -trace, on a
+// signal and during a panic unwind alike.
+func run(f *cli.Flags, addr, state string, maxJobs, queueCap int) (err error) {
+	r, err := f.Start(true)
 	if err != nil {
 		return err
 	}
-	log, err := obs.NewLogger(os.Stderr, logFormat, level, rec.Registry())
-	if err != nil {
-		return err
-	}
-
-	flusher := &obs.FileFlusher{Rec: rec, MetricsPath: metricsOut, TracePath: traceOut,
-		Logf: func(path string) { log.Info("artifact written", slog.String("path", path)) }}
-	defer func() {
-		if ferr := flusher.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+	defer r.End(&err)
 
 	svc, err := jobs.New(jobs.Options{
 		StateDir:          state,
-		Workers:           workers,
+		Workers:           f.Workers,
 		MaxConcurrentJobs: maxJobs,
 		QueueCap:          queueCap,
-		Recorder:          rec,
-		Logger:            log,
+		Recorder:          r.Rec,
+		Logger:            r.Log,
 	})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := svc.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+	r.OnEnd(svc.Close)
 
-	srv, err := obs.StartConfigured(obs.ServerConfig{
-		Addr:     addr,
-		Registry: rec.Registry(),
+	srv, err := r.Serve(addr, obs.ServerConfig{
 		Runs:     func() any { return svc.Snapshot() },
 		Register: svc.Register,
-		Logger:   log,
 		Ready:    svc.ReadyChecks,
 	})
 	if err != nil {
@@ -124,23 +90,14 @@ func run(addr, state string, workers, maxJobs, queueCap int,
 	// The listen line goes to stdout on purpose: with -addr :0 it is how
 	// clients (and the e2e harness) discover the bound port.
 	fmt.Printf("swapserve: listening on %s (state %s)\n", srv.URL(), state)
-	log.Info("server listening", slog.String("url", srv.URL()), slog.String("state", state))
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if serr := srv.Shutdown(sctx); serr != nil && err == nil {
-			err = serr
-		}
-	}()
 
-	stopProgress := obs.StartProgress(os.Stderr, metricsInterval, func() string {
+	r.Progress(func() string {
 		snap := svc.Snapshot()
 		return fmt.Sprintf("swapserve: queue=%d states=%v engine: %s",
 			snap.Queue, snap.States, snap.Engine.String())
 	})
-	defer stopProgress()
 
-	<-ctx.Done()
-	log.Info("shutdown signal received")
+	<-r.Ctx.Done()
+	r.Log.Info("shutdown signal received")
 	return nil
 }

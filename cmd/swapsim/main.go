@@ -23,8 +23,9 @@
 // With -lane -1 or -bit -1 the faulted lane/bit are drawn from -seed. A
 // launch that fails after the injected fault fired is reported as the run's
 // outcome (output CRASHED), like a corrupted output.
-// With -submit the -scheme sweep runs as a perf job on a swapserve (or is
-// answered from its content-addressed cache) instead of simulating locally.
+// With -submit the -scheme sweep runs as a perf job under -mem-model on a
+// swapserve (or is answered from its content-addressed cache) instead of
+// simulating locally; -timeout bounds it as it bounds a local run.
 // With -flight each launch runs under the flight recorder (DESIGN.md §14):
 // if a scheme fails to launch, or its output mismatches without a
 // deliberately injected fault, the black-box bundle of scheduler decisions
@@ -42,12 +43,10 @@ import (
 	"log/slog"
 	"math/rand"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
-	"time"
 
+	"swapcodes/internal/cli"
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/harness"
@@ -98,12 +97,13 @@ func (s *flightSink) dump(fr *simprof.FlightRecorder) {
 }
 
 func main() {
+	var f cli.Flags
+	f.Register(flag.CommandLine, "workers", "mem-model", "timeout", "metrics", "trace",
+		"metrics-interval", "serve", "submit", "tenant", "log-level", "log-format")
 	name := flag.String("workload", "lavaMD", "workload name (see -list)")
 	file := flag.String("file", "", "run a kernel from a .sasm text file instead of a built-in workload")
 	memWords := flag.Int("mem", 1<<16, "global memory words when running a .sasm file")
 	schemeList := flag.String("scheme", "swap-ecc", "comma-separated protection schemes: "+strings.Join(harness.SchemeNames(), " "))
-	workers := flag.Int("workers", 0, "engine worker count for multi-scheme runs (0 = all cores)")
-	memModel := flag.String("mem-model", "", "SM memory timing model: off (flat latency, the default) or sectored (L1/MSHR/L2/DRAM hierarchy with memory CPI attribution)")
 	seed := flag.Int64("seed", 1, "random seed for -lane -1 / -bit -1 fault-site selection")
 	list := flag.Bool("list", false, "list workloads and exit")
 	fault := flag.Int64("fault", -1, "dynamic warp-instruction index at which to inject a pipeline error")
@@ -112,29 +112,15 @@ func main() {
 	disas := flag.Bool("disas", false, "print the transformed kernel")
 	optimize := flag.Bool("O", false, "run dead-code elimination and the list scheduler after the protection pass")
 	flight := flag.String("flight", "", "arm the flight recorder; on a failed or corrupted run, write the JSONL black-box bundle to this file")
-	metricsOut := flag.String("metrics", "", "write run metrics to this file (.json, .csv, anything else: aligned table)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file, loadable in Perfetto / chrome://tracing")
-	metricsInterval := flag.Duration("metrics-interval", 0, "print a progress line to stderr at this interval (e.g. 2s)")
-	serve := flag.String("serve", "", "serve live observability on this address (GET /metrics Prometheus text, /runs JSON, /debug/pprof)")
-	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit); partial results are reported")
-	submit := flag.String("submit", "", "submit a -scheme performance sweep to a running swapserve at this base URL instead of simulating locally")
-	tenant := flag.String("tenant", "", "tenant fairness key for -submit (empty = default tenant)")
 	traceParent := flag.String("traceparent", "", "W3C traceparent (or bare 32-hex trace ID) stamped on -submit jobs; empty mints one per submission")
-	logLevel := flag.String("log-level", "info", "stderr diagnostics level: debug, info, warn, error")
-	logFormat := flag.String("log-format", "text", "stderr diagnostics format: json or text")
 	flag.Parse()
 
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fail(err)
-	}
-	log, err := obs.NewLogger(os.Stderr, *logFormat, level, nil)
-	if err != nil {
-		fail(err)
-	}
-
-	if *submit != "" {
-		fail(submitPerf(log, *submit, *tenant, *traceParent, strings.Split(*schemeList, ",")))
+	// Parsed before -submit, so an unknown model is refused before any
+	// request and the perf job runs under the model asked for.
+	mem, err := sm.ParseMemModel(f.MemModel)
+	fail(err)
+	if f.Submit != "" {
+		fail(submitPerf(&f, mem, *traceParent, strings.Split(*schemeList, ",")))
 		return
 	}
 
@@ -147,107 +133,68 @@ func main() {
 	}
 
 	schemes, err := harness.ParseSchemes(strings.Split(*schemeList, ","))
-	if err != nil {
-		fail(err)
-	}
-	mem, err := sm.ParseMemModel(*memModel)
 	fail(err)
 	fail(checkFaultSite(*lane, *bit))
-	opts := runOpts{name: *name, file: *file, memWords: *memWords,
+	fail(run(&f, schemes, runOpts{name: *name, file: *file, memWords: *memWords,
 		fault: *fault, lane: *lane, bit: *bit, memModel: mem,
-		disas: *disas, optimize: *optimize, log: log}
-	if *flight != "" {
-		opts.flight = &flightSink{path: *flight, log: log}
+		disas: *disas, optimize: *optimize}, *seed, *flight))
+}
+
+// run simulates each scheme between the lifecycle's Start and its deferred
+// End. With -metrics, -trace, -metrics-interval or -serve, one recorder
+// serves all schemes: each launch gets its own trace process (sm:<kernel>,
+// sm:<kernel>#2, ...) and the registry aggregates across them.
+func run(f *cli.Flags, schemes []compiler.Scheme, opts runOpts, seed int64, flight string) (err error) {
+	r, err := f.Start(false)
+	if err != nil {
+		return err
 	}
-	if *fault >= 0 && (*lane < 0 || *bit < 0) {
-		rng := rand.New(rand.NewSource(*seed))
-		if *lane < 0 {
+	defer r.End(&err)
+	opts.rec, opts.log = r.Rec, r.Log
+	if flight != "" {
+		opts.flight = &flightSink{path: flight, log: r.Log}
+	}
+	if opts.fault >= 0 && (opts.lane < 0 || opts.bit < 0) {
+		rng := rand.New(rand.NewSource(seed))
+		if opts.lane < 0 {
 			opts.lane = rng.Intn(32)
 		}
-		if *bit < 0 {
+		if opts.bit < 0 {
 			opts.bit = rng.Intn(32)
 		}
-		log.Info("fault site drawn", slog.Int64("seed", *seed),
+		r.Log.Info("fault site drawn", slog.Int64("seed", seed),
 			slog.Int("lane", opts.lane), slog.Int("bit", opts.bit))
 	}
 
-	// One recorder serves all schemes: each launch gets its own trace
-	// process (sm:<kernel>, sm:<kernel>#2, ...) and the registry aggregates
-	// across them.
-	if *metricsOut != "" || *traceOut != "" || *metricsInterval > 0 || *serve != "" {
-		opts.rec = obs.NewRecorder()
-	}
-	fail(run(schemes, opts, *workers, *seed, *timeout, *serve, *metricsInterval, *metricsOut, *traceOut))
-}
-
-// run owns the whole simulation lifecycle so its defers fire on every exit:
-// the metrics/trace flush and the -serve shutdown happen on success, on
-// cancellation (a signal, -timeout), on a failed scheme, and during a panic
-// unwind — a crashed run still leaves its partial observations on disk.
-func run(schemes []compiler.Scheme, opts runOpts, workers int, seed int64,
-	timeout time.Duration, serve string, metricsInterval time.Duration,
-	metricsOut, traceOut string) (err error) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	pool := engine.New(workers)
-	pool.SetObs(opts.rec)
-	// The flush runs deferred — and exactly once — so partial observations
-	// survive cancellation, failures, and panics.
-	flusher := &obs.FileFlusher{Rec: opts.rec, MetricsPath: metricsOut, TracePath: traceOut,
-		Logf: func(path string) { opts.log.Info("artifact written", slog.String("path", path)) }}
-	defer func() {
-		if ferr := flusher.Flush(); ferr != nil && err == nil {
-			err = ferr
+	pool := engine.New(f.Workers)
+	pool.SetObs(r.Rec)
+	if f.Serve != "" {
+		if _, err := r.Serve(f.Serve, obs.ServerConfig{Runs: func() any { return pool.Tracker().Snapshot() }}); err != nil {
+			return err
 		}
-	}()
-	if serve != "" {
-		srv, serr := obs.StartConfigured(obs.ServerConfig{
-			Addr: serve, Registry: opts.rec.Registry(),
-			Runs:   func() any { return pool.Tracker().Snapshot() },
-			Logger: opts.log,
-		})
-		if serr != nil {
-			return serr
-		}
-		opts.log.Info("serving observability", slog.String("url", srv.URL()))
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if serr := srv.Shutdown(sctx); serr != nil && err == nil {
-				err = serr
-			}
-		}()
 	}
 	if len(schemes) > 1 {
-		opts.log.Info("parallel sweep", slog.Int("workers", pool.Workers()),
+		r.Log.Info("parallel sweep", slog.Int("workers", pool.Workers()),
 			slog.Int64("seed", seed), slog.Int("schemes", len(schemes)))
 	}
-	stopProgress := obs.StartProgress(os.Stderr, metricsInterval, func() string {
-		snap := pool.Tracker().Snapshot()
+	r.Progress(func() string {
 		return fmt.Sprintf("swapsim: %s; sm cycles=%d",
-			snap.String(), opts.rec.Registry().SumCounters("sm.cycles"))
+			pool.Tracker().Snapshot().String(), r.Rec.Registry().SumCounters("sm.cycles"))
 	})
-	reports, err := engine.Map(ctx, pool, len(schemes),
+	reports, err := engine.Map(r.Ctx, pool, len(schemes),
 		func(ctx context.Context, i int) (string, error) {
 			return runScheme(ctx, schemes[i], opts)
 		})
-	stopProgress()
-	for _, r := range reports {
-		if r != "" {
-			fmt.Print(r)
+	for _, rep := range reports {
+		if rep != "" {
+			fmt.Print(rep)
 		}
 	}
-	// A stopped run still reports: the deferred flush leaves a coherent
-	// partial trace (ObserveLaunch closes the tail window and the spans of
-	// the warps still resident at the stop) and partial counters.
+	// A stopped run still reports: End's flush leaves a coherent partial
+	// trace (ObserveLaunch closes the tail window and the spans of the warps
+	// still resident at the stop) and partial counters.
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		opts.log.Warn("cancelled; reporting partial results")
+		r.Log.Warn("cancelled; reporting partial results")
 	}
 	return err
 }
@@ -399,16 +346,20 @@ func runScheme(ctx context.Context, scheme compiler.Scheme, o runOpts) (string, 
 }
 
 // submitPerf is the -submit client mode: the -scheme sweep runs as a perf
-// job on a swapserve (or comes straight from its content-addressed cache).
-// traceParent, when set, pins the submission's trace ID so the server-side
-// execution correlates with whatever minted it.
-func submitPerf(log *slog.Logger, base, tenant, traceParent string, schemes []string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+// job on a swapserve (or comes straight from its content-addressed cache),
+// under the -mem-model asked for and bounded by -timeout. traceParent, when
+// set, pins the submission's trace ID so the server-side execution
+// correlates with whatever minted it.
+func submitPerf(f *cli.Flags, mem, traceParent string, schemes []string) (err error) {
+	r, err := f.Start(false)
+	if err != nil {
+		return err
+	}
+	defer r.End(&err)
 	for i := range schemes {
 		schemes[i] = strings.TrimSpace(schemes[i])
 	}
-	c := &jobs.Client{Base: base}
+	c := &jobs.Client{Base: f.Submit}
 	if traceParent != "" {
 		if id, ok := obs.ParseTraceparent(traceParent); ok {
 			c.Trace = id
@@ -417,10 +368,9 @@ func submitPerf(log *slog.Logger, base, tenant, traceParent string, schemes []st
 		} else {
 			return fmt.Errorf("swapsim: bad -traceparent %q", traceParent)
 		}
-		log.Info("submitting under trace", slog.String("trace_id", c.Trace))
+		r.Log.Info("submitting under trace", slog.String("trace_id", c.Trace))
 	}
-	raw, err := c.RunJob(ctx, jobs.Spec{Kind: jobs.KindPerf, Tenant: tenant, Schemes: schemes},
-		func(format string, args ...any) { log.Info(fmt.Sprintf(format, args...)) })
+	raw, err := c.RunJob(r.Ctx, jobs.Spec{Kind: jobs.KindPerf, Tenant: f.Tenant, Schemes: schemes, MemModel: mem}, r.Logf)
 	if err != nil {
 		return err
 	}

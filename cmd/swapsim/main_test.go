@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,6 +23,7 @@ import (
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/harness"
 	"swapcodes/internal/isa"
+	"swapcodes/internal/jobs"
 	"swapcodes/internal/obs"
 )
 
@@ -336,4 +339,79 @@ func TestStoppedLaunchTrace(t *testing.T) {
 	if got := rec.Registry().SumCounters("sm.warps_retired"); got != int64(spans) {
 		t.Errorf("sm.warps_retired = %d, want one per span (%d)", got, spans)
 	}
+}
+
+// submitStub stands in for a swapserve: it records the body of every
+// POST /jobs and reports its one job in the given state, with a text
+// result once done.
+func submitStub(t *testing.T, state jobs.State) (url string, posted func() []string) {
+	t.Helper()
+	var mu sync.Mutex
+	var bodies []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, string(body))
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, `{"id":"stub"}`)
+	})
+	mux.HandleFunc("GET /jobs/stub", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(jobs.Status{ID: "stub", State: state})
+	})
+	mux.HandleFunc("GET /jobs/stub/result", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"text":"stub result"}`)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), bodies...)
+	}
+}
+
+// TestSubmitCarriesMemModel: -submit posts the parsed -mem-model in its
+// perf spec, and an unknown model exits 1 before any request.
+func TestSubmitCarriesMemModel(t *testing.T) {
+	url, posted := submitStub(t, jobs.StateDone)
+	bin := buildSwapsim(t)
+	stdout, stderr, err := runSwapsim(t, bin, "-submit", url, "-scheme", "swap-ecc", "-mem-model", "sectored")
+	if err != nil || !strings.Contains(stdout, "stub result") {
+		t.Fatalf("-submit -mem-model sectored: %v\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
+	}
+	if got := posted(); len(got) != 1 || !strings.Contains(got[0], `"mem_model":"sectored"`) {
+		t.Errorf("posted specs %q, want one carrying \"mem_model\":\"sectored\"", got)
+	}
+	_, stderr, err = runSwapsim(t, bin, "-submit", url, "-scheme", "swap-ecc", "-mem-model", "bogus")
+	if code := exitCode(err); code != 1 || len(posted()) != 1 {
+		t.Errorf("-mem-model bogus: exit code %d, %d specs posted, stderr:\n%s\nwant exit 1 and no new request",
+			code, len(posted()), stderr)
+	}
+}
+
+// TestSubmitHonoursTimeout: -timeout ends a -submit run whose job never
+// finishes; it exits 1 well before the test gives up on it.
+func TestSubmitHonoursTimeout(t *testing.T) {
+	url, _ := submitStub(t, jobs.StateRunning)
+	cmd := exec.Command(buildSwapsim(t), "-submit", url, "-scheme", "swap-ecc", "-timeout", "300ms")
+	defer time.AfterFunc(5*time.Second, func() { cmd.Process.Kill() }).Stop()
+	out, err := cmd.CombinedOutput()
+	if code := exitCode(err); code != 1 {
+		t.Errorf("exit code %d (%v) within 5 s, output:\n%s\nwant 1: -timeout 300ms ends the poll", code, err, out)
+	}
+}
+
+// exitCode is a finished command's exit code: 0 for a nil error, -1 when
+// the command did not exit on its own.
+func exitCode(err error) int {
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		return -1
+	}
+	return 0
 }

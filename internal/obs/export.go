@@ -207,10 +207,13 @@ type traceFile struct {
 }
 
 // WriteTrace writes the recorded events as a Chrome trace-event JSON object
-// ({"traceEvents": [...]}), directly loadable in Perfetto or
-// chrome://tracing.
+// ({"traceEvents": [...]}, an empty array when nothing was recorded),
+// directly loadable in Perfetto or chrome://tracing.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	f := traceFile{DisplayTimeUnit: "ms", TraceEvents: r.Events()}
+	if f.TraceEvents == nil {
+		f.TraceEvents = []Event{}
+	}
 	if d := r.Dropped(); d > 0 {
 		f.OtherData = map[string]any{"droppedEvents": d}
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func sampleRegistry() *Registry {
@@ -119,16 +118,4 @@ func TestValidateTraceRejects(t *testing.T) {
 			t.Errorf("ValidateTrace accepted %s", name)
 		}
 	}
-}
-
-func TestStartProgress(t *testing.T) {
-	var mu bytes.Buffer
-	stop := StartProgress(&mu, time.Hour, func() string { return "tick" })
-	stop()
-	stop() // idempotent
-	if got := mu.String(); got != "tick\n" {
-		t.Errorf("progress output = %q, want one final line", got)
-	}
-	// Zero interval is a disabled no-op.
-	StartProgress(&mu, 0, func() string { t.Error("line called with zero interval"); return "" })()
 }

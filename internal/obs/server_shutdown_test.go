@@ -5,10 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,79 +84,5 @@ func TestServerGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("second Shutdown blocked")
-	}
-}
-
-// TestFileFlusherOnce: the metrics flush runs exactly once however many exit
-// paths reach it — the second Flush must not rewrite (or truncate) the file.
-func TestFileFlusherOnce(t *testing.T) {
-	rec := NewRecorder()
-	rec.Registry().Counter("flush.test").Add(3)
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	var logged atomic.Int32
-	f := &FileFlusher{Rec: rec, MetricsPath: path, Logf: func(string) { logged.Add(1) }}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	first, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate both the registry and the file; a second Flush must change
-	// neither the file contents nor the write count.
-	rec.Registry().Counter("flush.test").Add(100)
-	if err := os.WriteFile(path, append(first, []byte("sentinel")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(string(second), "sentinel") {
-		t.Error("second Flush rewrote the file; flush must run exactly once")
-	}
-	if n := logged.Load(); n != 1 {
-		t.Errorf("flush logged %d writes, want exactly 1", n)
-	}
-}
-
-// TestFileFlusherPanicPath: a deferred Flush during a panic unwind still
-// writes the file — the crashed-run-keeps-its-observations contract.
-func TestFileFlusherPanicPath(t *testing.T) {
-	rec := NewRecorder()
-	rec.Registry().Counter("panic.test").Inc()
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	f := &FileFlusher{Rec: rec, MetricsPath: path}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		defer f.Flush()
-		panic("boom")
-	}()
-	body, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("deferred flush did not write during panic unwind: %v", err)
-	}
-	if !strings.Contains(string(body), "panic.test") {
-		t.Errorf("flushed metrics missing counter: %s", body)
-	}
-}
-
-// TestFileFlusherNoop: nil recorder and empty paths are a silent no-op so
-// CLIs can construct the flusher unconditionally.
-func TestFileFlusherNoop(t *testing.T) {
-	var f FileFlusher
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f2 := &FileFlusher{Rec: NewRecorder()}
-	if err := f2.Flush(); err != nil {
-		t.Fatal(err)
 	}
 }
