@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"swapcodes/internal/arith"
-	"swapcodes/internal/core"
 	"swapcodes/internal/ecc"
 	"swapcodes/internal/faultsim"
 )
@@ -188,5 +187,3 @@ func (r *InjectionResult) DetectionCoverage(code ecc.Code) float64 {
 	f, _ := r.PooledSDC(code)
 	return 1 - f
 }
-
-var _ = core.OrgSECDEDDP // the organizations mirror these codes

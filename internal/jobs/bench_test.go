@@ -21,7 +21,7 @@ func benchRunCampaign(b *testing.B, svc *Service, seed int64) {
 	if !ok {
 		b.Fatalf("job %s missing", id)
 	}
-	ch, unsub := j.Subscribe()
+	_, ch, unsub := j.SubscribeSince(-1)
 	defer unsub()
 	for range ch {
 	}

@@ -111,7 +111,7 @@ func TestHeadlineResumesCampaignCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, _ := svc.Get(id)
-	events, unsub := j.Subscribe()
+	_, events, unsub := j.SubscribeSince(-1)
 	for ev := range events {
 		if ev.Type == "shard" {
 			break

@@ -155,15 +155,6 @@ func (j *Job) Result() json.RawMessage {
 	return j.result
 }
 
-// Subscribe registers an event listener. The channel is buffered and
-// best-effort for "shard" events (a slow SSE client drops intermediate
-// progress, never the terminal event: "done" delivery blocks until the
-// subscriber drains). The returned func unsubscribes.
-func (j *Job) Subscribe() (<-chan Event, func()) {
-	_, ch, unsub := j.SubscribeSince(-1)
-	return ch, unsub
-}
-
 // SubscribeSince registers an event listener resuming after sequence number
 // since: the returned backlog holds the retained events with Seq > since
 // (none for since < 0), and the channel delivers everything published after

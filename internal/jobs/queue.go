@@ -124,24 +124,21 @@ func (q *queue) pop() (id string, ok bool) {
 	}
 }
 
-// close stops the queue: pending jobs still pop, pushes fail, and blocked
-// pops return once the queue drains. drain=true discards pending work so
-// blocked pops return immediately (shutdown path; the WAL re-enqueues the
+// close stops the queue at shutdown: pushes fail, and pending work is
+// discarded so blocked pops return at once (the WAL re-enqueues the
 // discarded jobs on restart).
-func (q *queue) close(drain bool) {
+func (q *queue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	if drain {
-		if q.reg != nil {
-			for _, t := range q.order {
-				q.reg.Gauge(obs.Name("jobs.queue_depth", "tenant", tenantLabel(t))).Set(0)
-			}
-			q.depthGauge.Set(0)
+	if q.reg != nil {
+		for _, t := range q.order {
+			q.reg.Gauge(obs.Name("jobs.queue_depth", "tenant", tenantLabel(t))).Set(0)
 		}
-		q.lanes = make(map[string][]string)
-		q.size = 0
+		q.depthGauge.Set(0)
 	}
+	q.lanes = make(map[string][]string)
+	q.size = 0
 	q.cond.Broadcast()
 }
 

@@ -66,37 +66,33 @@ func TestQueueBound(t *testing.T) {
 	}
 }
 
+// TestQueueClose: a closed queue refuses pushes, releases a blocked pop
+// and discards pending work.
 func TestQueueClose(t *testing.T) {
 	q := newQueue(4)
 	if err := q.push("t", "1"); err != nil {
 		t.Fatal(err)
 	}
-	// Non-drain close: pending items still pop, then ok=false.
-	q.close(false)
+	done := make(chan bool, 1)
+	go func() {
+		q.pop() // consumes the one item
+		_, ok := q.pop()
+		done <- ok
+	}()
+	q.close()
 	if err := q.push("t", "2"); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("push after close = %v; want ErrQueueClosed", err)
 	}
-	if id, ok := q.pop(); !ok || id != "1" {
-		t.Fatalf("pop after close = %q, %v; want pending item", id, ok)
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop on drained closed queue reported ok")
+	if ok := <-done; ok {
+		t.Fatal("blocked pop returned ok after close")
 	}
 
-	// Drain close: a blocked pop returns immediately and pending work is
-	// discarded.
 	q2 := newQueue(4)
 	if err := q2.push("t", "1"); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan bool, 1)
-	go func() {
-		q2.pop() // consumes the one item
-		_, ok := q2.pop()
-		done <- ok
-	}()
-	q2.close(true)
-	if ok := <-done; ok {
-		t.Fatal("blocked pop returned ok after drain close")
+	q2.close()
+	if _, ok := q2.pop(); ok || q2.depth() != 0 {
+		t.Fatalf("pop after close reported ok, depth %d; want pending work discarded", q2.depth())
 	}
 }

@@ -174,10 +174,6 @@ func New(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// Pool exposes the engine pool (the obs server's /runs closure reads its
-// tracker).
-func (s *Service) Pool() *engine.Pool { return s.pool }
-
 // jobAttrs builds the structured-log attributes every job-scoped line
 // carries; extra attrs append after the identity set.
 func (s *Service) jobAttrs(j *Job, extra ...any) []any {
@@ -383,7 +379,7 @@ func (s *Service) Close() error {
 	s.mu.Unlock()
 
 	s.log.Info("service draining")
-	s.queue.close(true)
+	s.queue.close()
 	s.cancel()
 	s.wg.Wait()
 	s.log.Info("service stopped")

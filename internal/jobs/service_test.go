@@ -123,7 +123,7 @@ func TestServiceShutdownResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, _ := svc.Get(id)
-	ch, unsub := j.Subscribe()
+	_, ch, unsub := j.SubscribeSince(-1)
 	sawShard := false
 	deadline := time.After(2 * time.Minute)
 wait:

@@ -110,7 +110,9 @@ func (s *Spec) Normalize() error {
 		s.SkipVerify = false // only perf sweeps read it
 	case KindPerf, KindCPIStack:
 		if len(s.Schemes) == 0 {
-			s.Schemes = []string{"sw-dup", "swap-ecc", "pre-addsub", "pre-mad"}
+			for _, sc := range harness.Fig12Schemes() {
+				s.Schemes = append(s.Schemes, harness.SchemeName(sc))
+			}
 		}
 		if _, err := harness.ParseSchemes(s.Schemes); err != nil {
 			return err

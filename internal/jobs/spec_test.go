@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"swapcodes/internal/harness"
 )
 
 func TestSpecNormalizeDefaults(t *testing.T) {
@@ -180,6 +182,21 @@ func TestSpecKeyStable(t *testing.T) {
 		if got := c.spec.Key(); got != c.want {
 			t.Errorf("%s spec key = %s, want %s (cached results would miss)", c.spec.Kind, got, c.want)
 		}
+	}
+}
+
+// TestPerfDefaultSchemesAreFigure12: a perf spec without schemes gets
+// Figure 12's, by name and in the order the hand-written list had, so its
+// content address (TestSpecKeyStable) is unchanged.
+func TestPerfDefaultSchemesAreFigure12(t *testing.T) {
+	s := Spec{Kind: KindPerf}
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	schemes, err := harness.ParseSchemes(s.Schemes)
+	if err != nil || !slices.Equal(schemes, harness.Fig12Schemes()) ||
+		!slices.Equal(s.Schemes, []string{"sw-dup", "swap-ecc", "pre-addsub", "pre-mad"}) {
+		t.Errorf("default schemes %q (%v), want Figure 12's: sw-dup, swap-ecc, pre-addsub, pre-mad", s.Schemes, err)
 	}
 }
 

@@ -186,9 +186,6 @@ func (s *Store) Healthy() error {
 	return nil
 }
 
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
-
 // CASDir returns the content-addressed cache directory under the state dir.
 func (s *Store) CASDir() string { return filepath.Join(s.dir, "cas") }
 

@@ -133,10 +133,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the http base URL of the server.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// TimeSeries returns the server's registry sampler (never nil on a started
-// server) — CLIs flush its final window, tests drive Sample directly.
-func (s *Server) TimeSeries() *TimeSeries { return s.ts }
-
 // Shutdown gracefully stops the server, waiting for in-flight requests up
 // to the context deadline, and reports any serve-loop error. It is safe to
 // call more than once — a CLI whose signal handler and deferred cleanup
