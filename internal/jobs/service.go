@@ -53,8 +53,10 @@ type Service struct {
 
 	// queueCap mirrors Options.QueueCap for the /readyz saturation check.
 	queueCap int
-	// liveWorkers counts executor goroutines inside their pop loop; /readyz
-	// reports the runner pool dead when it hits zero before Close.
+	// liveWorkers counts executor goroutines from their start (New counts
+	// them before the go statement, so /readyz answered right after New
+	// reads them) to their exit; /readyz reports the runner pool dead when
+	// it hits zero before Close.
 	liveWorkers atomic.Int64
 
 	mu       sync.Mutex
@@ -169,6 +171,7 @@ func New(opts Options) (*Service, error) {
 	s.cancel = cancel
 	for i := 0; i < opts.MaxConcurrentJobs; i++ {
 		s.wg.Add(1)
+		s.liveWorkers.Add(1)
 		go s.worker(ctx)
 	}
 	return s, nil
@@ -400,7 +403,6 @@ func (s *Service) logState(j *Job) {
 // worker loops popping jobs until shutdown.
 func (s *Service) worker(base context.Context) {
 	defer s.wg.Done()
-	s.liveWorkers.Add(1)
 	defer s.liveWorkers.Add(-1)
 	for {
 		id, ok := s.queue.pop()

@@ -195,3 +195,21 @@ func TestServiceCancelQueued(t *testing.T) {
 	// The blocker is irrelevant to the assertion; cancel it to shorten Close.
 	_ = svc.Cancel(blocker)
 }
+
+// TestReadyRightAfterNew: the runner check passes as soon as New returns,
+// before the worker goroutines have been scheduled, so a server is ready
+// when it prints its listen line.
+func TestReadyRightAfterNew(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		svc, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range svc.ReadyChecks() {
+			if err := c.Check(); err != nil {
+				t.Errorf("check %s right after New: %v", c.Name, err)
+			}
+		}
+		svc.Close()
+	}
+}
